@@ -56,6 +56,7 @@ fig10Experiment()
             table.addColumn("full");
 
             const unsigned max_p = context.quick() ? 6 : 12;
+            std::vector<std::vector<SweepColumn>> rows;
             for (unsigned p = 1; p <= max_p; ++p) {
                 std::vector<SweepColumn> columns;
                 for (unsigned b : bits) {
@@ -81,15 +82,17 @@ fig10Experiment()
                              unconstrainedTwoLevel(p));
                      }});
 
-                const GridResult grid =
-                    runner.run(columns, context.session());
-                const unsigned row =
-                    table.addRow(std::to_string(p));
-                for (const auto &column : columns) {
-                    table.set(std::to_string(p), column.label,
-                              grid.average(column.label, avg));
+                rows.push_back(std::move(columns));
+            }
+            const std::vector<GridResult> grids =
+                runner.runBatch(rows, context.session());
+            for (unsigned p = 1; p <= max_p; ++p) {
+                const std::string row = std::to_string(p);
+                table.addRow(row);
+                for (const auto &column : rows[p - 1]) {
+                    table.set(row, column.label,
+                              grids[p - 1].average(column.label, avg));
                 }
-                (void)row;
             }
             context.emit(table);
             context.note(

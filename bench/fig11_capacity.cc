@@ -45,6 +45,7 @@ fig11Experiment()
             for (unsigned p : path_lengths)
                 table.addColumn("p=" + std::to_string(p));
 
+            std::vector<std::vector<SweepColumn>> rows;
             for (std::uint64_t size : sizes) {
                 std::vector<SweepColumn> columns;
                 for (unsigned p : path_lengths) {
@@ -55,12 +56,15 @@ fig11Experiment()
                                  p, TableSpec::fullyAssoc(size)));
                          }});
                 }
-                const GridResult grid =
-                    runner.run(columns, context.session());
-                const std::string row = std::to_string(size);
-                for (const auto &column : columns) {
+                rows.push_back(std::move(columns));
+            }
+            const std::vector<GridResult> grids =
+                runner.runBatch(rows, context.session());
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
+                const std::string row = std::to_string(sizes[i]);
+                for (const auto &column : rows[i]) {
                     table.set(row, column.label,
-                              grid.average(column.label, avg));
+                              grids[i].average(column.label, avg));
                 }
             }
             context.emit(table);

@@ -40,16 +40,9 @@ fig16Experiment()
                 path_lengths = {0, 2, 4, 8};
             }
 
-            for (unsigned ways : {0u, 2u, 4u}) {
-                const std::string org =
-                    ways == 0 ? "tagless"
-                              : std::to_string(ways) + "-way";
-                ResultTable table("Figure 16 (" + org +
-                                      "): AVG misprediction (%)",
-                                  "entries");
-                for (unsigned p : path_lengths)
-                    table.addColumn("p=" + std::to_string(p));
-
+            const std::vector<unsigned> organisations = {0u, 2u, 4u};
+            std::vector<std::vector<SweepColumn>> rows;
+            for (unsigned ways : organisations) {
                 for (std::uint64_t size : sizes) {
                     std::vector<SweepColumn> columns;
                     for (unsigned p : path_lengths) {
@@ -66,13 +59,30 @@ fig16Experiment()
                                      paperTwoLevel(p, spec));
                              }});
                     }
-                    const GridResult grid =
-                        runner.run(columns, context.session());
+                    rows.push_back(std::move(columns));
+                }
+            }
+            const std::vector<GridResult> grids =
+                runner.runBatch(rows, context.session());
+
+            std::size_t next = 0;
+            for (unsigned ways : organisations) {
+                const std::string org =
+                    ways == 0 ? "tagless"
+                              : std::to_string(ways) + "-way";
+                ResultTable table("Figure 16 (" + org +
+                                      "): AVG misprediction (%)",
+                                  "entries");
+                for (unsigned p : path_lengths)
+                    table.addColumn("p=" + std::to_string(p));
+                for (std::uint64_t size : sizes) {
                     const std::string row = std::to_string(size);
-                    for (const auto &column : columns) {
+                    for (const auto &column : rows[next]) {
                         table.set(row, column.label,
-                                  grid.average(column.label, avg));
+                                  grids[next].average(column.label,
+                                                      avg));
                     }
+                    ++next;
                 }
                 context.emit(table);
             }

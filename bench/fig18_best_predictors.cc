@@ -12,6 +12,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/btb.hh"
 #include "core/factory.hh"
@@ -56,29 +58,24 @@ fig18Experiment()
             }
             best_p.setPrecision(0);
 
+            const std::vector<std::string> orgs = {
+                "tagless", "assoc2", "assoc4", "fullassoc"};
+            // One batch: per size, the BTB reference (fully
+            // associative) and one grid per organisation over the
+            // path lengths.
+            std::vector<std::vector<SweepColumn>> grids;
             for (const std::uint64_t size : sizes) {
-                const std::string row = std::to_string(size);
-
-                // BTB reference at this size (fully associative).
-                {
-                    std::vector<SweepColumn> columns = {btbColumn(
-                        "btb", TableSpec::fullyAssoc(size), true)};
-                    const GridResult grid =
-                        runner.run(columns, context.session());
-                    best.set(row, "btb", grid.average("btb", avg));
-                }
-
-                for (const auto org : {"tagless", "assoc2", "assoc4",
-                                       "fullassoc"}) {
-                    const std::string org_name(org);
+                grids.push_back({btbColumn(
+                    "btb", TableSpec::fullyAssoc(size), true)});
+                for (const std::string &org : orgs) {
                     std::vector<SweepColumn> columns;
                     for (unsigned p : path_lengths) {
                         TableSpec spec;
-                        if (org_name == "tagless")
+                        if (org == "tagless")
                             spec = TableSpec::tagless(size);
-                        else if (org_name == "assoc2")
+                        else if (org == "assoc2")
                             spec = TableSpec::setAssoc(size, 2);
-                        else if (org_name == "assoc4")
+                        else if (org == "assoc4")
                             spec = TableSpec::setAssoc(size, 4);
                         else
                             spec = TableSpec::fullyAssoc(size);
@@ -86,8 +83,19 @@ fig18Experiment()
                             specColumn("p=" + std::to_string(p),
                                        paperTwoLevel(p, spec)));
                     }
-                    const GridResult grid =
-                        runner.run(columns, context.session());
+                    grids.push_back(std::move(columns));
+                }
+            }
+            const std::vector<GridResult> results =
+                runner.runBatch(grids, context.session());
+
+            std::size_t next = 0;
+            for (const std::uint64_t size : sizes) {
+                const std::string row = std::to_string(size);
+                best.set(row, "btb",
+                         results[next++].average("btb", avg));
+                for (const std::string &org : orgs) {
+                    const GridResult &grid = results[next++];
                     double best_rate = 1e9;
                     unsigned winner = 0;
                     for (unsigned p : path_lengths) {
@@ -98,9 +106,8 @@ fig18Experiment()
                             winner = p;
                         }
                     }
-                    best.set(row, org_name, best_rate);
-                    best_p.set(row, org_name,
-                               static_cast<double>(winner));
+                    best.set(row, org, best_rate);
+                    best_p.set(row, org, static_cast<double>(winner));
                 }
             }
             context.emit(best);

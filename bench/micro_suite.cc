@@ -313,7 +313,8 @@ microThroughputExperiment()
 
             // ---------------------------------------------------
             // The grid sharder's cell-claim layer (docs/SERVICE.md):
-            // flock-backed claim round-trips, durable entry stores
+            // one-cell claim round-trips (open the store's lock file,
+            // take a byte-range lock, close), durable entry stores
             // (tmp+fsync+rename), warm loads, and contended-claim
             // probes on a throwaway store. These rates bound the
             // per-cell coordination overhead a sharded fan-out pays
@@ -392,8 +393,9 @@ microThroughputExperiment()
                     std::to_string(hits) + "/" +
                     std::to_string(store_ops) +
                     " warm loads hit; claim round-trip and busy "
-                    "probe are flock(2) on a sidecar, store-put "
-                    "pays the durable tmp+fsync+rename path.");
+                    "probe open the store's lock file and take a "
+                    "byte-range lock, store-put pays the durable "
+                    "tmp+fsync+rename path.");
                 std::error_code ec;
                 std::filesystem::remove_all(claim_dir, ec);
             }

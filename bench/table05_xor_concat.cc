@@ -42,6 +42,7 @@ table05Experiment()
             table.addRow("Concat");
             table.addRow("Xor-Concat");
 
+            std::vector<std::vector<SweepColumn>> rows;
             for (unsigned p = 0; p <= max_p; ++p) {
                 std::vector<SweepColumn> columns;
                 for (const KeyMix mix :
@@ -55,8 +56,12 @@ table05Experiment()
                                  TwoLevelPredictor>(config);
                          }});
                 }
-                const GridResult grid =
-                    runner.run(columns, context.session());
+                rows.push_back(std::move(columns));
+            }
+            const std::vector<GridResult> grids =
+                runner.runBatch(rows, context.session());
+            for (unsigned p = 0; p <= max_p; ++p) {
+                const GridResult &grid = grids[p];
                 const double xor_rate = grid.average("xor", avg);
                 const double concat_rate =
                     grid.average("concat", avg);

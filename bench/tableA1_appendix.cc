@@ -50,6 +50,7 @@ tableA1Experiment()
             if (context.quick())
                 sizes = {1024};
 
+            std::vector<std::vector<SweepColumn>> grids;
             for (const std::uint64_t size : sizes) {
                 std::vector<SweepColumn> columns;
                 columns.push_back({"btb-fa", [size]() {
@@ -107,13 +108,16 @@ tableA1Experiment()
                          }});
                 }
 
-                const GridResult grid =
-                    runner.run(columns, context.session());
+                grids.push_back(std::move(columns));
+            }
+            const std::vector<GridResult> results =
+                runner.runBatch(grids, context.session());
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
                 context.emit(runner.benchmarkTable(
-                    "Table A-1 (size " + std::to_string(size) +
+                    "Table A-1 (size " + std::to_string(sizes[i]) +
                         "): misprediction (%), Table A-2 path "
                         "lengths",
-                    grid, columns));
+                    results[i], grids[i]));
             }
             context.note(
                 "Paper anchors at 1K: AVG btb 24.93, tagless 11.74, "

@@ -39,6 +39,15 @@ HybridConfig::describe() const
     return out.str();
 }
 
+std::vector<TwoLevelConfig>
+HybridConfig::machineConfigs() const
+{
+    std::vector<TwoLevelConfig> configs = components;
+    for (auto &component : configs)
+        component.confidenceBits = confidenceBits;
+    return configs;
+}
+
 HybridConfig
 HybridConfig::twoComponent(const TwoLevelConfig &first,
                            const TwoLevelConfig &second)
@@ -53,8 +62,7 @@ HybridPredictor::HybridPredictor(const HybridConfig &config)
       _flatSelector(tableImplementation() == TableImpl::Flat)
 {
     _config.validate();
-    for (auto component : _config.components) {
-        component.confidenceBits = _config.confidenceBits;
+    for (const auto &component : _config.machineConfigs()) {
         _components.push_back(
             std::make_unique<TwoLevelPredictor>(component));
     }

@@ -68,6 +68,11 @@ struct HybridConfig
     void validate() const;
     std::string describe() const;
 
+    /** The component configurations a HybridPredictor actually
+     *  builds: `components` with the uniform confidence width
+     *  applied. */
+    std::vector<TwoLevelConfig> machineConfigs() const;
+
     /** Convenience: the paper's usual two-component construction. */
     static HybridConfig twoComponent(const TwoLevelConfig &first,
                                      const TwoLevelConfig &second);

@@ -37,9 +37,10 @@
  *    coincide forever. dedupe() designates the first such column the
  *    *primary* and turns the rest into replicas that mirror the
  *    primary's memoized per-record prediction and skip their own
- *    table work entirely. A fig17 row's twelve hybrids all share one
- *    p1 component this way, cutting the row's two-level simulations
- *    per record by almost half.
+ *    table work entirely - they never even allocate a table
+ *    (TwoLevelPredictor allocates on first use). A fig17 row's
+ *    twelve hybrids all share one p1 component this way, cutting the
+ *    row's two-level simulations per record by almost half.
  *
  * The simulation loop drives the kernel: commit(pc, target) after
  * the per-record predictor loop performs the history pushes that

@@ -136,11 +136,11 @@ TableSpec::tagless(std::uint64_t entries)
 }
 
 std::unique_ptr<TargetTable>
-makeTable(const TableSpec &spec, EntryCounterSpec counters)
+makeTable(const TableSpec &spec, EntryCounterSpec counters,
+          TableImpl impl)
 {
     spec.validate();
-    const bool reference =
-        tableImplementation() == TableImpl::Reference;
+    const bool reference = impl == TableImpl::Reference;
     switch (spec.kind) {
       case TableKind::Unconstrained:
         if (reference) {

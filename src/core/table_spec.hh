@@ -83,9 +83,11 @@ const char *tableImplName(TableImpl impl);
 /** Name of the current implementation (for telemetry). */
 const char *tableImplName();
 
-/** Instantiate the table described by @p spec. */
-std::unique_ptr<TargetTable> makeTable(const TableSpec &spec,
-                                       EntryCounterSpec counters = {});
+/** Instantiate the table described by @p spec, in implementation
+ *  @p impl (the process-wide one unless a caller pinned it earlier). */
+std::unique_ptr<TargetTable>
+makeTable(const TableSpec &spec, EntryCounterSpec counters = {},
+          TableImpl impl = tableImplementation());
 
 } // namespace ibp
 

@@ -41,10 +41,20 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     : _config(config),
       _builder(config.pattern),
       _history(config.pattern.pathLength, config.historySharing),
-      _table(makeTable(config.table,
-                       EntryCounterSpec{config.confidenceBits, 2}))
+      _tableImpl(tableImplementation())
 {
     _config.validate();
+}
+
+TargetTable &
+TwoLevelPredictor::ownTable() const
+{
+    if (!_table) {
+        _table = makeTable(_config.table,
+                           EntryCounterSpec{_config.confidenceBits, 2},
+                           _tableImpl);
+    }
+    return *_table;
 }
 
 Key
@@ -89,7 +99,7 @@ TwoLevelPredictor::joinSweepKernel(SweepKernel &kernel)
 Prediction
 TwoLevelPredictor::lookup(Addr pc)
 {
-    const TableEntry *entry = _table->probe(currentKey(pc));
+    const TableEntry *entry = ownTable().probe(currentKey(pc));
     if (!entry || !entry->valid)
         return Prediction{};
     return Prediction{true, entry->target,
@@ -138,7 +148,7 @@ TwoLevelPredictor::update(Addr pc, Addr actual)
     if (_sweepPrimary != nullptr)
         return;
     bool replaced = false;
-    TableEntry &entry = _table->access(currentKey(pc), replaced);
+    TableEntry &entry = ownTable().access(currentKey(pc), replaced);
     if (replaced || !entry.valid) {
         entry.target = actual;
         entry.valid = true;
@@ -185,7 +195,8 @@ TwoLevelPredictor::pushHistory(Addr pc, Addr target)
 void
 TwoLevelPredictor::reset()
 {
-    _table->reset();
+    if (_table)
+        _table->reset();
     _history.reset();
     invalidateKeyCache();
     _predMemoValid = false;

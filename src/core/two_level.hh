@@ -107,11 +107,11 @@ class TwoLevelPredictor final : public IndirectPredictor
 
     std::uint64_t tableCapacity() const override
     {
-        return stateOwner()->_table->capacity();
+        return stateOwner()->ownTable().capacity();
     }
     std::uint64_t tableOccupancy() const override
     {
-        return stateOwner()->_table->occupancy();
+        return stateOwner()->ownTable().occupancy();
     }
 
     const TwoLevelConfig &config() const { return _config; }
@@ -128,8 +128,13 @@ class TwoLevelPredictor final : public IndirectPredictor
      */
     SweepKeyVariant *sweepVariant() const { return _sweepVariant; }
     SweepHistoryGroup *sweepGroup() const { return _sweepGroup; }
-    TargetTable &table() { return *_table; }
+    TargetTable &table() { return ownTable(); }
     bool replicated() const { return _replicated; }
+
+    /** True once this predictor allocated its second-level table.
+     *  Tables are allocated on first use, so a dedup replica - whose
+     *  state lives in its primary's table - never owns one. */
+    bool ownsTable() const { return _table != nullptr; }
 
     /**
      * Store @p pred as this record's memoized shared prediction, as
@@ -153,6 +158,11 @@ class TwoLevelPredictor final : public IndirectPredictor
         return _sweepPrimary != nullptr ? _sweepPrimary : this;
     }
 
+    /** This predictor's own table, allocated on first use (see
+     *  ownsTable()); const because capacity/occupancy queries on a
+     *  never-driven predictor may be the first use. */
+    TargetTable &ownTable() const;
+
     /** The raw table lookup predict() performs when it owns state. */
     Prediction lookup(Addr pc);
 
@@ -163,7 +173,10 @@ class TwoLevelPredictor final : public IndirectPredictor
     TwoLevelConfig _config;
     PatternBuilder _builder;
     HistoryRegister _history;
-    std::unique_ptr<TargetTable> _table;
+    /** Implementation pinned at construction, so a lazily allocated
+     *  table matches what an eager one would have been. */
+    TableImpl _tableImpl;
+    mutable std::unique_ptr<TargetTable> _table;
 
     /**
      * Bound mode (joinSweepKernel accepted): the first-level history
@@ -181,10 +194,11 @@ class TwoLevelPredictor final : public IndirectPredictor
      * earlier-joined column has an equal TwoLevelConfig, this
      * predictor becomes its *replica* - predict() mirrors the
      * primary's memoized per-record prediction, update() is a
-     * no-op, and occupancy/capacity report the
-     * primary's table. Identical configurations fed the identical
-     * record stream evolve identically, so every mirrored answer is
-     * bit-for-bit what this column's own table would have produced.
+     * no-op, occupancy/capacity report the primary's table, and
+     * its own table is never allocated. Identical configurations fed
+     * the identical record stream evolve identically, so every
+     * mirrored answer is bit-for-bit what this column's own table
+     * would have produced.
      */
     TwoLevelPredictor *_sweepPrimary = nullptr;
 

@@ -16,6 +16,7 @@ RunMetrics::operator=(const RunMetrics &other)
         return *this;
     std::scoped_lock lock(_mutex, other._mutex);
     _cells = other._cells;
+    _storedBranches = other._storedBranches;
     _failures = other._failures;
     _runSeconds = other._runSeconds;
     _threads = other._threads;
@@ -42,6 +43,14 @@ RunMetrics::recordCell(const CellMetrics &cell)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     _cells.push_back(cell);
+}
+
+void
+RunMetrics::recordStoredCell(const CellMetrics &cell)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    _cells.push_back(cell);
+    _storedBranches += cell.branches;
 }
 
 void
@@ -326,6 +335,16 @@ RunMetrics::totalBranches() const
     return total;
 }
 
+std::uint64_t
+RunMetrics::simulatedBranches() const
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    std::uint64_t total = 0;
+    for (const auto &cell : _cells)
+        total += cell.branches;
+    return total - _storedBranches;
+}
+
 double
 RunMetrics::cellSeconds() const
 {
@@ -349,7 +368,7 @@ RunMetrics::branchesPerSecond() const
     const double seconds = runSeconds();
     if (seconds <= 0.0)
         return 0.0;
-    return static_cast<double>(totalBranches()) / seconds;
+    return static_cast<double>(simulatedBranches()) / seconds;
 }
 
 std::uint64_t
@@ -377,6 +396,11 @@ RunMetrics::toJson() const
     json.set("run_seconds", runSeconds());
     json.set("cell_seconds", cellSeconds());
     json.set("total_branches", totalBranches());
+    // Only when some cells came from the result store, so the field
+    // is absent from every fully simulated artifact.
+    const std::uint64_t stored = totalBranches() - simulatedBranches();
+    if (stored > 0)
+        json.set("stored_branches", stored);
     json.set("branches_per_second", branchesPerSecond());
     json.set("peak_table_occupancy", peakTableOccupancy());
 
@@ -563,6 +587,8 @@ RunMetrics::fromJson(const Json &json)
             metrics.recordCell(cell);
         }
     }
+    metrics._storedBranches = static_cast<std::uint64_t>(
+        json.numberOr("stored_branches", 0.0));
     if (json.contains("failures")) {
         const Json &failures = json.at("failures");
         for (std::size_t i = 0; i < failures.size(); ++i) {

@@ -243,6 +243,14 @@ class RunMetrics
     /** Record one finished simulation cell. Thread-safe. */
     void recordCell(const CellMetrics &cell);
 
+    /**
+     * Record a cell served from the result store instead of
+     * simulated: its counters and seconds are those of the run that
+     * computed it, so it counts in totalBranches() but not in this
+     * run's throughput. Thread-safe.
+     */
+    void recordStoredCell(const CellMetrics &cell);
+
     /** Record one permanently failed cell. Thread-safe. */
     void recordFailure(const FailureRecord &failure);
 
@@ -284,6 +292,10 @@ class RunMetrics
     /** Sum of branches over all recorded cells. */
     std::uint64_t totalBranches() const;
 
+    /** Sum of branches over the cells this run simulated (stored
+     *  cells excluded). */
+    std::uint64_t simulatedBranches() const;
+
     /** Sum of per-cell simulation time (CPU-side, across workers). */
     double cellSeconds() const;
 
@@ -291,8 +303,10 @@ class RunMetrics
     double runSeconds() const;
 
     /**
-     * Aggregate throughput: total branches divided by grid wall
-     * time (so it credits parallelism). 0 when nothing was timed.
+     * Aggregate throughput: simulated branches divided by grid wall
+     * time (so it credits parallelism). Stored cells are not counted
+     * - the run did not simulate them - so a fully warm run reports
+     * 0, as does a run that timed nothing.
      */
     double branchesPerSecond() const;
 
@@ -388,6 +402,8 @@ class RunMetrics
   private:
     mutable std::mutex _mutex;
     std::vector<CellMetrics> _cells;
+    /** Branches of the cells recorded by recordStoredCell(). */
+    std::uint64_t _storedBranches = 0;
     std::vector<FailureRecord> _failures;
     double _runSeconds = 0.0;
     unsigned _threads = 0;

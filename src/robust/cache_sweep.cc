@@ -45,6 +45,10 @@ sweepDirectoryToBudget(const std::string &directory,
         std::error_code probe;
         if (!it->is_regular_file(probe) || probe)
             continue;
+        // A lock file holds no cached bytes, and unlinking one while
+        // held would split its holders from later contenders.
+        if (it->path().extension() == ".lock")
+            continue;
         Entry entry;
         entry.path = it->path();
         entry.mtime = fs::last_write_time(entry.path, probe);

@@ -101,6 +101,11 @@ class CheckpointJournal
     /** Durably append one completed cell. Thread-safe. */
     Result<void> append(const CheckpointCell &cell);
 
+    /** Batched append: one write + fsync for a whole set of
+     *  completed cells (a fused chunk, a run's store hits).
+     *  Thread-safe. */
+    Result<void> appendCells(const std::vector<CheckpointCell> &cells);
+
     /** Durably record that an attempt at @p start is beginning. */
     Result<void> appendStart(const CheckpointStart &start);
 

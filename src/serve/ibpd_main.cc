@@ -242,14 +242,10 @@ main(int argc, char **argv)
                                           "/result-store");
     }
 
-    ibp::SweepServer server(config);
-    const auto started = server.start();
-    if (!started.ok()) {
-        std::fprintf(stderr, "ibpd: %s\n",
-                     started.error().describe().c_str());
-        return 1;
-    }
-
+    // Install the handlers BEFORE start() binds the socket: once a
+    // client can reach the daemon, a SIGTERM must drain it. A signal
+    // that lands during start-up waits in the pipe until the watcher
+    // below picks it up.
     if (::pipe(g_signal_pipe) != 0) {
         std::fprintf(stderr, "ibpd: pipe() failed: %s\n",
                      std::strerror(errno));
@@ -260,6 +256,14 @@ main(int argc, char **argv)
     action.sa_handler = onSignal;
     ::sigaction(SIGTERM, &action, nullptr);
     ::sigaction(SIGINT, &action, nullptr);
+
+    ibp::SweepServer server(config);
+    const auto started = server.start();
+    if (!started.ok()) {
+        std::fprintf(stderr, "ibpd: %s\n",
+                     started.error().describe().c_str());
+        return 1;
+    }
 
     std::thread signal_watcher([&server] {
         char byte = 0;

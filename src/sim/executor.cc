@@ -365,19 +365,17 @@ Executor::Batch::cancelDeferred()
 void
 Executor::Batch::finish()
 {
-    if (_pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Lock before notifying so a waiter that just evaluated the
-        // predicate false cannot miss the wakeup.
-        std::lock_guard<std::mutex> lock(_mutex);
+    // Count down and notify under the lock: a waiter may destroy the
+    // Batch as soon as it sees zero, so it must not see zero while
+    // this thread still uses the mutex or the condition variable.
+    std::lock_guard<std::mutex> lock(_mutex);
+    if (_pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
         _cv.notify_all();
-    }
 }
 
 void
 Executor::Batch::wait()
 {
-    if (_pending.load(std::memory_order_acquire) == 0)
-        return;
     std::unique_lock<std::mutex> lock(_mutex);
     _cv.wait(lock, [&] {
         return _pending.load(std::memory_order_acquire) == 0;

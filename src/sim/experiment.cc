@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -153,8 +154,22 @@ ExperimentContext::restoredCells() const
 }
 
 void
-ExperimentContext::emit(const ResultTable &table)
+ExperimentContext::emit(const ResultTable &emitted)
 {
+    ResultTable table = emitted;
+    if (_session.shardCount > 1) {
+        // A shard simulates only the (chunk, benchmark) tasks it
+        // owns, so an average over a column none of whose benchmarks
+        // it owns is NaN. The merge pass renders the real table; a
+        // shard's copy leaves such cells blank.
+        for (unsigned row = 0; row < table.numRows(); ++row) {
+            for (unsigned col = 0; col < table.numCols(); ++col) {
+                const auto value = table.get(row, col);
+                if (value && !std::isfinite(*value))
+                    table.clear(row, col);
+            }
+        }
+    }
     if (_options.echo)
         table.print();
     if (!_options.csvDir.empty()) {
@@ -164,7 +179,7 @@ ExperimentContext::emit(const ResultTable &table)
         if (_options.echo)
             std::printf("(csv written to %s)\n\n", path.c_str());
     }
-    _tables.push_back(table);
+    _tables.push_back(std::move(table));
     ++_tableIndex;
 }
 

@@ -1,6 +1,10 @@
 #include "sim/result_store.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -8,8 +12,6 @@
 #include <utility>
 
 #include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "core/spec_codec.hh"
@@ -65,83 +67,127 @@ payloadJson(const std::string &key, const StoredResult &result)
     return payload;
 }
 
+/** Claims degrade to lockless on an I/O failure (see CellClaims);
+ *  say so once per process. */
+void
+warnClaimsLockless(const std::string &why)
+{
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true))
+        warn("result store claims degrade to lockless: %s", why.c_str());
+}
+
 } // namespace
 
-CellClaim::CellClaim(CellClaim &&other) noexcept
-    : _state(other._state), _fd(other._fd),
-      _path(std::move(other._path))
+CellClaims::CellClaims(CellClaims &&other) noexcept
+    : _fd(std::exchange(other._fd, -1)), _held(std::move(other._held))
 {
-    other._state = State::None;
-    other._fd = -1;
-    other._path.clear();
+    other._held.clear();
+}
+
+CellClaims &
+CellClaims::operator=(CellClaims &&other) noexcept
+{
+    if (this != &other) {
+        release();
+        _fd = std::exchange(other._fd, -1);
+        _held = std::move(other._held);
+        other._held.clear();
+    }
+    return *this;
+}
+
+CellClaims::~CellClaims()
+{
+    release();
+}
+
+bool
+CellClaims::tryClaim(const std::string &key)
+{
+    if (_fd < 0)
+        return true; // lockless (see the class comment)
+    // One byte per cell, below 2^62 so l_start + l_len never
+    // overflows off_t.
+    const auto offset =
+        static_cast<std::int64_t>(specBytesHash(key) >> 2);
+    if (std::find(_held.begin(), _held.end(), offset) != _held.end())
+        return false;
+    struct flock lock = {};
+    lock.l_type = F_WRLCK;
+    lock.l_whence = SEEK_SET;
+    lock.l_start = static_cast<off_t>(offset);
+    lock.l_len = 1;
+    if (::fcntl(_fd, F_OFD_SETLK, &lock) == 0) {
+        _held.push_back(offset);
+        return true;
+    }
+    // EAGAIN/EACCES: a live peer holds it. Anything else (ENOLCK)
+    // degrades this cell to lockless.
+    if (errno == EAGAIN || errno == EACCES)
+        return false;
+    warnClaimsLockless(std::string("cannot lock: ") + std::strerror(errno));
+    return true;
+}
+
+void
+CellClaims::release()
+{
+    // Closing the open file description drops all of its locks.
+    if (_fd >= 0)
+        ::close(_fd);
+    _fd = -1;
+    _held.clear();
+}
+
+CellClaim::CellClaim(CellClaim &&other) noexcept
+    : _state(std::exchange(other._state, State::None)),
+      _claims(std::move(other._claims))
+{
 }
 
 CellClaim &
 CellClaim::operator=(CellClaim &&other) noexcept
 {
     if (this != &other) {
-        release();
-        _state = other._state;
-        _fd = other._fd;
-        _path = std::move(other._path);
-        other._state = State::None;
-        other._fd = -1;
-        other._path.clear();
+        _claims = std::move(other._claims);
+        _state = std::exchange(other._state, State::None);
     }
     return *this;
-}
-
-CellClaim::~CellClaim()
-{
-    release();
 }
 
 void
 CellClaim::release()
 {
-    if (_state == State::Acquired && _fd >= 0) {
-        // Unlink BEFORE closing: a contender that already open()ed
-        // this inode fails its post-flock identity check and retries
-        // against a fresh sidecar instead of "winning" a lock nobody
-        // else can see.
-        ::unlink(_path.c_str());
-    }
-    if (_fd >= 0)
-        ::close(_fd);
-    _fd = -1;
+    _claims.release();
     _state = State::None;
-    _path.clear();
+}
+
+CellClaims
+ResultStore::claims() const
+{
+    std::error_code ec;
+    std::filesystem::create_directories(_directory, ec);
+    const std::string path = _directory + "/claims.lock";
+    const int fd =
+        ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        warnClaimsLockless("cannot open '" + path +
+                           "': " + std::strerror(errno));
+    }
+    return CellClaims(fd);
 }
 
 CellClaim
 ResultStore::tryClaim(const std::string &key) const
 {
-    std::error_code ec;
-    std::filesystem::create_directories(_directory, ec);
-    const std::string path = pathFor(key) + ".claim";
-    for (int attempt = 0; attempt < 8; ++attempt) {
-        const int fd = ::open(path.c_str(),
-                              O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-        if (fd < 0)
-            break; // degrade to lockless (see header)
-        if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-            ::close(fd);
-            return CellClaim(CellClaim::State::Busy, -1, "");
-        }
-        // The previous holder may have unlinked the sidecar between
-        // our open() and flock(): we would then hold a lock on an
-        // orphaned inode invisible to later contenders. Verify the
-        // path still names our inode; retry on a fresh open if not.
-        struct stat locked, current;
-        if (::fstat(fd, &locked) == 0 &&
-            ::stat(path.c_str(), &current) == 0 &&
-            locked.st_ino == current.st_ino &&
-            locked.st_dev == current.st_dev) {
-            return CellClaim(CellClaim::State::Acquired, fd, path);
-        }
-        ::close(fd);
-    }
-    return CellClaim(CellClaim::State::Acquired, -1, "");
+    CellClaim claim;
+    claim._claims = claims();
+    claim._state = claim._claims.tryClaim(key) ? CellClaim::State::Acquired
+                                               : CellClaim::State::Busy;
+    if (claim.busy())
+        claim._claims.release();
+    return claim;
 }
 
 ResultStore::ResultStore(std::string directory)
@@ -281,15 +327,33 @@ Result<void>
 ResultStore::store(const std::string &key,
                    const StoredResult &result) const
 {
-    Json payload = payloadJson(key, result);
-    Json entry = Json::object();
-    entry.set("checksum",
-              specHashHex(specBytesHash(payload.dump())));
-    entry.set("payload", std::move(payload));
-    const auto written =
-        writeFileAtomic(pathFor(key), entry.dump(2) + "\n");
-    if (written.ok())
-        maybeSweepCacheDirectory(_directory);
+    return std::move(storeAll({Entry{key, result}}).front());
+}
+
+std::vector<Result<void>>
+ResultStore::storeAll(const std::vector<Entry> &entries) const
+{
+    std::vector<std::string> bodies;
+    bodies.reserve(entries.size());
+    for (const Entry &stored : entries) {
+        Json payload = payloadJson(stored.key, stored.result);
+        Json entry = Json::object();
+        entry.set("checksum",
+                  specHashHex(specBytesHash(payload.dump())));
+        entry.set("payload", std::move(payload));
+        bodies.push_back(entry.dump(2) + "\n");
+    }
+    std::vector<AtomicFileWrite> files;
+    files.reserve(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        files.push_back({pathFor(entries[i].key), bodies[i]});
+    std::vector<Result<void>> written = writeFilesAtomic(files);
+    for (const auto &outcome : written) {
+        if (outcome.ok()) {
+            maybeSweepCacheDirectory(_directory);
+            break;
+        }
+    }
     return written;
 }
 

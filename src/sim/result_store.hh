@@ -38,29 +38,68 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "robust/error.hh"
 
 namespace ibp {
 
 /**
- * Exclusive right to simulate one store cell, held while the owner
- * computes it (sharded lanes and overlapping requests race for it;
- * losers defer and serve the cell from the store once the owner
- * persists it). Backed by an flock(2) on a `<cell>.claim` sidecar
- * file, so the kernel releases a dead owner's claim automatically -
- * no pid files, no TTLs, no stale-claim reaping.
+ * Exclusive rights to simulate store cells, held while the owner
+ * computes them (sharded lanes and overlapping requests race for
+ * them; losers defer and serve the cell from the store once the
+ * owner persists it). Backed by open-file-description byte-range
+ * locks (fcntl F_OFD_SETLK) on one `claims.lock` file in the store
+ * directory: a cell is the byte at an offset hashed from its key. One
+ * descriptor holds every cell of a set, however many - a fused chunk
+ * claims all its cells at once - and the kernel releases a dead
+ * owner's claims automatically: no pid files, no TTLs, no stale-claim
+ * reaping, no per-cell files.
  *
- * flock locks the open file description, not the process, so two
- * runners inside ONE process exclude each other exactly like two
- * lane processes do. Move-only; the destructor releases.
+ * OFD locks belong to the open file description, not the process, so
+ * two claim sets inside ONE process exclude each other exactly like
+ * two lane processes do. A default-constructed set (or one whose lock
+ * file could not be opened) is lockless: every tryClaim() succeeds,
+ * and the worst case is a duplicate simulation whose duplicate
+ * store() the atomic-rename write path makes benign. Move-only; the
+ * destructor releases every held cell.
  */
+class CellClaims
+{
+  public:
+    CellClaims() = default;
+    CellClaims(CellClaims &&other) noexcept;
+    CellClaims &operator=(CellClaims &&other) noexcept;
+    CellClaims(const CellClaims &) = delete;
+    CellClaims &operator=(const CellClaims &) = delete;
+    ~CellClaims();
+
+    /** Claim @p key without blocking. True: the cell is ours until
+     *  release(). False: another set holds it - or this set already
+     *  does, and the duplicate defers to the first. */
+    bool tryClaim(const std::string &key);
+
+    /** Drop every held cell (closes the lock descriptor).
+     *  Idempotent; called by the destructor. */
+    void release();
+
+  private:
+    friend class ResultStore;
+    explicit CellClaims(int fd) : _fd(fd) {}
+
+    int _fd = -1;
+    /** Lock offsets this set holds. */
+    std::vector<std::int64_t> _held;
+};
+
+/** The claim on one store cell (ResultStore::tryClaim): a CellClaims
+ *  set of at most one cell. Move-only; the destructor releases. */
 class CellClaim
 {
   public:
     enum class State
     {
-        /** Default-constructed: no claim was attempted. */
+        /** Default-constructed or released: no claim held. */
         None,
         /** We hold the cell; simulate it, then release(). */
         Acquired,
@@ -71,28 +110,19 @@ class CellClaim
     CellClaim() = default;
     CellClaim(CellClaim &&other) noexcept;
     CellClaim &operator=(CellClaim &&other) noexcept;
-    CellClaim(const CellClaim &) = delete;
-    CellClaim &operator=(const CellClaim &) = delete;
-    ~CellClaim();
 
     State state() const { return _state; }
     bool acquired() const { return _state == State::Acquired; }
     bool busy() const { return _state == State::Busy; }
 
-    /** Drop the claim (unlink the sidecar, then close the lock).
-     *  Idempotent; called by the destructor. */
+    /** Drop the claim (destruction does too). Idempotent. */
     void release();
 
   private:
     friend class ResultStore;
-    CellClaim(State state, int fd, std::string path)
-        : _state(state), _fd(fd), _path(std::move(path))
-    {
-    }
 
     State _state = State::None;
-    int _fd = -1;
-    std::string _path;
+    CellClaims _claims;
 };
 
 /** One persisted simulation cell. */
@@ -209,19 +239,36 @@ class ResultStore
     Result<void> store(const std::string &key,
                        const StoredResult &result) const;
 
+    /** One entry of a storeAll() batch. */
+    struct Entry
+    {
+        std::string key;
+        StoredResult result;
+    };
+
+    /**
+     * store() for a batch - a fused chunk's cells - through one
+     * batched durable write (writeFilesAtomic): the same per-entry
+     * guarantees for about one filesystem journal commit instead of
+     * one per cell. One result per entry, index-aligned.
+     */
+    std::vector<Result<void>>
+    storeAll(const std::vector<Entry> &entries) const;
+
     /** True when an entry file for @p key exists (no validation);
      *  the exactly-once journal write-back check. */
     bool contains(const std::string &key) const;
 
     /**
-     * Try to acquire the exclusive simulate-this-cell claim for
-     * @p key (non-blocking). Returns an Acquired claim on success,
-     * a Busy one when a live peer holds it. An I/O failure (store
-     * directory gone, fd exhaustion) degrades to a lockless
-     * Acquired claim: the worst case is a duplicate simulation
-     * whose duplicate store() is made benign by the atomic-rename
-     * write path - availability over exclusivity.
+     * Open a claim set on this store (see CellClaims). An I/O
+     * failure (store directory gone, descriptor exhaustion) is
+     * warned about and degrades to a lockless set - availability
+     * over exclusivity.
      */
+    CellClaims claims() const;
+
+    /** Claim the one cell @p key (non-blocking): Acquired on
+     *  success, Busy when a live peer holds it. */
     CellClaim tryClaim(const std::string &key) const;
 
   private:

@@ -16,7 +16,8 @@ specColumn(std::string label, const TwoLevelConfig &config)
                            return std::make_unique<TwoLevelPredictor>(
                                config);
                        },
-                       specHash(config)};
+                       specHash(config),
+                       {config}};
 }
 
 SweepColumn
@@ -27,7 +28,8 @@ specColumn(std::string label, const HybridConfig &config)
                            return std::make_unique<HybridPredictor>(
                                config);
                        },
-                       specHash(config)};
+                       specHash(config),
+                       config.machineConfigs()};
 }
 
 SweepColumn

@@ -10,7 +10,9 @@
  * (core/spec_codec.hh) that keys the column's cells in the
  * content-addressed result store (sim/result_store.hh). The config
  * is captured by value, so the factory provably constructs exactly
- * what the hash describes.
+ * what the hash describes. Two-level and hybrid columns also carry
+ * their state machines in spec form (SweepColumn::machines), which is
+ * what SuiteRunner::runBatch() plans its fused chunks from.
  */
 
 #ifndef IBP_SIM_SPEC_COLUMNS_HH

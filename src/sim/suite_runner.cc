@@ -7,12 +7,14 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <system_error>
 #include <thread>
 
 #include "core/simd.hh"
 #include "core/sweep_kernel.hh"
+#include "core/table_spec.hh"
 #include "robust/fault_injection.hh"
 #include "sim/result_store.hh"
 #include "trace/trace_cache.hh"
@@ -46,6 +48,116 @@ claimWaitCeilingSeconds()
 }
 
 } // namespace
+
+ChunkPlan
+planChunks(const std::vector<std::vector<SweepColumn>> &grids)
+{
+    std::vector<const SweepColumn *> columns;
+    std::vector<std::size_t> grid_of;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        for (const SweepColumn &column : grids[g]) {
+            columns.push_back(&column);
+            grid_of.push_back(g);
+        }
+    }
+    const std::size_t count = columns.size();
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+    // Union-find over batch columns, joined through shared machines;
+    // a root is always its component's first column.
+    std::vector<std::size_t> parent(count);
+    std::iota(parent.begin(), parent.end(), std::size_t{0});
+    const auto find = [&parent](std::size_t c) {
+        while (parent[c] != c) {
+            parent[c] = parent[parent[c]];
+            c = parent[c];
+        }
+        return c;
+    };
+    std::vector<const TwoLevelConfig *> machines;
+    std::vector<std::size_t> first_user;
+    for (std::size_t c = 0; c < count; ++c) {
+        for (const TwoLevelConfig &config : columns[c]->machines) {
+            std::size_t m = 0;
+            while (m < machines.size() && !(*machines[m] == config))
+                ++m;
+            if (m == machines.size()) {
+                machines.push_back(&config);
+                first_user.push_back(c);
+                continue;
+            }
+            const std::size_t a = find(c);
+            const std::size_t b = find(first_user[m]);
+            parent[std::max(a, b)] = std::min(a, b);
+        }
+    }
+
+    // Per-component table bytes and sizedness (every table bounded),
+    // at the root.
+    std::vector<std::uint64_t> bytes(count, 0);
+    std::vector<bool> sized(count, true);
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+        const std::size_t root = find(first_user[m]);
+        bytes[root] += machines[m]->table.entries * sizeof(TableEntry);
+        if (machines[m]->table.kind == TableKind::Unconstrained)
+            sized[root] = false;
+    }
+    std::uint64_t capacity = 0;
+    for (std::size_t c = 0; c < count; ++c) {
+        if (!columns[c]->machines.empty() && find(c) == c && sized[c])
+            capacity = std::max(capacity, bytes[c]);
+    }
+
+    ChunkPlan plan;
+    plan.chunkOf.assign(count, kNone);
+    plan.unitOf.assign(count, kNone);
+    std::vector<std::size_t> root_chunk(count, kNone);
+    std::vector<std::size_t> root_unit(count, kNone);
+    std::map<std::size_t, std::size_t> opaque_chunk; // grid -> chunk
+    const auto newChunk = [&plan](bool packable) {
+        plan.chunks.emplace_back();
+        plan.chunks.back().packable = packable;
+        return plan.chunks.size() - 1;
+    };
+    for (std::size_t c = 0; c < count; ++c) {
+        if (columns[c]->machines.empty()) {
+            const auto [it, fresh] =
+                opaque_chunk.try_emplace(grid_of[c], 0);
+            if (fresh)
+                it->second = newChunk(false);
+            ChunkPlan::Chunk &chunk = plan.chunks[it->second];
+            plan.chunkOf[c] = it->second;
+            plan.unitOf[c] = chunk.units.size();
+            chunk.units.push_back({c});
+            continue;
+        }
+        const std::size_t root = find(c);
+        if (root_chunk[root] == kNone) {
+            std::size_t target = kNone;
+            if (sized[root]) {
+                for (std::size_t k = 0; k < plan.chunks.size(); ++k) {
+                    if (plan.chunks[k].packable &&
+                        plan.chunks[k].bytes + bytes[root] <= capacity) {
+                        target = k;
+                        break;
+                    }
+                }
+            }
+            if (target == kNone)
+                target = newChunk(sized[root]);
+            ChunkPlan::Chunk &chunk = plan.chunks[target];
+            root_chunk[root] = target;
+            root_unit[root] = chunk.units.size();
+            chunk.units.emplace_back();
+            chunk.bytes += bytes[root];
+        }
+        ChunkPlan::Chunk &chunk = plan.chunks[root_chunk[root]];
+        plan.chunkOf[c] = root_chunk[root];
+        plan.unitOf[c] = root_unit[root];
+        chunk.units[root_unit[root]].push_back(c);
+    }
+    return plan;
+}
 
 void
 GridResult::set(const std::string &column, const std::string &benchmark,
@@ -319,11 +431,12 @@ simulationThreads()
     return hw == 0 ? 4 : hw;
 }
 
-GridResult
-SuiteRunner::run(const std::vector<SweepColumn> &columns,
-                 RunSession &session) const
+std::vector<GridResult>
+SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
+                      RunSession &session) const
 {
-    const unsigned grid_id = session.nextGridId++;
+    const unsigned first_grid_id = session.nextGridId;
+    session.nextGridId += static_cast<unsigned>(grids.size());
     RunMetrics *metrics = session.metrics;
     CheckpointJournal *journal = session.checkpoint;
     // Drain support (docs/SERVICE.md): once the session's abort flag
@@ -343,6 +456,18 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     Executor &executor = Executor::global();
     executor.ensureWorkers(simulationThreads());
 
+    // The batch's columns in batch order (grid by grid) and the
+    // spec-level chunk plan over them (see ChunkPlan).
+    std::vector<const SweepColumn *> batch_columns;
+    std::vector<std::size_t> grid_of;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        for (const SweepColumn &column : grids[g]) {
+            batch_columns.push_back(&column);
+            grid_of.push_back(g);
+        }
+    }
+    const ChunkPlan plan = planChunks(grids);
+
     struct Job
     {
         const SweepColumn *column;
@@ -351,17 +476,23 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
          *  that, so it can start the moment the trace exists). */
         const Trace *trace = nullptr;
         const std::string *benchmark;
+        /** Index of the job's column in batch order (plan lookup). */
+        std::size_t batchColumn = 0;
+        /** Index of the job's grid within the batch. */
+        std::size_t grid = 0;
+        /** The grid's session-wide id (journal and fault keys). */
+        unsigned gridId = 0;
         double missPercent = 0.0;
         /** Completed by the single-pass phase; skipped per-cell. */
         bool done = false;
         bool failed = false;
-        RunError error;
+        RunError error = {};
         /** Result-store cell key; empty = don't probe or persist
          *  (store disabled, column unkeyed, or injector armed). */
-        std::string storeKey;
-        /** Claimed by a live peer at construction time: skipped by
-         *  both phases, resolved by the deferred-wait loop (served
-         *  from the store, or simulated if the owner gave up). */
+        std::string storeKey = {};
+        /** Claimed by a live peer when this run tried to claim it:
+         *  resolved by the deferred-wait loop (served from the
+         *  store, or simulated if the owner gave up). */
         bool deferred = false;
         /** Another shard's cell, tracked only as a work-stealing
          *  candidate; skipped by both phases. */
@@ -388,11 +519,14 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         shard_active ? session.shardIndex % shard_count : 0;
     const bool claims_active = store != nullptr && session.cellClaims;
     // hits/misses/invalidated/journalWritebacks are only touched in
-    // the single-threaded construction loop below; stores happen on
-    // worker threads and are counted separately via an atomic.
+    // the single-threaded construction loop below; stores and claims
+    // happen on worker threads and are counted via atomics.
     ResultStoreStats store_stats;
     std::atomic<unsigned> store_writes{0};
     std::atomic<unsigned> stolen_cells{0};
+    std::atomic<unsigned> claims_taken{0};
+    std::atomic<unsigned> claims_busy{0};
+    std::atomic<unsigned> claims_served{0};
     // Cell keys need each benchmark's trace cache key, computable
     // from the name alone (no need to wait for acquisition); cached
     // because profile hashing is per-benchmark work, not per-cell.
@@ -409,29 +543,36 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         return it->second;
     };
 
-    GridResult grid;
+    std::vector<GridResult> results(grids.size());
     std::vector<Job> jobs;
-    jobs.reserve(columns.size() * _names.size());
-    // Claim handles, index-aligned with jobs (CellClaim is move-only
-    // and Job is an aggregate; a parallel vector keeps Job cheap).
-    // Never resized after construction, so finishCell can release a
-    // cell's claim from its worker thread without locking; whatever
-    // is still held at return (drained / deferred / failed cells)
-    // releases via the destructors.
-    std::vector<CellClaim> cell_claims;
-    cell_claims.reserve(columns.size() * _names.size());
-    const auto pushJob = [&](Job job, CellClaim claim = {}) {
-        jobs.push_back(std::move(job));
-        cell_claims.push_back(std::move(claim));
+    jobs.reserve(batch_columns.size() * _names.size());
+    // Completion records, written as ONE fsynced journal batch (a
+    // pass's store hits, a fused chunk's cells) instead of one fsync
+    // per cell - a warm grid is all hits, and per-hit fsyncs
+    // dominated its time. Safe from worker threads.
+    const auto journalCells =
+        [journal](const std::vector<CheckpointCell> &records) {
+            if (!journal || records.empty())
+                return;
+            const auto appended = journal->appendCells(records);
+            if (!appended.ok()) {
+                warn("checkpoint append of %zu cells failed: %s",
+                     records.size(),
+                     appended.error().describe().c_str());
+            }
+        };
+    // Journal records of store-served cells on the calling thread.
+    std::vector<CheckpointCell> served_records;
+    const auto flushServed = [&]() {
+        journalCells(served_records);
+        served_records.clear();
     };
-    // Serve one cell from a stored entry: identical bookkeeping to
-    // the warm-probe hit path, reused by the post-claim re-probe and
-    // the deferred-wait loop (stored integer counters make the
-    // restored miss rate bit-identical to a cold computation).
-    const auto serveStored = [&](const SweepColumn &column,
-                                 const std::string &name,
-                                 const StoredResult &cell) {
-        grid.set(column.label, name, cell.missPercent);
+    // Count one cell served from a stored entry (thread-safe; the
+    // stored integer counters make the restored miss rate
+    // bit-identical to a cold computation).
+    const auto recordStored = [&](const SweepColumn &column,
+                                  const std::string &name,
+                                  const StoredResult &cell) {
         if (metrics && cell.hasCounters) {
             CellMetrics restored_cell;
             restored_cell.column = column.label;
@@ -442,23 +583,40 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             restored_cell.secondsSynthetic = cell.sharedTraversal;
             restored_cell.tableOccupancy = cell.tableOccupancy;
             restored_cell.tableCapacity = cell.tableCapacity;
-            metrics->recordCell(restored_cell);
-        }
-        if (journal) {
-            // Journalled like any finished cell, so a
-            // drained-and-resumed sweep stays coherent.
-            const auto appended = journal->append(
-                CheckpointCell{grid_id, column.label, name,
-                               cell.missPercent});
-            if (!appended.ok()) {
-                warn("checkpoint append failed for %s/%s: %s",
-                     column.label.c_str(), name.c_str(),
-                     appended.error().describe().c_str());
-            }
+            metrics->recordStoredCell(restored_cell);
         }
         notifyCell();
     };
-    for (const auto &column : columns) {
+    // Serve one job from a stored entry - after a claim's re-probe,
+    // or in the deferred-wait loop. Its journal record goes to
+    // @p records, which the caller writes as one batch: served cells
+    // are journalled like any finished cell, so a drained-and-resumed
+    // sweep stays coherent.
+    const auto serveJob = [&](Job &job, const StoredResult &cell,
+                              std::vector<CheckpointCell> &records) {
+        job.done = true;
+        job.missPercent = cell.missPercent;
+        records.push_back(CheckpointCell{job.gridId, job.column->label,
+                                         *job.benchmark,
+                                         cell.missPercent});
+        recordStored(*job.column, *job.benchmark, cell);
+    };
+    for (std::size_t batch_column = 0;
+         batch_column < batch_columns.size(); ++batch_column) {
+        const SweepColumn &column = *batch_columns[batch_column];
+        const std::size_t grid = grid_of[batch_column];
+        const unsigned grid_id =
+            first_grid_id + static_cast<unsigned>(grid);
+        const std::size_t chunk = plan.chunkOf[batch_column];
+        const auto makeJob = [&](const std::string &name,
+                                 std::string store_key) {
+            Job job{&column, nullptr, &name};
+            job.batchColumn = batch_column;
+            job.grid = grid;
+            job.gridId = grid_id;
+            job.storeKey = std::move(store_key);
+            return job;
+        };
         for (std::size_t name_index = 0;
              name_index < _names.size(); ++name_index) {
             const std::string &name = _names[name_index];
@@ -471,7 +629,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 const auto restored =
                     journal->lookup(grid_id, column.label, name);
                 if (restored) {
-                    grid.set(column.label, name, *restored);
+                    results[grid].set(column.label, name, *restored);
                     // Checkpoint/result-store interplay: the journal
                     // resurrected this cell, so it is NOT a store
                     // hit - but its value is worth persisting so the
@@ -523,10 +681,9 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                             errorKindName(ErrorKind::Timeout),
                             prior});
                     }
-                    grid.setFailed(FailedCell{column.label, name,
-                                              message,
-                                              ErrorKind::Timeout,
-                                              prior});
+                    results[grid].setFailed(
+                        FailedCell{column.label, name, message,
+                                   ErrorKind::Timeout, prior});
                     notifyCell();
                     continue;
                 }
@@ -536,22 +693,21 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 store_key = ResultStore::cellKey(traceKeyOf(name),
                                                  column.specHash);
             }
-            // Shard filter: only the owner shard simulates a cell;
-            // other shards either track it as a steal candidate or
-            // skip it outright (the merge pass restores it from the
-            // store). Unkeyed cells cannot flow through the store,
-            // so every shard leaves them for the merge.
+            // Shard filter: only the owner shard of the cell's
+            // (chunk, benchmark) simulates it; other shards either
+            // track it as a steal candidate or skip it outright (the
+            // merge pass restores it from the store). Unkeyed cells
+            // cannot flow through the store, so every shard leaves
+            // them for the merge.
             if (shard_active) {
                 if (store_key.empty())
                     continue;
-                const unsigned owner = static_cast<unsigned>(
-                    (name_index + grid_id) % shard_count);
-                if (owner != shard_index) {
+                if (shardOwner(name_index, chunk, shard_count) !=
+                    shard_index) {
                     if (session.shardSteal) {
-                        pushJob(Job{&column, nullptr, &name, 0.0,
-                                    false, false, {},
-                                    std::move(store_key), false,
-                                    true});
+                        Job job = makeJob(name, std::move(store_key));
+                        job.foreign = true;
+                        jobs.push_back(std::move(job));
                     }
                     continue;
                 }
@@ -562,11 +718,19 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             // stored integer counters make the restored miss rate
             // bit-identical to a cold computation. A quarantined
             // entry counts as invalidated and the cell re-simulates.
+            // A missed cell is claimed only when its task starts
+            // (claimCells), so a run holds claims on the cells it is
+            // computing, not on the whole batch.
             if (!store_key.empty()) {
                 const auto loaded = store->load(store_key);
                 if (loaded.status == ResultStore::LoadStatus::Hit) {
                     ++store_stats.hits;
-                    serveStored(column, name, loaded.result);
+                    results[grid].set(column.label, name,
+                                      loaded.result.missPercent);
+                    served_records.push_back(
+                        CheckpointCell{grid_id, column.label, name,
+                                       loaded.result.missPercent});
+                    recordStored(column, name, loaded.result);
                     continue;
                 }
                 if (loaded.status ==
@@ -575,40 +739,11 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 } else {
                     ++store_stats.misses;
                 }
-                if (claims_active) {
-                    CellClaim claim = store->tryClaim(store_key);
-                    if (claim.busy()) {
-                        // A live peer is computing this cell right
-                        // now: defer it and serve it from the store
-                        // once the peer persists it (the cross-shard
-                        // / cross-request exactly-once path).
-                        ++store_stats.claimBusy;
-                        pushJob(Job{&column, nullptr, &name, 0.0,
-                                    false, false, {},
-                                    std::move(store_key), true});
-                        continue;
-                    }
-                    // The previous owner may have stored the entry
-                    // and released between our probe and this claim;
-                    // re-probe so we serve instead of re-simulating.
-                    const auto raced = store->load(store_key);
-                    if (raced.status ==
-                        ResultStore::LoadStatus::Hit) {
-                        ++store_stats.claimServed;
-                        serveStored(column, name, raced.result);
-                        continue;
-                    }
-                    ++store_stats.claims;
-                    pushJob(Job{&column, nullptr, &name, 0.0, false,
-                                false, {}, std::move(store_key)},
-                            std::move(claim));
-                    continue;
-                }
             }
-            pushJob(Job{&column, nullptr, &name, 0.0, false, false,
-                        {}, std::move(store_key)});
+            jobs.push_back(makeJob(name, std::move(store_key)));
         }
     }
+    flushServed();
 
     // One slot per pool worker (plus one for off-pool callers, e.g.
     // inline execution when the pool degraded to zero workers)
@@ -693,7 +828,26 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
 
     const auto grid_start = std::chrono::steady_clock::now();
 
-    // Shared by both phases: record one finished cell.
+    // The store entry of one freshly simulated cell.
+    const auto storedEntry = [](const Job &job, const SimResult &result) {
+        StoredResult entry;
+        entry.benchmark = *job.benchmark;
+        entry.predictor = result.predictor;
+        entry.hasCounters = true;
+        entry.branches = result.branches;
+        entry.misses = result.misses;
+        entry.noPrediction = result.noPrediction;
+        entry.tableOccupancy = result.tableOccupancy;
+        entry.tableCapacity = result.tableCapacity;
+        entry.seconds = result.seconds;
+        entry.groupSeconds = result.groupSeconds;
+        entry.sharedTraversal = result.sharedTraversal;
+        entry.missPercent = result.missPercent();
+        return entry;
+    };
+
+    // Record one finished cell (thread-safe). Its store entry and
+    // journal record were written by persistCells just before.
     const auto finishCell = [&](Job &job, const SimResult &result) {
         job.missPercent = result.missPercent();
         job.done = true;
@@ -711,52 +865,108 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             cell.tableCapacity = result.tableCapacity;
             metrics->recordCell(cell);
         }
-        if (journal) {
-            const auto appended = journal->append(CheckpointCell{
-                grid_id, job.column->label, *job.benchmark,
-                job.missPercent});
-            if (!appended.ok()) {
-                warn("checkpoint append failed for %s/%s: %s",
-                     job.column->label.c_str(), job.benchmark->c_str(),
-                     appended.error().describe().c_str());
-            }
-        }
-        // Persist the freshly computed cell (atomic write; a full
-        // disk degrades the store, never the run). Runs on worker
-        // threads, hence the atomic write counter.
-        if (store && !job.storeKey.empty()) {
-            StoredResult entry;
-            entry.benchmark = *job.benchmark;
-            entry.predictor = result.predictor;
-            entry.hasCounters = true;
-            entry.branches = result.branches;
-            entry.misses = result.misses;
-            entry.noPrediction = result.noPrediction;
-            entry.tableOccupancy = result.tableOccupancy;
-            entry.tableCapacity = result.tableCapacity;
-            entry.seconds = result.seconds;
-            entry.groupSeconds = result.groupSeconds;
-            entry.sharedTraversal = result.sharedTraversal;
-            entry.missPercent = job.missPercent;
-            const auto written = store->store(job.storeKey, entry);
-            if (written.ok()) {
-                store_writes.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                warn("result store write for %s/%s failed: %s",
-                     job.column->label.c_str(),
-                     job.benchmark->c_str(),
-                     written.error().describe().c_str());
-            }
-        }
-        // Release the cell claim AFTER the store write, so a peer
-        // that wins the next claim finds the entry instead of
-        // re-simulating. Jobs never reallocate after construction,
-        // so the index is stable and each element has one owner.
-        const auto job_index =
-            static_cast<std::size_t>(&job - jobs.data());
-        if (job_index < cell_claims.size())
-            cell_claims[job_index].release();
         notifyCell();
+    };
+
+    // Freshly simulated cells' store entries and journal records,
+    // each written as one durable batch before the cells finish and
+    // their claims are released - so a peer that wins a claim next
+    // finds the entry instead of re-simulating. A fused chunk passes
+    // all of its members (one fsync per write window, not per cell),
+    // a per-cell attempt its one cell. A full disk degrades the
+    // store, never the run.
+    const auto persistCells = [&](const std::vector<std::size_t> &members,
+                                  const std::vector<SimResult> &cells) {
+        if (store) {
+            std::vector<ResultStore::Entry> entries;
+            std::vector<std::size_t> stored_jobs;
+            for (std::size_t i = 0; i < members.size(); ++i) {
+                const Job &job = jobs[members[i]];
+                if (job.storeKey.empty())
+                    continue;
+                entries.push_back(
+                    {job.storeKey, storedEntry(job, cells[i])});
+                stored_jobs.push_back(members[i]);
+            }
+            const auto written = store->storeAll(entries);
+            for (std::size_t e = 0; e < written.size(); ++e) {
+                if (written[e].ok()) {
+                    store_writes.fetch_add(1, std::memory_order_relaxed);
+                    continue;
+                }
+                const Job &job = jobs[stored_jobs[e]];
+                warn("result store write for %s/%s failed: %s",
+                     job.column->label.c_str(), job.benchmark->c_str(),
+                     written[e].error().describe().c_str());
+            }
+        }
+        std::vector<CheckpointCell> done;
+        if (journal) {
+            done.reserve(members.size());
+            for (std::size_t i = 0; i < members.size(); ++i) {
+                const Job &job = jobs[members[i]];
+                done.push_back(CheckpointCell{job.gridId,
+                                              job.column->label,
+                                              *job.benchmark,
+                                              cells[i].missPercent()});
+            }
+        }
+        journalCells(done);
+    };
+
+    // Claim a task's keyed cells (claims on) just before it simulates
+    // them, into @p held: a cell a live peer holds is deferred and
+    // served from the store once the peer persists it (the
+    // cross-shard / cross-request exactly-once path); a cell the
+    // previous owner persisted between our probe and this claim is
+    // served right away. A thief (@p stealing) instead just skips
+    // foreign cells that are stored or claimed: they stay their
+    // owner's. Returns the members left to simulate. Safe from worker
+    // threads: each job belongs to one task.
+    const auto claimCells = [&](const std::vector<std::size_t> &members,
+                                CellClaims &held, bool stealing) {
+        if (!claims_active && !stealing)
+            return members;
+        std::vector<std::size_t> mine;
+        std::vector<CheckpointCell> records;
+        for (const std::size_t j : members) {
+            Job &job = jobs[j];
+            if (job.storeKey.empty()) {
+                mine.push_back(j);
+                continue;
+            }
+            if (stealing) {
+                if (!store->contains(job.storeKey) &&
+                    held.tryClaim(job.storeKey) &&
+                    !store->contains(job.storeKey)) {
+                    mine.push_back(j);
+                }
+                continue;
+            }
+            if (!held.tryClaim(job.storeKey)) {
+                job.deferred = true;
+                claims_busy.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            const auto raced = store->load(job.storeKey);
+            if (raced.status == ResultStore::LoadStatus::Hit) {
+                claims_served.fetch_add(1, std::memory_order_relaxed);
+                serveJob(job, raced.result, records);
+                continue;
+            }
+            mine.push_back(j);
+        }
+        journalCells(records);
+        return mine;
+    };
+    // Claimed cells this run simulated, counted once they finish.
+    const auto countClaimed = [&](const std::vector<std::size_t> &members) {
+        if (!claims_active)
+            return;
+        for (const std::size_t j : members) {
+            if (jobs[j].done && !jobs[j].storeKey.empty())
+                claims_taken.fetch_add(1, std::memory_order_relaxed);
+        }
     };
 
     // Fused-path telemetry (satellite: mirror trace_source). Chunks
@@ -781,10 +991,226 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     std::atomic<std::uint64_t> simd_generic_columns{0};
     std::atomic<std::uint64_t> simd_lane_machines{0};
 
-    // Phase 1 (opportunistic): feed all pending columns of a
-    // benchmark from ONE trace traversal with a fused sweep kernel,
-    // each chunk becoming runnable the moment its trace lands
-    // (onTraceReady continuation -> executor task). Skipped when the
+    using Units = std::vector<std::vector<std::size_t>>;
+    // One fused chunk task: claim its cells, build the members'
+    // predictors, bind them to a kernel, run the shared traversal,
+    // persist. Split-off halves re-enter it through @p batch. A
+    // stealing task runs another shard's (chunk, benchmark) task.
+    std::function<void(Executor::Batch &, const Trace *, Units, bool)>
+        runChunk = [&](Executor::Batch &batch, const Trace *chunk_trace,
+                       Units units, bool stealing) {
+            // Draining: leave the chunk's jobs pending; phase 2
+            // skips them again, so they stay unstarted for the
+            // resumed run.
+            if (aborted())
+                return;
+            // Split-on-idle: while other workers are parked, hand
+            // them half of this chunk's units. Each half fuses
+            // independently; per-column results do not depend on
+            // chunk composition, so splitting cannot change any
+            // counter, and splitting only between units never
+            // duplicates a machine.
+            while (units.size() > 1 &&
+                   executor.idleWorkers() > 0) {
+                const std::size_t keep = units.size() / 2;
+                Units given(
+                    std::make_move_iterator(
+                        units.begin() +
+                        static_cast<std::ptrdiff_t>(keep)),
+                    std::make_move_iterator(units.end()));
+                units.resize(keep);
+                batch.spawn([&batch, &runChunk, chunk_trace, stealing,
+                             given = std::move(given)]() mutable {
+                    runChunk(batch, chunk_trace, std::move(given),
+                             stealing);
+                });
+            }
+            std::vector<std::size_t> members;
+            for (const auto &unit : units)
+                members.insert(members.end(), unit.begin(),
+                               unit.end());
+
+            const Job &lead = jobs[members.front()];
+            try {
+                FaultInjector::global().check(
+                    "fused", std::to_string(lead.gridId) + "/" +
+                                 *lead.benchmark);
+            } catch (const RunException &) {
+                fallback_injected.fetch_add(
+                    1, std::memory_order_relaxed);
+                return;
+            }
+
+            // Held until the chunk is persisted; a chunk that falls
+            // back releases them for phase 2 to retake (a thief's
+            // cells stay their owner's).
+            CellClaims held = claims_active || stealing
+                                  ? store->claims()
+                                  : CellClaims{};
+            members = claimCells(members, held, stealing);
+            if (members.empty())
+                return;
+
+            if (journal) {
+                // One batched start record per chunk member: if the
+                // process dies inside this traversal, the resuming
+                // run knows which cells were in flight. A single
+                // fsync covers the chunk.
+                std::vector<CheckpointStart> starts;
+                starts.reserve(members.size());
+                for (const std::size_t j : members) {
+                    starts.push_back(CheckpointStart{
+                        jobs[j].gridId, jobs[j].column->label,
+                        *jobs[j].benchmark});
+                }
+                const auto marked =
+                    journal->appendStarts(starts);
+                if (!marked.ok()) {
+                    warn("checkpoint start append failed: %s",
+                         marked.error().describe().c_str());
+                }
+            }
+
+            std::vector<std::unique_ptr<IndirectPredictor>>
+                predictors;
+            std::vector<IndirectPredictor *> raw;
+            predictors.reserve(members.size());
+            raw.reserve(members.size());
+            try {
+                for (const std::size_t j : members) {
+                    auto predictor = jobs[j].column->make();
+                    if (!predictor) {
+                        throw RunException(RunError::permanent(
+                            "predictor factory for '" +
+                            jobs[j].column->label +
+                            "' returned null"));
+                    }
+                    raw.push_back(predictor.get());
+                    predictors.push_back(std::move(predictor));
+                }
+            } catch (...) {
+                fallback_factory.fetch_add(
+                    1, std::memory_order_relaxed);
+                return;
+            }
+
+            SweepKernel kernel;
+            for (IndirectPredictor *predictor : raw)
+                kernel.tryJoin(*predictor);
+            kernel.finalize();
+
+            WorkerSlot &slot = slotFor();
+            try {
+                if (deadline_ns > 0) {
+                    // The whole-chunk deadline is the sum of
+                    // the per-cell budgets it replaces.
+                    slot.arm(nowNs() +
+                             deadline_ns *
+                                 static_cast<std::int64_t>(
+                                     members.size()));
+                }
+                SimOptions options;
+                options.cancel = &slot.token;
+                options.kernel = &kernel;
+                TraversalStats traversal;
+                options.traversal = &traversal;
+                const std::vector<SimResult> cells =
+                    simulateMany(raw, *chunk_trace, options);
+                slot.disarm();
+                simd_columnar_blocks.fetch_add(
+                    traversal.columnarBlocks,
+                    std::memory_order_relaxed);
+                simd_transposed_blocks.fetch_add(
+                    traversal.transposedBlocks,
+                    std::memory_order_relaxed);
+                simd_skipped_records.fetch_add(
+                    traversal.skippedRecords,
+                    std::memory_order_relaxed);
+                simd_lane_columns.fetch_add(
+                    traversal.laneColumns,
+                    std::memory_order_relaxed);
+                simd_generic_columns.fetch_add(
+                    traversal.genericColumns,
+                    std::memory_order_relaxed);
+                simd_lane_machines.fetch_add(
+                    traversal.laneMachines,
+                    std::memory_order_relaxed);
+                persistCells(members, cells);
+                held.release();
+                for (std::size_t i = 0; i < members.size();
+                     ++i) {
+                    finishCell(jobs[members[i]], cells[i]);
+                }
+                if (stealing) {
+                    stolen_cells.fetch_add(
+                        static_cast<unsigned>(members.size()),
+                        std::memory_order_relaxed);
+                } else {
+                    countClaimed(members);
+                }
+                fused_groups.fetch_add(
+                    1, std::memory_order_relaxed);
+                predictors_bound.fetch_add(
+                    kernel.joinedPredictors(),
+                    std::memory_order_relaxed);
+                predictors_unbound.fetch_add(
+                    kernel.declinedPredictors(),
+                    std::memory_order_relaxed);
+                predictors_deduped.fetch_add(
+                    kernel.dedupedPredictors(),
+                    std::memory_order_relaxed);
+            } catch (const RunException &exception) {
+                // Leave the chunk's jobs pending; phase 2 gives each
+                // own cell its isolated retries.
+                slot.disarm();
+                if (exception.error().kind ==
+                    ErrorKind::Timeout) {
+                    fallback_cancelled.fetch_add(
+                        1, std::memory_order_relaxed);
+                } else {
+                    fallback_error.fetch_add(
+                        1, std::memory_order_relaxed);
+                }
+            } catch (...) {
+                slot.disarm();
+                fallback_error.fetch_add(
+                    1, std::memory_order_relaxed);
+            }
+        };
+
+    // The jobs @p pick selects, one group per (chunk, benchmark)
+    // task in order of first appearance, each sorted into the chunk's
+    // units (split points).
+    const auto groupTasks = [&](const auto &pick) {
+        std::vector<Units> groups;
+        std::map<std::pair<std::string, std::size_t>, std::size_t>
+            group_of;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            if (!pick(jobs[j]))
+                continue;
+            const std::size_t chunk = plan.chunkOf[jobs[j].batchColumn];
+            const auto [it, fresh] = group_of.try_emplace(
+                std::make_pair(*jobs[j].benchmark, chunk),
+                groups.size());
+            if (fresh)
+                groups.emplace_back(plan.chunks[chunk].units.size());
+            groups[it->second][plan.unitOf[jobs[j].batchColumn]]
+                .push_back(j);
+        }
+        for (Units &units : groups) {
+            std::erase_if(units, [](const std::vector<std::size_t> &unit) {
+                return unit.empty();
+            });
+        }
+        return groups;
+    };
+
+    // Phase 1 (opportunistic): feed each planned chunk's pending
+    // columns of a benchmark from ONE trace traversal with a fused
+    // sweep kernel, each chunk becoming runnable the moment its trace
+    // lands (onTraceReady continuation -> executor task). Chunks of
+    // every grid of the batch share this one pass: there is no
+    // barrier between grids. Skipped when the
     // fault injector arms the "sim" site - those faults are per-cell
     // by construction - while the dedicated "fused" site injects
     // into this phase to test the fallback. Any failure inside a
@@ -794,210 +1220,38 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     // retry/deadline isolation. Results are bit-identical either way
     // (see simulateMany()).
     if (session.singlePass && !jobs.empty()) {
-        std::vector<std::vector<std::size_t>> groups;
-        std::map<std::string, std::size_t> group_of;
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            // Deferred cells resolve through the store; foreign
-            // cells only through the steal sweep.
-            if (jobs[j].deferred || jobs[j].foreign)
-                continue;
-            const auto [it, fresh] = group_of.try_emplace(
-                *jobs[j].benchmark, groups.size());
-            if (fresh)
-                groups.emplace_back();
-            groups[it->second].push_back(j);
-        }
-
+        // Foreign cells run only through the steal sweep.
+        const std::vector<Units> groups = groupTasks(
+            [](const Job &job) { return !job.foreign; });
         if (FaultInjector::global().armedFor("sim")) {
             fallback_injector_armed =
                 static_cast<unsigned>(groups.size());
         } else {
             Executor::Batch batch(executor);
-
-            // One fused chunk: build the members' predictors, bind
-            // them to a kernel, run the shared traversal. Declared as
-            // a std::function so split-off halves can re-enter it.
-            std::function<void(const Trace *,
-                               std::vector<std::size_t>)>
-                runChunk = [&](const Trace *chunk_trace,
-                               std::vector<std::size_t> members) {
-                    // Draining: leave the chunk's jobs pending;
-                    // phase 2 skips them again, so they stay
-                    // unstarted for the resumed run.
-                    if (aborted())
-                        return;
-                    // Split-on-idle: while other workers are parked,
-                    // hand them half of this chunk. Each half fuses
-                    // independently; per-column results do not depend
-                    // on chunk composition, so splitting cannot
-                    // change any counter.
-                    while (members.size() > 1 &&
-                           executor.idleWorkers() > 0) {
-                        const std::size_t keep = members.size() / 2;
-                        std::vector<std::size_t> given(
-                            members.begin() +
-                                static_cast<std::ptrdiff_t>(keep),
-                            members.end());
-                        members.resize(keep);
-                        batch.spawn([&runChunk, chunk_trace,
-                                     given = std::move(given)]() mutable {
-                            runChunk(chunk_trace, std::move(given));
-                        });
-                    }
-
-                    const std::string &benchmark =
-                        *jobs[members.front()].benchmark;
-                    try {
-                        FaultInjector::global().check(
-                            "fused",
-                            std::to_string(grid_id) + "/" + benchmark);
-                    } catch (const RunException &) {
-                        fallback_injected.fetch_add(
-                            1, std::memory_order_relaxed);
-                        return;
-                    }
-
-                    if (journal) {
-                        // One batched start record per chunk member:
-                        // if the process dies inside this traversal,
-                        // the resuming run knows which cells were in
-                        // flight. A single fsync covers the chunk.
-                        std::vector<CheckpointStart> starts;
-                        starts.reserve(members.size());
-                        for (const std::size_t j : members) {
-                            starts.push_back(CheckpointStart{
-                                grid_id, jobs[j].column->label,
-                                *jobs[j].benchmark});
-                        }
-                        const auto marked =
-                            journal->appendStarts(starts);
-                        if (!marked.ok()) {
-                            warn("checkpoint start append failed: %s",
-                                 marked.error().describe().c_str());
-                        }
-                    }
-
-                    std::vector<std::unique_ptr<IndirectPredictor>>
-                        predictors;
-                    std::vector<IndirectPredictor *> raw;
-                    predictors.reserve(members.size());
-                    raw.reserve(members.size());
-                    try {
-                        for (const std::size_t j : members) {
-                            auto predictor = jobs[j].column->make();
-                            if (!predictor) {
-                                throw RunException(RunError::permanent(
-                                    "predictor factory for '" +
-                                    jobs[j].column->label +
-                                    "' returned null"));
-                            }
-                            raw.push_back(predictor.get());
-                            predictors.push_back(std::move(predictor));
-                        }
-                    } catch (...) {
-                        fallback_factory.fetch_add(
-                            1, std::memory_order_relaxed);
-                        return;
-                    }
-
-                    SweepKernel kernel;
-                    for (IndirectPredictor *predictor : raw)
-                        kernel.tryJoin(*predictor);
-                    kernel.finalize();
-
-                    WorkerSlot &slot = slotFor();
-                    try {
-                        if (deadline_ns > 0) {
-                            // The whole-chunk deadline is the sum of
-                            // the per-cell budgets it replaces.
-                            slot.arm(nowNs() +
-                                     deadline_ns *
-                                         static_cast<std::int64_t>(
-                                             members.size()));
-                        }
-                        SimOptions options;
-                        options.cancel = &slot.token;
-                        options.kernel = &kernel;
-                        TraversalStats traversal;
-                        options.traversal = &traversal;
-                        const std::vector<SimResult> results =
-                            simulateMany(raw, *chunk_trace, options);
-                        slot.disarm();
-                        simd_columnar_blocks.fetch_add(
-                            traversal.columnarBlocks,
-                            std::memory_order_relaxed);
-                        simd_transposed_blocks.fetch_add(
-                            traversal.transposedBlocks,
-                            std::memory_order_relaxed);
-                        simd_skipped_records.fetch_add(
-                            traversal.skippedRecords,
-                            std::memory_order_relaxed);
-                        simd_lane_columns.fetch_add(
-                            traversal.laneColumns,
-                            std::memory_order_relaxed);
-                        simd_generic_columns.fetch_add(
-                            traversal.genericColumns,
-                            std::memory_order_relaxed);
-                        simd_lane_machines.fetch_add(
-                            traversal.laneMachines,
-                            std::memory_order_relaxed);
-                        for (std::size_t i = 0; i < members.size();
-                             ++i) {
-                            finishCell(jobs[members[i]], results[i]);
-                        }
-                        fused_groups.fetch_add(
-                            1, std::memory_order_relaxed);
-                        predictors_bound.fetch_add(
-                            kernel.joinedPredictors(),
-                            std::memory_order_relaxed);
-                        predictors_unbound.fetch_add(
-                            kernel.declinedPredictors(),
-                            std::memory_order_relaxed);
-                        predictors_deduped.fetch_add(
-                            kernel.dedupedPredictors(),
-                            std::memory_order_relaxed);
-                    } catch (const RunException &exception) {
-                        // Leave the chunk's jobs pending; phase 2
-                        // gives each cell its own isolated retries.
-                        slot.disarm();
-                        if (exception.error().kind ==
-                            ErrorKind::Timeout) {
-                            fallback_cancelled.fetch_add(
-                                1, std::memory_order_relaxed);
-                        } else {
-                            fallback_error.fetch_add(
-                                1, std::memory_order_relaxed);
-                        }
-                    } catch (...) {
-                        slot.disarm();
-                        fallback_error.fetch_add(
-                            1, std::memory_order_relaxed);
-                    }
-                };
-
             // Acquisition slot index of each benchmark name (first
             // occurrence wins, matching finishAcquire).
             std::map<std::string, std::size_t> name_index;
             for (std::size_t i = 0; i < _names.size(); ++i)
                 name_index.try_emplace(_names[i], i);
 
-            for (const auto &members : groups) {
+            for (const Units &units : groups) {
                 const std::size_t index =
-                    name_index.at(*jobs[members.front()].benchmark);
+                    name_index.at(*jobs[units.front().front()].benchmark);
                 // defer() reserves the chunk in the batch before the
                 // trace exists, so batch.wait() below cannot return
                 // while any chunk is still gated on acquisition.
                 batch.defer();
                 onTraceReady(index, [&batch, &runChunk,
-                                     members](const Trace *trace) {
+                                     units](const Trace *trace) {
                     if (trace == nullptr) {
                         // Acquisition failed; the jobs are resolved
                         // as failed cells after the barrier below.
                         batch.cancelDeferred();
                         return;
                     }
-                    batch.spawnDeferred([&runChunk, trace, members]() {
-                        runChunk(trace, members);
+                    batch.spawnDeferred([&batch, &runChunk, trace,
+                                         units]() {
+                        runChunk(batch, trace, units, false);
                     });
                 });
             }
@@ -1040,13 +1294,16 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
     // One isolated cell attempt, shared by phase 2, the steal sweep
     // and the deferred-wait loop: the full per-cell machinery
     // (journal start records, retry policy, watchdog deadline, fault
-    // injection). record_failure=false leaves a failed cell pending
-    // instead of failing the grid - a stolen cell's owner (or the
-    // merge pass) remains responsible for it.
-    const auto attemptCell = [&](Job &job, bool record_failure) {
+    // injection), then the cell is persisted and finished like a
+    // one-member chunk. record_failure=false leaves a failed cell
+    // pending instead of failing the grid - a stolen cell's owner (or
+    // the merge pass) remains responsible for it. The caller holds
+    // the cell's claim, if any, until this returns.
+    const auto attemptCell = [&](std::size_t j, bool record_failure) {
+        Job &job = jobs[j];
         WorkerSlot &slot = slotFor();
-        const std::string fault_key = std::to_string(grid_id) + "/" +
-                                      job.column->label + "/" +
+        const std::string fault_key = std::to_string(job.gridId) +
+                                      "/" + job.column->label + "/" +
                                       *job.benchmark;
         // Attempts of dead incarnations count: seeding the
         // fault-injection attempt with the journalled start
@@ -1054,13 +1311,14 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
         // clear when a fresh process retries the cell.
         const unsigned prior_starts =
             journal ? journal->startedCountPrior(
-                          grid_id, job.column->label, *job.benchmark)
+                          job.gridId, job.column->label,
+                          *job.benchmark)
                     : 0;
         auto outcome = runWithRetries(
             session.retry, [&](unsigned attempt) {
                 if (journal) {
                     const auto marked = journal->appendStart(
-                        CheckpointStart{grid_id, job.column->label,
+                        CheckpointStart{job.gridId, job.column->label,
                                         *job.benchmark});
                     if (!marked.ok()) {
                         warn("checkpoint start append failed"
@@ -1107,6 +1365,7 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             notifyCell();
             return;
         }
+        persistCells({j}, {outcome.value()});
         finishCell(job, outcome.value());
     };
 
@@ -1123,48 +1382,44 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 // so the resumed run picks it up.
                 if (aborted())
                     return;
-                attemptCell(jobs[j], true);
+                CellClaims held =
+                    claims_active ? store->claims() : CellClaims{};
+                if (claimCells({j}, held, false).empty())
+                    return; // deferred or served
+                attemptCell(j, true);
+                countClaimed({j});
             });
         }
         batch.wait();
     }
 
-    // Steal sweep: with our own partition done, pick up foreign
-    // cells whose owner shard has neither stored nor claimed them
-    // (it crashed, or is simply slower). Claim-gated, so a live
-    // owner mid-cell is never duplicated; a stolen cell's store
-    // entry is what the merge pass (and the owner's own warm probe)
-    // serves.
+    // Steal sweep: with our own partition done, run the foreign
+    // (chunk, benchmark) tasks whose owner shard has not reached them
+    // (it crashed, or is simply slower), fused like our own. A thief
+    // takes only the cells nobody has stored or claimed, so a live
+    // owner mid-task is never duplicated; a stolen cell's store entry
+    // is what the merge pass (and the owner's own claim re-probe)
+    // serves. A worker pops its own queue newest first (Executor), so
+    // an owner, whose tasks were queued in plan order, works from the
+    // end of its plan; queued in reverse, a thief's tasks run from
+    // the start, and the two meet instead of racing for the same
+    // task.
     if (shard_active && session.shardSteal) {
+        const std::vector<Units> foreign = groupTasks(
+            [](const Job &job) { return job.foreign && !job.failed; });
         Executor::Batch batch(executor);
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            if (!jobs[j].foreign || jobs[j].failed)
-                continue;
-            batch.spawn([&, j]() {
-                if (aborted())
-                    return;
-                Job &job = jobs[j];
-                if (store->contains(job.storeKey))
-                    return; // the owner already persisted it
-                CellClaim claim = store->tryClaim(job.storeKey);
-                if (!claim.acquired())
-                    return; // the owner is computing it right now
-                if (store->contains(job.storeKey))
-                    return; // it landed while we claimed
-                attemptCell(job, false);
-                if (job.done) {
-                    stolen_cells.fetch_add(1,
-                                           std::memory_order_relaxed);
-                }
-                // ~CellClaim releases AFTER finishCell's store
-                // write, so the next claimant finds the entry.
+        for (auto task = foreign.rbegin(); task != foreign.rend();
+             ++task) {
+            const Trace *trace = jobs[task->front().front()].trace;
+            batch.spawn([&batch, &runChunk, trace, units = *task]() {
+                runChunk(batch, trace, units, true);
             });
         }
         batch.wait();
     }
 
     // Deferred-wait loop: cells another claimant was computing when
-    // we started. Poll the store (the owner's finishCell persists
+    // we tried to claim them. Poll the store (the owner persists
     // there), and retry the claim each round - acquiring it means
     // the owner gave up (drained, crashed) without storing, making
     // the cell ours. Past the wait ceiling, simulate regardless:
@@ -1191,15 +1446,13 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 if (loaded.status == ResultStore::LoadStatus::Hit) {
                     // The owner delivered: one simulation, N
                     // consumers.
-                    ++store_stats.claimServed;
-                    serveStored(*job.column, *job.benchmark,
-                                loaded.result);
-                    job.done = true;
-                    job.missPercent = loaded.result.missPercent;
+                    claims_served.fetch_add(1,
+                                            std::memory_order_relaxed);
+                    serveJob(job, loaded.result, served_records);
                     continue;
                 }
                 if (force) {
-                    attemptCell(job, true);
+                    attemptCell(j, true);
                     continue;
                 }
                 CellClaim claim = store->tryClaim(job.storeKey);
@@ -1209,10 +1462,11 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 }
                 // The owner is gone without storing; the cell is
                 // ours now (~CellClaim releases after the store
-                // write inside finishCell).
-                ++store_stats.claims;
-                attemptCell(job, true);
+                // write inside attemptCell).
+                attemptCell(j, true);
+                countClaimed({j});
             }
+            flushServed();
             waiting = std::move(still);
             if (waiting.empty())
                 break;
@@ -1311,6 +1565,12 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
                 store_writes.load(std::memory_order_relaxed);
             store_stats.stolen =
                 stolen_cells.load(std::memory_order_relaxed);
+            store_stats.claims =
+                claims_taken.load(std::memory_order_relaxed);
+            store_stats.claimBusy =
+                claims_busy.load(std::memory_order_relaxed);
+            store_stats.claimServed =
+                claims_served.load(std::memory_order_relaxed);
             metrics->recordResultStore(store_stats);
         }
     }
@@ -1323,18 +1583,25 @@ SuiteRunner::run(const std::vector<SweepColumn> &columns,
             continue;
         }
         if (job.failed) {
-            grid.setFailed(FailedCell{
+            results[job.grid].setFailed(FailedCell{
                 job.column->label, *job.benchmark, job.error.message,
                 job.error.kind, job.error.attempts});
         } else if (job.done) {
-            grid.set(job.column->label, *job.benchmark,
-                     job.missPercent);
+            results[job.grid].set(job.column->label, *job.benchmark,
+                                  job.missPercent);
         }
         // Neither done nor failed: the drain flag stopped the cell
         // before it started. It stays absent from the grid, exactly
         // like a journal-restored run never saw it.
     }
-    return grid;
+    return results;
+}
+
+GridResult
+SuiteRunner::run(const std::vector<SweepColumn> &columns,
+                 RunSession &session) const
+{
+    return std::move(runBatch({columns}, session).front());
 }
 
 GridResult

@@ -4,9 +4,10 @@
  *
  * A SuiteRunner acquires the synthetic traces of a set of benchmarks
  * (in parallel, through the on-disk trace cache when one is
- * configured), then evaluates (configuration x benchmark) grids in
- * parallel across hardware threads - by default feeding all columns
- * of a benchmark from a single trace traversal (simulateMany). It
+ * configured), then evaluates batches of (configuration x benchmark)
+ * grids in parallel across hardware threads - by default feeding
+ * every column that shares state with another, across all grids of
+ * the batch, from a single trace traversal (simulateMany). It
  * knows the paper's averaging groups (Table 3) and can render
  * results as per-benchmark or per-group ResultTables, which is how
  * every bench binary reproduces its figure or table.
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "core/predictor.hh"
+#include "core/two_level.hh"
 #include "report/run_metrics.hh"
 #include "robust/checkpoint.hh"
 #include "robust/retry.hh"
@@ -64,6 +66,17 @@ struct SweepColumn
      * serve a different predictor's counters.
      */
     std::uint64_t specHash = 0;
+    /**
+     * The two-level state machines `make` builds, in spec form, or
+     * empty when unknown (an opaque column). SuiteRunner::runBatch()
+     * plans its fused chunks from this list: columns that share a
+     * machine land in one chunk, where the sweep kernel simulates
+     * that machine once for all of them. A wrong list costs fusion,
+     * never correctness - the kernel dedups on the configurations
+     * the predictors actually carry. The helpers in
+     * sim/spec_columns.hh fill it.
+     */
+    std::vector<TwoLevelConfig> machines = {};
 };
 
 /** One cell that failed permanently (isolation kept the grid alive). */
@@ -117,17 +130,18 @@ class GridResult
 };
 
 /**
- * Mutable state shared by the run() calls of one experiment: where
- * telemetry and failures go, the retry/deadline policy, the optional
- * checkpoint journal, and the grid-id counter that keeps repeated
- * run() calls distinguishable inside the journal.
+ * Mutable state shared by the runBatch()/run() calls of one
+ * experiment: where telemetry and failures go, the retry/deadline
+ * policy, the optional checkpoint journal, and the grid-id counter
+ * that keeps the grids of an experiment distinguishable inside the
+ * journal.
  */
 struct RunSession
 {
     RunMetrics *metrics = nullptr;
     CheckpointJournal *checkpoint = nullptr;
     RetryPolicy retry;
-    /** Next grid id; run() consumes one per call. */
+    /** Next grid id; runBatch() consumes one per grid, in order. */
     unsigned nextGridId = 0;
     /**
      * Drain flag (may be null). While it reads true, run() stops
@@ -157,39 +171,93 @@ struct RunSession
     bool singlePass = true;
     /**
      * Grid sharding (docs/SERVICE.md): when shardCount > 1 AND a
-     * result store is armed, run() simulates only the cells whose
-     * benchmark this shard owns - owner = (benchmark index +
-     * grid id) % shardCount - persisting them into the store;
-     * foreign keyed cells stay absent from the grid (a later merge
-     * pass restores everything from the store), and unkeyed cells
-     * are left for the merge outright (they cannot flow through the
-     * store). Sharding on the BENCHMARK axis keeps every fused
-     * chunk (one benchmark, all pending columns) whole, so the
-     * shared trace traversal and the equal-config predictor dedup
-     * survive the split; the grid-id rotation keeps repeated run()
-     * calls from starving the same shard. With no store armed the
-     * shard spec is ignored and every cell simulates (correct,
-     * just unshared).
+     * result store is armed, runBatch() simulates only the cells of
+     * the fused chunks this shard owns, persisting them into the
+     * store; foreign keyed cells stay absent from the grid (a later
+     * merge pass restores everything from the store), and unkeyed
+     * cells are left for the merge outright (they cannot flow
+     * through the store). Ownership is assigned per (chunk,
+     * benchmark) from the batch's spec-level chunk plan, which every
+     * shard computes identically, so each lane keeps every chunk it
+     * runs whole: the shared trace traversal and the equal-config
+     * machine dedup survive the split. With no store armed the
+     * shard spec is ignored and every cell simulates (correct, just
+     * unshared).
      */
     unsigned shardIndex = 0;
     unsigned shardCount = 1;
     /**
-     * Work stealing: after finishing its own partition, claim and
-     * simulate foreign keyed cells that no peer has stored or
-     * claimed yet, so a crashed or slow shard degrades the fan-out
-     * to slack, never to missing cells.
+     * Work stealing: after finishing its own partition, run the
+     * foreign (chunk, benchmark) tasks too, fused, taking only the
+     * keyed cells no peer has stored or claimed yet, so a crashed or
+     * slow shard degrades the fan-out to slack, never to missing
+     * cells.
      */
     bool shardSteal = false;
     /**
-     * Acquire an exclusive store claim (ResultStore::tryClaim) per
-     * keyed cell before simulating it; cells claimed by a live peer
-     * are deferred and served from the store once the owner
+     * Claim every keyed cell in the store (CellClaims) before
+     * simulating it - a task claims its cells when it starts and
+     * releases them once they are stored; cells claimed by a live
+     * peer are deferred and served from the store once the owner
      * persists them. This is what lets concurrent shards - and
      * concurrent OVERLAPPING requests - simulate every shared cell
      * exactly once. Ignored when no store is armed.
      */
     bool cellClaims = false;
 };
+
+/**
+ * The chunk plan of a batch (docs/PERFORMANCE.md, "batched grid
+ * plan"): which columns of which grids share one fused traversal.
+ * Every benchmark runs the same columns, so the plan is computed once
+ * per batch from the column specs alone - identically in every shard,
+ * which is what makes per-chunk shard ownership consistent.
+ *
+ * Columns are numbered in batch order (grid by grid). Columns that
+ * share a state machine (an equal TwoLevelConfig in
+ * SweepColumn::machines) are connected; a connected component is the
+ * smallest column set that simulates each of its machines exactly
+ * once. Components whose tables are all bounded are packed first-fit,
+ * in order of first appearance, into chunks that never hold more
+ * table bytes than the largest such component, so a batch never needs
+ * more table memory per traversal than its largest component does. A
+ * component with an unbounded table has no known size and gets a
+ * chunk of its own, and so do each grid's opaque columns (no machine
+ * list), together, exactly as a one-grid run fused them.
+ *
+ * A chunk is a list of units - its components, or for an opaque chunk
+ * its single columns - and split-on-idle only divides a chunk between
+ * units, so a split never duplicates a machine.
+ */
+struct ChunkPlan
+{
+    struct Chunk
+    {
+        /** Units in plan order, each a list of batch columns. */
+        std::vector<std::vector<std::size_t>> units;
+        /** Table bytes of the packed components (first-fit load). */
+        std::uint64_t bytes = 0;
+        /** Made of sized components, so open to first-fit. */
+        bool packable = false;
+    };
+    std::vector<Chunk> chunks;
+    /** Chunk, and unit within it, of each batch column. */
+    std::vector<std::size_t> chunkOf;
+    std::vector<std::size_t> unitOf;
+};
+
+/** The chunk plan of @p grids (columns numbered in batch order). */
+ChunkPlan planChunks(const std::vector<std::vector<SweepColumn>> &grids);
+
+/** Shard owner of the (@p chunk, @p benchmark) task: each
+ *  benchmark's chunks are dealt round-robin starting at the
+ *  benchmark's own shard, so every shard gets some of every chunk
+ *  and derives the same ownership. */
+inline unsigned
+shardOwner(std::size_t benchmark, std::size_t chunk, unsigned shardCount)
+{
+    return static_cast<unsigned>((benchmark + chunk) % shardCount);
+}
 
 /** How this runner's traces were obtained (cache vs generator). */
 struct TraceSourceStats
@@ -264,11 +332,29 @@ class SuiteRunner
     const TraceSourceStats &traceSourceStats() const;
 
     /**
-     * Simulate every (column x benchmark) pair, in parallel, with
-     * per-cell isolation governed by @p session (retries, deadline
-     * watchdog, checkpoint lookup/append, telemetry and failure
-     * records). Consumes one grid id from the session.
+     * Simulate every (column x benchmark) pair of every grid of
+     * @p grids as ONE batch, in parallel, with per-cell isolation
+     * governed by @p session (retries, deadline watchdog, checkpoint
+     * lookup/append, telemetry and failure records). Returns one
+     * GridResult per grid, index-aligned with @p grids.
+     *
+     * Each grid keeps its identity: it consumes one grid id from the
+     * session (in order), and its column labels, result-store keys
+     * and journal keys are exactly those of a run() of that grid
+     * alone, so the results are too. What the batch changes is the
+     * execution (docs/PERFORMANCE.md, "batched grid plan"): the
+     * cells of all grids form one universe per benchmark, chunked at
+     * the connected components of the column -> machine graph
+     * (SweepColumn::machines), so every distinct state machine is
+     * simulated once per benchmark however many grids use it, and
+     * all chunks share one executor pass with no barrier between
+     * grids.
      */
+    std::vector<GridResult>
+    runBatch(const std::vector<std::vector<SweepColumn>> &grids,
+             RunSession &session) const;
+
+    /** A batch of one grid: runBatch({columns}, session). */
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunSession &session) const;
 

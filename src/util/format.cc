@@ -48,6 +48,14 @@ ResultTable::set(unsigned row, unsigned col, double value)
 }
 
 void
+ResultTable::clear(unsigned row, unsigned col)
+{
+    IBP_ASSERT(row < numRows() && col < numCols(),
+               "cell (%u, %u) out of range", row, col);
+    _cells[row][col].reset();
+}
+
+void
 ResultTable::set(const std::string &rowLabel, const std::string &colLabel,
                  double value)
 {

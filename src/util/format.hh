@@ -37,6 +37,9 @@ class ResultTable
     /** Set a cell (row and column must already exist). */
     void set(unsigned row, unsigned col, double value);
 
+    /** Blank a cell (row and column must already exist). */
+    void clear(unsigned row, unsigned col);
+
     /** Set a cell by labels, adding the row/column if missing. */
     void set(const std::string &rowLabel, const std::string &colLabel,
              double value);

@@ -48,6 +48,30 @@ TEST(RunMetricsTest, AggregatesOverCells)
     EXPECT_EQ(metrics.threads(), 4u);
 }
 
+TEST(RunMetricsTest, ThroughputCountsOnlySimulatedCells)
+{
+    // Stored cells carry the counters of the run that computed them:
+    // they count in total_branches, not in this run's throughput, and
+    // a run that simulated nothing reports 0.
+    RunMetrics metrics;
+    metrics.recordCell(makeCell("a", "idl", 1000, 0.5, 64));
+    const CellMetrics stored = makeCell("a", "gcc", 3000, 1.5, 256);
+    metrics.recordStoredCell(stored);
+    metrics.recordRunWindow(0.5);
+    EXPECT_EQ(metrics.totalBranches(), 4000u);
+    EXPECT_EQ(metrics.simulatedBranches(), 1000u);
+    EXPECT_DOUBLE_EQ(metrics.branchesPerSecond(), 2000.0);
+
+    const RunMetrics reloaded = RunMetrics::fromJson(metrics.toJson());
+    EXPECT_EQ(reloaded.simulatedBranches(), 1000u);
+    EXPECT_DOUBLE_EQ(reloaded.branchesPerSecond(), 2000.0);
+
+    RunMetrics warm;
+    warm.recordStoredCell(stored);
+    warm.recordRunWindow(1e-5);
+    EXPECT_DOUBLE_EQ(warm.branchesPerSecond(), 0.0);
+}
+
 TEST(RunMetricsTest, EmptyMetricsAreZero)
 {
     const RunMetrics metrics;

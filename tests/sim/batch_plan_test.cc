@@ -1,0 +1,601 @@
+/**
+ * @file
+ * Tests of the batched grid plan (SuiteRunner::runBatch,
+ * docs/PERFORMANCE.md "batched grid plan"): a batch of grids produces
+ * exactly the counters of running its grids one at a time, at any
+ * thread count and on both table implementations, while simulating
+ * each distinct state machine once per benchmark; dedup replicas own
+ * no table storage; the spec-level chunk plan is deterministic and
+ * keeps every shared machine inside one chunk; sharded ownership
+ * covers every cell exactly once; a lone shard steals every foreign
+ * cell nobody holds; a batch drained mid-run resumes
+ * from its journal bit-identically; and a claimed, stored, journalled
+ * batch of more cells than the descriptor limit stays exact.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/factory.hh"
+#include "core/hybrid.hh"
+#include "core/spec_codec.hh"
+#include "core/sweep_kernel.hh"
+#include "core/two_level.hh"
+#include "robust/fault_injection.hh"
+#include "sim/result_store.hh"
+#include "sim/spec_columns.hh"
+#include "sim/suite_runner.hh"
+#include "synth/benchmark_suite.hh"
+#include "trace/trace_cache.hh"
+
+#include <sys/resource.h>
+
+namespace ibp {
+namespace {
+
+namespace fs = std::filesystem;
+
+const std::vector<std::string> kBenchmarks = {"idl", "perl", "self"};
+
+class BatchPlanTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        setenv("IBP_EVENTS", "0.05", 1);
+        TraceCache::configureGlobal("");
+        FaultInjector::configureGlobal("");
+        _dir = testing::TempDir() + "/ibp_batch_plan_test";
+        fs::remove_all(_dir);
+        fs::create_directories(_dir);
+    }
+    void
+    TearDown() override
+    {
+        ResultStore::configureGlobal("");
+        setTableImplementation(TableImpl::Flat);
+        unsetenv("IBP_EVENTS");
+        unsetenv("IBP_THREADS");
+        fs::remove_all(_dir);
+    }
+
+    std::string _dir;
+};
+
+/**
+ * A small Figure 17: one grid per p1 row, each row the hybrids
+ * (p1, p2) over a shared component table plus the non-hybrid
+ * diagonal, at two component sizes - every row shares its component
+ * machines with the other rows of its size.
+ */
+std::vector<std::vector<SweepColumn>>
+miniFig17()
+{
+    std::vector<std::vector<SweepColumn>> rows;
+    for (const std::uint64_t comp : {256u, 1024u}) {
+        for (unsigned p1 = 0; p1 <= 3; ++p1) {
+            std::vector<SweepColumn> columns;
+            for (unsigned p2 = 0; p2 <= 3; ++p2) {
+                const std::string label = std::to_string(p2);
+                if (p1 == p2) {
+                    columns.push_back(specColumn(
+                        label, paperTwoLevel(
+                                   p1, TableSpec::setAssoc(2 * comp, 4))));
+                } else {
+                    columns.push_back(specColumn(
+                        label, paperHybrid(p1, p2,
+                                           TableSpec::setAssoc(comp, 4))));
+                }
+            }
+            rows.push_back(std::move(columns));
+        }
+    }
+    return rows;
+}
+
+/** miniFig17 plus a grid of unbounded tables (a component of unknown
+ *  size) and a grid of opaque keyed columns (no machine list: a
+ *  BTB, and a two-level column the plan cannot see into). */
+std::vector<std::vector<SweepColumn>>
+mixedBatch()
+{
+    auto grids = miniFig17();
+    grids.push_back(
+        {specColumn("uncon", paperTwoLevel(2, TableSpec::unconstrained())),
+         specColumn("uncon-hybrid",
+                    paperHybrid(1, 2, TableSpec::unconstrained()))});
+    const TwoLevelConfig opaque =
+        paperTwoLevel(2, TableSpec::setAssoc(1024, 4));
+    grids.push_back(
+        {btbColumn("btb", TableSpec::fullyAssoc(256), true),
+         SweepColumn{"opaque",
+                     [opaque]() {
+                         return std::make_unique<TwoLevelPredictor>(opaque);
+                     },
+                     specHash(opaque)}});
+    return grids;
+}
+
+/** (grid id, label, benchmark, branches, misses, occupancy, capacity,
+ *  miss %) of one cell. */
+using CellTuple =
+    std::tuple<unsigned, std::string, std::string, std::uint64_t,
+               std::uint64_t, std::uint64_t, std::uint64_t, double>;
+
+/** Every cell of @p results with the integer counters its run
+ *  persisted into the store at @p dir, sorted. */
+std::vector<CellTuple>
+storedCells(const std::string &dir,
+            const std::vector<std::vector<SweepColumn>> &grids,
+            const std::vector<GridResult> &results)
+{
+    const ResultStore store(dir);
+    std::vector<CellTuple> cells;
+    for (unsigned g = 0; g < grids.size(); ++g) {
+        for (const SweepColumn &column : grids[g]) {
+            for (const std::string &name : kBenchmarks) {
+                const auto loaded = store.load(ResultStore::cellKey(
+                    benchmarkTraceCacheKey(name, false),
+                    column.specHash));
+                EXPECT_EQ(loaded.status, ResultStore::LoadStatus::Hit)
+                    << column.label << " x " << name;
+                const StoredResult &cell = loaded.result;
+                cells.emplace_back(g, column.label, name, cell.branches,
+                                   cell.misses, cell.tableOccupancy,
+                                   cell.tableCapacity,
+                                   results[g].get(column.label, name));
+            }
+        }
+    }
+    std::sort(cells.begin(), cells.end());
+    return cells;
+}
+
+TEST_F(BatchPlanTest, BatchMatchesOneGridAtATime)
+{
+    const auto grids = mixedBatch();
+    std::vector<std::vector<CellTuple>> runs;
+    for (const TableImpl impl : {TableImpl::Flat, TableImpl::Reference}) {
+        setTableImplementation(impl);
+        for (const char *threads : {"1", "4"}) {
+            setenv("IBP_THREADS", threads, 1);
+            const std::string tag =
+                std::string(tableImplName(impl)) + "-" + threads;
+            SuiteRunner runner(kBenchmarks);
+
+            ResultStore::configureGlobal(_dir + "/batch-" + tag);
+            RunMetrics metrics;
+            RunSession batch_session;
+            batch_session.metrics = &metrics;
+            const std::vector<GridResult> batched =
+                runner.runBatch(grids, batch_session);
+            ASSERT_EQ(batched.size(), grids.size());
+            EXPECT_EQ(batch_session.nextGridId, grids.size());
+            for (const GridResult &grid : batched)
+                EXPECT_FALSE(grid.partial());
+
+            ResultStore::configureGlobal(_dir + "/single-" + tag);
+            RunSession single_session;
+            std::vector<GridResult> single;
+            for (const auto &grid : grids)
+                single.push_back(runner.run(grid, single_session));
+
+            const auto batched_cells =
+                storedCells(_dir + "/batch-" + tag, grids, batched);
+            EXPECT_EQ(batched_cells,
+                      storedCells(_dir + "/single-" + tag, grids, single))
+                << tag;
+            runs.push_back(batched_cells);
+
+            // Each distinct machine is simulated once per benchmark,
+            // whatever the thread count: 8 component and 8 diagonal
+            // machines in the fig17 rows, 2 unbounded ones and the
+            // opaque two-level column.
+            EXPECT_EQ(metrics.simd().laneMachines,
+                      19u * kBenchmarks.size())
+                << tag;
+            EXPECT_EQ(metrics.sweepKernel().groupsPerCell, 0u) << tag;
+        }
+    }
+    for (const auto &run : runs)
+        EXPECT_EQ(run, runs.front());
+}
+
+TEST_F(BatchPlanTest, ReplicaOwnsNoTable)
+{
+    SuiteRunner runner({"idl"});
+    const Trace &trace = runner.trace("idl");
+    const TableSpec table = TableSpec::setAssoc(1024, 4);
+    TwoLevelPredictor primary(paperTwoLevel(3, table));
+    TwoLevelPredictor replica(paperTwoLevel(3, table));
+    HybridPredictor hybrid(paperHybrid(3, 5, table));
+    // Tables are allocated on first use, never at construction.
+    EXPECT_FALSE(primary.ownsTable());
+
+    SweepKernel kernel;
+    std::vector<IndirectPredictor *> raw = {&primary, &replica, &hybrid};
+    for (IndirectPredictor *predictor : raw)
+        kernel.tryJoin(*predictor);
+    kernel.finalize();
+    ASSERT_EQ(replica.sweepPrimary(), &primary);
+    ASSERT_EQ(hybrid.component(0).sweepPrimary(), &primary);
+
+    SimOptions options;
+    options.kernel = &kernel;
+    const std::vector<SimResult> fused = simulateMany(raw, trace, options);
+
+    EXPECT_TRUE(primary.ownsTable());
+    EXPECT_FALSE(replica.ownsTable());
+    EXPECT_FALSE(hybrid.component(0).ownsTable());
+    EXPECT_TRUE(hybrid.component(1).ownsTable());
+
+    // The replicas still report (and predict from) the primary's
+    // state, bit-identically to solo runs.
+    TwoLevelPredictor solo(paperTwoLevel(3, table));
+    const SimResult alone = simulate(solo, trace);
+    EXPECT_EQ(fused[1].misses, alone.misses);
+    EXPECT_EQ(fused[1].tableOccupancy, alone.tableOccupancy);
+    EXPECT_EQ(fused[1].tableCapacity, alone.tableCapacity);
+    HybridPredictor solo_hybrid(paperHybrid(3, 5, table));
+    EXPECT_EQ(fused[2].misses, simulate(solo_hybrid, trace).misses);
+}
+
+TEST_F(BatchPlanTest, ChunkPlanKeepsSharedMachinesTogether)
+{
+    const auto grids = mixedBatch();
+    const ChunkPlan plan = planChunks(grids);
+    const ChunkPlan again = planChunks(grids);
+    EXPECT_EQ(plan.chunkOf, again.chunkOf);
+    EXPECT_EQ(plan.unitOf, again.unitOf);
+    ASSERT_EQ(plan.chunks.size(), again.chunks.size());
+    for (std::size_t c = 0; c < plan.chunks.size(); ++c)
+        EXPECT_EQ(plan.chunks[c].units, again.chunks[c].units);
+
+    // Batch columns: 4 rows x 4 columns per component size, then the
+    // unbounded grid (32, 33) and the opaque grid (34, 35).
+    const auto column = [](std::size_t comp_index, unsigned p1,
+                           unsigned p2) {
+        return comp_index * 16 + p1 * 4 + p2;
+    };
+    for (std::size_t comp_index = 0; comp_index < 2; ++comp_index) {
+        // Every hybrid of a component size is one component: one
+        // chunk, one unit.
+        const std::size_t first = column(comp_index, 0, 1);
+        for (unsigned p1 = 0; p1 <= 3; ++p1) {
+            for (unsigned p2 = 0; p2 <= 3; ++p2) {
+                if (p1 == p2)
+                    continue;
+                const std::size_t c = column(comp_index, p1, p2);
+                EXPECT_EQ(plan.chunkOf[c], plan.chunkOf[first]);
+                EXPECT_EQ(plan.unitOf[c], plan.unitOf[first]);
+            }
+        }
+    }
+    // The unbounded component shares its machine (p=2, unconstrained)
+    // between both of its columns, and sits in a chunk of its own.
+    EXPECT_EQ(plan.chunkOf[32], plan.chunkOf[33]);
+    EXPECT_EQ(plan.unitOf[32], plan.unitOf[33]);
+    EXPECT_FALSE(plan.chunks[plan.chunkOf[32]].packable);
+    EXPECT_EQ(plan.chunks[plan.chunkOf[32]].units.size(), 1u);
+    // The opaque grid is one chunk with one unit per column.
+    EXPECT_EQ(plan.chunkOf[34], plan.chunkOf[35]);
+    EXPECT_NE(plan.unitOf[34], plan.unitOf[35]);
+    EXPECT_FALSE(plan.chunks[plan.chunkOf[34]].packable);
+
+    // No packed chunk holds more table bytes than the largest
+    // component: the four 1024-entry component machines.
+    const std::uint64_t largest = 4 * 1024 * sizeof(TableEntry);
+    for (const ChunkPlan::Chunk &chunk : plan.chunks) {
+        if (chunk.packable) {
+            EXPECT_LE(chunk.bytes, largest);
+        }
+    }
+}
+
+TEST_F(BatchPlanTest, ShardsCoverEveryCellExactlyOnce)
+{
+    const auto grids = miniFig17();
+    SuiteRunner runner(kBenchmarks);
+    RunSession reference_session;
+    const std::vector<GridResult> reference =
+        runner.runBatch(grids, reference_session);
+
+    const ChunkPlan plan = planChunks(grids);
+    std::size_t cells = 0;
+    for (const auto &grid : grids)
+        cells += grid.size() * kBenchmarks.size();
+
+    for (const unsigned shards : {2u, 4u}) {
+        // The cells each shard owns, per the plan.
+        std::vector<unsigned> owned(shards, 0);
+        for (std::size_t c = 0; c < plan.chunkOf.size(); ++c) {
+            for (std::size_t b = 0; b < kBenchmarks.size(); ++b) {
+                const unsigned owner =
+                    shardOwner(b, plan.chunkOf[c], shards);
+                ASSERT_LT(owner, shards);
+                ++owned[owner];
+            }
+        }
+
+        const std::string store =
+            _dir + "/shards-" + std::to_string(shards);
+        ResultStore::configureGlobal(store);
+        unsigned stored = 0;
+        for (unsigned k = 0; k < shards; ++k) {
+            RunMetrics metrics;
+            RunSession session;
+            session.metrics = &metrics;
+            session.shardIndex = k;
+            session.shardCount = shards;
+            runner.runBatch(grids, session);
+            EXPECT_GT(owned[k], 0u);
+            EXPECT_EQ(metrics.resultStore().stores, owned[k])
+                << "shard " << k << "/" << shards;
+            stored += metrics.resultStore().stores;
+        }
+        EXPECT_EQ(stored, cells);
+
+        // The merge pass serves every cell from the store,
+        // bit-identically to the in-process batch.
+        RunMetrics merge_metrics;
+        RunSession merge;
+        merge.metrics = &merge_metrics;
+        const std::vector<GridResult> merged = runner.runBatch(grids, merge);
+        EXPECT_EQ(merge_metrics.resultStore().hits, cells);
+        EXPECT_EQ(merge_metrics.resultStore().misses, 0u);
+        for (std::size_t g = 0; g < grids.size(); ++g) {
+            for (const SweepColumn &column : grids[g]) {
+                for (const std::string &name : kBenchmarks) {
+                    EXPECT_EQ(merged[g].get(column.label, name),
+                              reference[g].get(column.label, name));
+                }
+            }
+        }
+        ResultStore::configureGlobal("");
+    }
+}
+
+TEST_F(BatchPlanTest, ShardStealsForeignTasksNobodyStarted)
+{
+    const auto grids = miniFig17();
+    SuiteRunner runner(kBenchmarks);
+    RunSession reference_session;
+    const std::vector<GridResult> reference =
+        runner.runBatch(grids, reference_session);
+    const ChunkPlan plan = planChunks(grids);
+    const std::size_t cells = 32 * kBenchmarks.size();
+
+    // Shard 0 of 2 runs alone: it finishes its own tasks, then steals
+    // every foreign task fused - except the one cell a live peer
+    // holds, which stays absent (its owner's), not failed.
+    ResultStore::configureGlobal(_dir + "/store");
+    std::size_t owned = 0;
+    const SweepColumn *held_column = nullptr;
+    std::size_t held_grid = 0;
+    std::size_t column_index = 0;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        for (const SweepColumn &column : grids[g]) {
+            for (std::size_t b = 0; b < kBenchmarks.size(); ++b) {
+                if (shardOwner(b, plan.chunkOf[column_index], 2) == 0)
+                    ++owned;
+                else if (held_column == nullptr && b == 1) {
+                    held_column = &column;
+                    held_grid = g;
+                }
+            }
+            ++column_index;
+        }
+    }
+    ASSERT_NE(held_column, nullptr);
+    CellClaims peer = ResultStore::global()->claims();
+    ASSERT_TRUE(peer.tryClaim(ResultStore::cellKey(
+        benchmarkTraceCacheKey(kBenchmarks[1], false),
+        held_column->specHash)));
+
+    RunMetrics metrics;
+    RunSession session;
+    session.metrics = &metrics;
+    session.shardIndex = 0;
+    session.shardCount = 2;
+    session.shardSteal = true;
+    session.cellClaims = true;
+    const std::vector<GridResult> results = runner.runBatch(grids, session);
+    peer.release();
+
+    EXPECT_EQ(metrics.resultStore().stores, cells - 1);
+    EXPECT_EQ(metrics.resultStore().stolen, cells - 1 - owned);
+    EXPECT_EQ(metrics.resultStore().claims, owned);
+    std::size_t present = 0;
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        EXPECT_FALSE(results[g].partial());
+        for (const SweepColumn &column : grids[g]) {
+            for (const std::string &name : kBenchmarks) {
+                if (!results[g].has(column.label, name))
+                    continue;
+                ++present;
+                EXPECT_EQ(results[g].get(column.label, name),
+                          reference[g].get(column.label, name));
+            }
+        }
+    }
+    EXPECT_EQ(present, cells - 1);
+    EXPECT_FALSE(results[held_grid].has(held_column->label, kBenchmarks[1]));
+}
+
+TEST_F(BatchPlanTest, DrainedBatchResumesBitIdentically)
+{
+    setenv("IBP_THREADS", "2", 1);
+    const auto grids = miniFig17();
+    SuiteRunner runner(kBenchmarks);
+    RunSession clean;
+    const std::vector<GridResult> reference = runner.runBatch(grids, clean);
+    const std::size_t cells = 32 * kBenchmarks.size();
+
+    CheckpointMeta meta;
+    meta.slug = "batch-drain";
+    meta.gitSha = "test";
+    meta.eventScale = 0.05;
+    const std::string path = _dir + "/batch.ckpt";
+
+    // Drain as soon as the first cell resolves: the chunks already
+    // running finish and are journalled, the rest never start.
+    std::size_t present = 0;
+    {
+        auto journal = CheckpointJournal::open(path, meta);
+        ASSERT_TRUE(journal.ok());
+        std::atomic<bool> abort{false};
+        RunSession session;
+        session.checkpoint = journal.value().get();
+        session.abort = &abort;
+        session.onCellFinished = [&abort]() { abort.store(true); };
+        const std::vector<GridResult> drained =
+            runner.runBatch(grids, session);
+        for (std::size_t g = 0; g < grids.size(); ++g) {
+            EXPECT_FALSE(drained[g].partial());
+            for (const SweepColumn &column : grids[g]) {
+                for (const std::string &name : kBenchmarks) {
+                    if (!drained[g].has(column.label, name))
+                        continue;
+                    ++present;
+                    EXPECT_EQ(drained[g].get(column.label, name),
+                              reference[g].get(column.label, name));
+                }
+            }
+        }
+    }
+    EXPECT_GT(present, 0u);
+    EXPECT_LT(present, cells);
+
+    // Resume: the journal restores exactly the drained run's cells
+    // and the rest simulate, bit-identically to the clean batch.
+    {
+        auto journal = CheckpointJournal::open(path, meta);
+        ASSERT_TRUE(journal.ok());
+        EXPECT_EQ(journal.value()->restoredCells(), present);
+        RunSession session;
+        session.checkpoint = journal.value().get();
+        const std::vector<GridResult> resumed =
+            runner.runBatch(grids, session);
+        for (std::size_t g = 0; g < grids.size(); ++g) {
+            EXPECT_FALSE(resumed[g].partial());
+            for (const SweepColumn &column : grids[g]) {
+                for (const std::string &name : kBenchmarks) {
+                    ASSERT_TRUE(resumed[g].has(column.label, name));
+                    EXPECT_EQ(resumed[g].get(column.label, name),
+                              reference[g].get(column.label, name));
+                }
+            }
+        }
+    }
+    auto journal = CheckpointJournal::open(path, meta);
+    ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(journal.value()->restoredCells(), cells);
+}
+
+TEST_F(BatchPlanTest, ClaimedBatchStaysExactUnderALowDescriptorLimit)
+{
+    // A full 13 x 13 hybrid grid, one row per p1: every row shares
+    // its component machines, so each benchmark's 169 cells are one
+    // fused chunk, and the batch holds far more cells than the
+    // descriptor limit below.
+    std::vector<std::vector<SweepColumn>> grids;
+    for (unsigned p1 = 0; p1 <= 12; ++p1) {
+        std::vector<SweepColumn> row;
+        for (unsigned p2 = 0; p2 <= 12; ++p2) {
+            const std::string label = std::to_string(p2);
+            row.push_back(
+                p1 == p2
+                    ? specColumn(label, paperTwoLevel(
+                                            p1, TableSpec::setAssoc(512, 4)))
+                    : specColumn(label,
+                                 paperHybrid(p1, p2,
+                                             TableSpec::setAssoc(256, 4))));
+        }
+        grids.push_back(std::move(row));
+    }
+    const std::size_t cells = 13 * 13 * kBenchmarks.size();
+    constexpr rlim_t kLimit = 256;
+    ASSERT_GT(cells, kLimit);
+
+    setenv("IBP_THREADS", "4", 1);
+    SuiteRunner runner(kBenchmarks);
+    RunSession clean;
+    const std::vector<GridResult> reference = runner.runBatch(grids, clean);
+
+    // A peer holds one cell for the whole run: the batch must defer
+    // it (claims are real, not degraded to lockless), then simulate
+    // it once the short claim wait runs out.
+    ResultStore::configureGlobal(_dir + "/store");
+    ResultStore *store = ResultStore::global();
+    CellClaims peer = store->claims();
+    ASSERT_TRUE(peer.tryClaim(ResultStore::cellKey(
+        benchmarkTraceCacheKey("perl", false), grids[3][7].specHash)));
+    setenv("IBP_CLAIM_WAIT", "0.2", 1);
+
+    CheckpointMeta meta;
+    meta.slug = "batch-fd-limit";
+    meta.gitSha = "test";
+    meta.eventScale = 0.05;
+    const std::string path = _dir + "/batch.ckpt";
+    RunMetrics metrics;
+    std::vector<GridResult> results;
+    {
+        auto journal = CheckpointJournal::open(path, meta);
+        ASSERT_TRUE(journal.ok());
+        RunSession session;
+        session.metrics = &metrics;
+        session.checkpoint = journal.value().get();
+        session.cellClaims = true;
+
+        rlimit saved{};
+        ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+        rlimit lowered = saved;
+        lowered.rlim_cur = std::min(saved.rlim_cur, kLimit);
+        ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+        results = runner.runBatch(grids, session);
+        ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+    }
+    unsetenv("IBP_CLAIM_WAIT");
+    peer.release();
+
+    const ResultStoreStats &stats = metrics.resultStore();
+    EXPECT_EQ(stats.misses, cells);
+    EXPECT_EQ(stats.stores, cells);
+    EXPECT_EQ(stats.claims, cells - 1);
+    EXPECT_EQ(stats.claimBusy, 1u);
+    EXPECT_EQ(stats.claimServed, 0u);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        EXPECT_FALSE(results[g].partial());
+        for (const SweepColumn &column : grids[g]) {
+            for (const std::string &name : kBenchmarks) {
+                ASSERT_TRUE(results[g].has(column.label, name));
+                EXPECT_EQ(results[g].get(column.label, name),
+                          reference[g].get(column.label, name));
+            }
+        }
+    }
+    // Every cell landed: one store entry each, no stray temporaries,
+    // one journal completion each.
+    std::size_t entries = 0;
+    for (const auto &file : fs::directory_iterator(_dir + "/store")) {
+        EXPECT_NE(file.path().extension(), ".tmp");
+        if (file.path().extension() == ".json")
+            ++entries;
+    }
+    EXPECT_EQ(entries, cells);
+    auto journal = CheckpointJournal::open(path, meta);
+    ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(journal.value()->restoredCells(), cells);
+}
+
+} // namespace
+} // namespace ibp

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -22,9 +23,11 @@
 #include "core/factory.hh"
 #include "core/spec_codec.hh"
 #include "robust/fault_injection.hh"
+#include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
+#include "suites.hh"
 
 namespace ibp {
 namespace {
@@ -394,6 +397,104 @@ TEST_F(ResultStoreTest, JournalRestoredCellsWriteBackExactlyOnce)
         }
     }
     fs::remove(journal_path);
+}
+
+TEST_F(ResultStoreTest, DrainedWarmRunResumesTheSameCells)
+{
+    // A half-warm grid drained before anything simulates: the store
+    // hits are still served (and journalled, as one batch), the cold
+    // cells stay unstarted. The resumed run restores exactly those
+    // served cells from the journal - not from the store - and
+    // simulates the rest, matching a cold run bit for bit.
+    const std::string journal_path = _dir + "-warm.ckpt";
+    fs::remove(journal_path);
+    CheckpointMeta meta;
+    meta.slug = "result-store-warm-drain";
+    meta.gitSha = "test";
+    meta.eventScale = 0.05;
+
+    SuiteRunner runner({"idl", "self"});
+    const auto columns = keyedColumns();
+    const GridResult cold = runner.run(columns);
+
+    ResultStore::configureGlobal(_dir);
+    runner.run({columns[0]});
+
+    GridResult drained;
+    {
+        auto journal = CheckpointJournal::open(journal_path, meta);
+        ASSERT_TRUE(journal.ok());
+        std::atomic<bool> abort{true};
+        RunMetrics metrics;
+        RunSession session;
+        session.metrics = &metrics;
+        session.checkpoint = journal.value().get();
+        session.abort = &abort;
+        drained = runner.run(columns, session);
+        EXPECT_EQ(metrics.resultStore().hits, 2u);
+        EXPECT_EQ(metrics.resultStore().stores, 0u);
+        EXPECT_FALSE(drained.partial());
+    }
+    for (const auto &name : runner.benchmarks()) {
+        ASSERT_TRUE(drained.has(columns[0].label, name));
+        EXPECT_FALSE(drained.has(columns[1].label, name));
+    }
+
+    auto journal = CheckpointJournal::open(journal_path, meta);
+    ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(journal.value()->restoredCells(), 2u);
+    RunMetrics metrics;
+    RunSession session;
+    session.metrics = &metrics;
+    session.checkpoint = journal.value().get();
+    const GridResult resumed = runner.run(columns, session);
+    EXPECT_EQ(metrics.resultStore().hits, 0u);
+    EXPECT_EQ(metrics.resultStore().misses, 2u);
+    EXPECT_EQ(metrics.resultStore().stores, 2u);
+    for (const auto &column : columns) {
+        for (const auto &name : runner.benchmarks()) {
+            ASSERT_TRUE(resumed.has(column.label, name));
+            EXPECT_EQ(resumed.get(column.label, name),
+                      cold.get(column.label, name));
+        }
+    }
+    for (const auto &name : runner.benchmarks()) {
+        EXPECT_EQ(resumed.get(columns[0].label, name),
+                  drained.get(columns[0].label, name));
+    }
+    fs::remove(journal_path);
+}
+
+TEST_F(ResultStoreTest, WarmQuickFig17ReportsNoThroughput)
+{
+    // branches_per_second counts only what the run simulated: the
+    // warm re-run of quick fig17 loads every cell, so its throughput
+    // is 0 while total_branches still matches the cold run.
+    ResultStore::configureGlobal(_dir);
+    const ExperimentDef &def = fig17Experiment();
+    ExperimentOptions options;
+    options.quick = true;
+    options.echo = false;
+
+    const ExperimentRunResult cold = runExperimentInProcess(def, options);
+    ASSERT_EQ(cold.exitCode, 0);
+    const RunMetrics &cold_metrics = cold.artifact->metrics;
+    EXPECT_EQ(cold_metrics.simulatedBranches(),
+              cold_metrics.totalBranches());
+    EXPECT_GT(cold_metrics.branchesPerSecond(), 0.0);
+
+    const ExperimentRunResult warm = runExperimentInProcess(def, options);
+    ASSERT_EQ(warm.exitCode, 0);
+    const RunMetrics &warm_metrics = warm.artifact->metrics;
+    EXPECT_EQ(warm_metrics.resultStore().hits, warm_metrics.cellCount());
+    EXPECT_EQ(warm_metrics.resultStore().misses, 0u);
+    EXPECT_EQ(warm_metrics.totalBranches(), cold_metrics.totalBranches());
+    EXPECT_EQ(warm_metrics.simulatedBranches(), 0u);
+    EXPECT_DOUBLE_EQ(warm_metrics.branchesPerSecond(), 0.0);
+    EXPECT_DOUBLE_EQ(
+        warm.artifact->toJson().at("metrics").numberOr(
+            "branches_per_second", -1.0),
+        0.0);
 }
 
 } // namespace

@@ -40,6 +40,14 @@ TEST(ResultTable, GetReturnsSetValuesAndEmptyForUnset)
     EXPECT_FALSE(table.get(0, 1).has_value());
 }
 
+TEST(ResultTable, ClearBlanksACell)
+{
+    ResultTable table = sample();
+    table.set(0, 0, 1.5);
+    table.clear(0, 0);
+    EXPECT_FALSE(table.get(0, 0).has_value());
+}
+
 TEST(ResultTable, SetByLabelCreatesRowsAndColumns)
 {
     ResultTable table("T", "r");
