@@ -220,9 +220,10 @@ microThroughputExperiment()
             // traversal, every predictor keeping private history -
             // the engine sweeps used before the fused kernel), and
             // fused (one traversal through a SweepKernel: shared
-            // histories, deduplicated key builds, replicated p1
-            // components). Counters are bit-identical across all
-            // three (tests/sim/fused_kernel_test.cc); only the time
+            // histories, deduplicated key builds, p1 components
+            // folded onto one lane machine). Counters are
+            // bit-identical across all three
+            // (tests/sim/fused_kernel_test.cc); only the time
             // differs, and fused-over-single-pass is the speedup
             // SuiteRunner's phase-1 engine banks on real sweeps.
             setTableImplementation(TableImpl::Flat);
@@ -236,7 +237,7 @@ microThroughputExperiment()
             }
             double single_pass_seconds = 0.0;
             double fused_seconds = 0.0;
-            unsigned deduped = 0;
+            unsigned folded = 0;
             for (unsigned rep = 0; rep < reps; ++rep) {
                 for (const bool fuse : {false, true}) {
                     std::vector<std::unique_ptr<IndirectPredictor>>
@@ -248,15 +249,18 @@ microThroughputExperiment()
                     }
                     SweepKernel kernel;
                     SimOptions options;
+                    TraversalStats traversal;
                     if (fuse) {
                         for (IndirectPredictor *predictor : raw)
                             kernel.tryJoin(*predictor);
                         kernel.finalize();
-                        deduped = kernel.dedupedPredictors();
                         options.kernel = &kernel;
+                        options.traversal = &traversal;
                     }
                     const std::vector<SimResult> results =
                         simulateMany(raw, benchTrace(), options);
+                    if (fuse)
+                        folded = traversal.foldedMembers;
                     const double seconds =
                         results.front().groupSeconds;
                     double &best =
@@ -304,8 +308,8 @@ microThroughputExperiment()
                 "x aggregate throughput vs the single-pass engine "
                 "(shared first-level histories, deduplicated key "
                 "builds, " +
-                std::to_string(deduped) +
-                " replicated columns), " +
+                std::to_string(folded) +
+                " folded two-level members), " +
                 formatFixed(solo_seconds /
                                 std::max(fused_seconds, 1e-12),
                             2) +

@@ -95,29 +95,14 @@ HybridPredictor::predict(Addr pc)
     _cacheValid = true;
     _cachePc = pc;
 
-    int chosen = -1;
-    if (_config.meta == MetaKind::Confidence) {
-        // Highest confidence wins; ties go to the earlier component
-        // (the paper's "fixed ordering"). Components with no entry
-        // report confidence -1 and lose to any real entry.
-        int best = -2;
-        for (std::size_t i = 0; i < _cachePreds.size(); ++i) {
-            if (_cachePreds[i].confidence > best) {
-                best = _cachePreds[i].confidence;
-                chosen = static_cast<int>(i);
-            }
-        }
-        if (chosen >= 0 && !_cachePreds[chosen].valid)
-            chosen = -1;
-    } else {
-        const SatCounter &counter = selectorCounter(pc);
-        // Upper half of the counter range prefers component 0.
-        chosen = counter.isConfident() ? 0 : 1;
-        if (!_cachePreds[chosen].valid)
-            chosen ^= 1; // fall back to the other component
-        if (!_cachePreds[chosen].valid)
-            chosen = -1;
-    }
+    const int chosen =
+        _config.meta == MetaKind::Confidence
+            ? confidenceChoice(
+                  numComponents(),
+                  [this](unsigned k) -> const Prediction & {
+                      return _cachePreds[k];
+                  })
+            : selectorChoice(pc, _cachePreds[0], _cachePreds[1]);
 
     _lastChosen = chosen;
     if (chosen < 0)
@@ -136,13 +121,7 @@ HybridPredictor::update(Addr pc, Addr actual)
             for (std::size_t i = 0; i < _components.size(); ++i)
                 _cachePreds[i] = _components[i]->predict(pc);
         }
-        const bool first = _cachePreds[0].correctFor(actual);
-        const bool second = _cachePreds[1].correctFor(actual);
-        SatCounter &counter = selectorCounter(pc);
-        if (first && !second)
-            counter.increment();
-        else if (second && !first)
-            counter.decrement();
+        trainSelector(pc, _cachePreds[0], _cachePreds[1], actual);
     }
 
     // Every component trains on every branch (tables, hysteresis and
@@ -151,6 +130,31 @@ HybridPredictor::update(Addr pc, Addr actual)
         component->update(pc, actual);
 
     _cacheValid = false;
+}
+
+int
+HybridPredictor::selectorChoice(Addr pc, const Prediction &first,
+                                const Prediction &second)
+{
+    // Upper half of the counter range prefers component 0.
+    int chosen = selectorCounter(pc).isConfident() ? 0 : 1;
+    const Prediction *preds[2] = {&first, &second};
+    if (!preds[chosen]->valid)
+        chosen ^= 1; // fall back to the other component
+    return preds[chosen]->valid ? chosen : -1;
+}
+
+void
+HybridPredictor::trainSelector(Addr pc, const Prediction &first,
+                               const Prediction &second, Addr actual)
+{
+    const bool first_right = first.correctFor(actual);
+    const bool second_right = second.correctFor(actual);
+    SatCounter &counter = selectorCounter(pc);
+    if (first_right && !second_right)
+        counter.increment();
+    else if (second_right && !first_right)
+        counter.decrement();
 }
 
 void

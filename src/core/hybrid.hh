@@ -78,6 +78,33 @@ struct HybridConfig
                                      const TwoLevelConfig &second);
 };
 
+/**
+ * The confidence metapredictor (section 6.1) over @p count component
+ * predictions, @p prediction(k) being component k's: the highest
+ * confidence wins, ties go to the earlier component (the paper's
+ * "fixed ordering"), and components with no entry report confidence
+ * -1 and lose to any real entry. Returns the winning component, or -1
+ * when the winner has no valid target. Shared by
+ * HybridPredictor::predict() and the lane engine.
+ */
+template <typename PredictionAt>
+inline int
+confidenceChoice(unsigned count, PredictionAt &&prediction)
+{
+    int chosen = -1;
+    int best = -2;
+    for (unsigned k = 0; k < count; ++k) {
+        const int confidence = prediction(k).confidence;
+        if (confidence > best) {
+            best = confidence;
+            chosen = static_cast<int>(k);
+        }
+    }
+    if (chosen >= 0 && !prediction(static_cast<unsigned>(chosen)).valid)
+        chosen = -1;
+    return chosen;
+}
+
 class HybridPredictor final : public IndirectPredictor
 {
   public:
@@ -115,6 +142,24 @@ class HybridPredictor final : public IndirectPredictor
 
     /** Which component the last predict() chose (for diagnostics). */
     int lastChosen() const { return _lastChosen; }
+
+    /**
+     * Selector metaprediction, given the two components' predictions
+     * for @p pc: the component the selection table prefers, the other
+     * one when that has no target, -1 when neither has. Shared by
+     * predict() and the lane engine.
+     */
+    int selectorChoice(Addr pc, const Prediction &first,
+                       const Prediction &second);
+
+    /**
+     * Train the selection table on the resolved target @p actual: the
+     * counter moves toward whichever component alone was right (the
+     * predictions are the components' pre-update answers). Shared by
+     * update() and the lane engine.
+     */
+    void trainSelector(Addr pc, const Prediction &first,
+                       const Prediction &second, Addr actual);
 
   private:
     SatCounter &selectorCounter(Addr pc);

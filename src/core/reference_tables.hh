@@ -5,12 +5,10 @@
  * These are the pre-flat-table implementations of the bounded and
  * unbounded target tables, kept verbatim as the behavioural oracle
  * for the FlatMap-based ports: makeTable() instantiates them instead
- * of the flat classes when the reference toggle is on (compile with
- * -DIBP_REFERENCE_TABLES, set the IBP_REFERENCE_TABLES environment
- * variable, or call setTableImplementation() — see
- * core/table_spec.hh), and the differential tests in
+ * of the flat classes once setTableImplementation(TableImpl::Reference)
+ * is called (see core/table_spec.hh), and the differential tests in
  * tests/sim/flat_reference_diff_test.cc pin every SimResult counter
- * bit-identical between the two builds.
+ * bit-identical between the two implementations.
  *
  * They deliberately report the same name() strings as their flat
  * twins so predictor describe() output — and therefore SimResult,

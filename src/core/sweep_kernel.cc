@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/two_level.hh"
 #include "util/logging.hh"
 
 namespace ibp {
@@ -86,21 +85,6 @@ SweepKernel::bind(const SweepGroupSignature &signature,
     }
     group->_variants.push_back(std::make_unique<SweepKeyVariant>(spec));
     return Binding{group, group->_variants.back().get()};
-}
-
-TwoLevelPredictor *
-SweepKernel::dedupe(TwoLevelPredictor &predictor)
-{
-    IBP_ASSERT(!_finalized, "dedupe after finalize");
-    for (TwoLevelPredictor *primary : _primaries) {
-        if (primary->config() == predictor.config()) {
-            ++_deduped;
-            primary->_replicated = true;
-            return primary;
-        }
-    }
-    _primaries.push_back(&predictor);
-    return nullptr;
 }
 
 void

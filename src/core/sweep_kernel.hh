@@ -33,14 +33,9 @@
  *    shared buffer - still memoized, still bit-identical.
  *  - columns (or hybrid components) whose *entire* TwoLevelConfig is
  *    equal go further: they are identical state machines fed the
- *    identical record stream, so their tables, histories and counters
- *    coincide forever. dedupe() designates the first such column the
- *    *primary* and turns the rest into replicas that mirror the
- *    primary's memoized per-record prediction and skip their own
- *    table work entirely - they never even allocate a table
- *    (TwoLevelPredictor allocates on first use). A fig17 row's
- *    twelve hybrids all share one p1 component this way, cutting the
- *    row's two-level simulations per record by almost half.
+ *    identical record stream. The kernel does not track them; the
+ *    lane engine's plan (sim/simulator.cc) folds them onto one table
+ *    per distinct configuration.
  *
  * The simulation loop drives the kernel: commit(pc, target) after
  * the per-record predictor loop performs the history pushes that
@@ -72,7 +67,6 @@
 namespace ibp {
 
 class SweepHistoryGroup;
-class TwoLevelPredictor;
 
 /** What makes two columns' first-level histories interchangeable. */
 struct SweepGroupSignature
@@ -257,17 +251,6 @@ class SweepKernel
                  const PatternSpec &spec);
 
     /**
-     * State deduplication: register @p predictor (already bound via
-     * bind()) as a candidate for whole-predictor sharing. Returns the
-     * earlier-registered predictor with an equal TwoLevelConfig - the
-     * *primary* this one should mirror - or nullptr when @p predictor
-     * becomes the primary for its configuration. Relies on the
-     * traversal driving members in join order, so a primary always
-     * predicts (and memoizes) before any of its replicas read.
-     */
-    TwoLevelPredictor *dedupe(TwoLevelPredictor &predictor);
-
-    /**
      * Build the shared history registers and resolve the fast-path
      * eligibility of every variant. Must be called exactly once,
      * after all joins and before the traversal.
@@ -320,9 +303,6 @@ class SweepKernel
     unsigned joinedPredictors() const { return _joined; }
     unsigned declinedPredictors() const { return _declined; }
 
-    /** Two-level columns turned into dedup replicas (telemetry). */
-    unsigned dedupedPredictors() const { return _deduped; }
-
     std::size_t groupCount() const { return _groups.size(); }
 
     std::size_t
@@ -336,11 +316,9 @@ class SweepKernel
 
   private:
     std::vector<std::unique_ptr<SweepHistoryGroup>> _groups;
-    std::vector<TwoLevelPredictor *> _primaries;
     bool _finalized = false;
     unsigned _joined = 0;
     unsigned _declined = 0;
-    unsigned _deduped = 0;
 };
 
 inline Key

@@ -1,8 +1,6 @@
 #include "core/table_spec.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "core/fully_assoc_table.hh"
 #include "core/reference_tables.hh"
@@ -15,29 +13,10 @@ namespace ibp {
 
 namespace {
 
-TableImpl
-initialTableImpl()
-{
-#ifdef IBP_REFERENCE_TABLES
-    TableImpl impl = TableImpl::Reference;
-#else
-    TableImpl impl = TableImpl::Flat;
-#endif
-    // The environment wins over the compile-time default, in either
-    // direction: IBP_REFERENCE_TABLES=0 re-enables the flat tables
-    // even in a reference build.
-    if (const char *env = std::getenv("IBP_REFERENCE_TABLES")) {
-        const std::string_view value(env);
-        impl = (value.empty() || value == "0") ? TableImpl::Flat
-                                               : TableImpl::Reference;
-    }
-    return impl;
-}
-
 std::atomic<TableImpl> &
 tableImplSlot()
 {
-    static std::atomic<TableImpl> slot{initialTableImpl()};
+    static std::atomic<TableImpl> slot{TableImpl::Flat};
     return slot;
 }
 

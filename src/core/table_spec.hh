@@ -55,12 +55,10 @@ struct TableSpec
  *    (core/reference_tables.hh), the behavioural oracle of the
  *    differential tests.
  *
- * The process-wide default is Flat, flipped to Reference by
- * compiling with -DIBP_REFERENCE_TABLES or by setting the
- * IBP_REFERENCE_TABLES environment variable to anything but "0";
- * setTableImplementation() overrides at runtime (used by the
- * differential tests and micro_throughput's flat-vs-reference
- * comparison). Both name() strings and all SimResult counters are
+ * The process-wide default is Flat; setTableImplementation()
+ * switches it at runtime (used by the differential tests, the
+ * benchmark's reference-implementation check and micro_throughput's
+ * flat-vs-reference comparison). Both name() strings and all SimResult counters are
  * identical across the two, so the toggle is invisible in artifacts
  * except for the recorded table_impl field.
  */

@@ -84,20 +84,11 @@ TwoLevelPredictor::joinSweepKernel(SweepKernel &kernel)
         kernel.bind(signature, _config.pattern);
     _sweepGroup = binding.group;
     _sweepVariant = binding.variant;
-    // State dedup: an equal-configuration column that joined earlier
-    // is an identical state machine, so its per-record answers are
-    // ours too. Correct because the kernel's drive order follows join
-    // order: the primary's owning column predicts (and memoizes)
-    // before any replica reads the memo, and the memo survives the
-    // primary's update (the version bumps only at commit), so
-    // replicas always see the pre-update prediction - exactly what
-    // their own table would have produced.
-    _sweepPrimary = kernel.dedupe(*this);
     return true;
 }
 
 Prediction
-TwoLevelPredictor::lookup(Addr pc)
+TwoLevelPredictor::predict(Addr pc)
 {
     const TableEntry *entry = ownTable().probe(currentKey(pc));
     if (!entry || !entry->valid)
@@ -107,59 +98,11 @@ TwoLevelPredictor::lookup(Addr pc)
 }
 
 void
-TwoLevelPredictor::primeSharedPrediction(Addr pc,
-                                         const Prediction &pred)
-{
-    _predMemo = pred;
-    _predMemoVersion = _sweepGroup->version();
-    _predMemoPc = pc;
-    _predMemoValid = true;
-}
-
-Prediction
-TwoLevelPredictor::sharedPredict(Addr pc)
-{
-    if (_predMemoValid && _predMemoPc == pc &&
-        _predMemoVersion == _sweepGroup->version()) {
-        return _predMemo;
-    }
-    _predMemo = lookup(pc);
-    _predMemoVersion = _sweepGroup->version();
-    _predMemoPc = pc;
-    _predMemoValid = true;
-    return _predMemo;
-}
-
-Prediction
-TwoLevelPredictor::predict(Addr pc)
-{
-    if (_sweepPrimary != nullptr)
-        return _sweepPrimary->sharedPredict(pc);
-    if (_replicated)
-        return sharedPredict(pc);
-    return lookup(pc);
-}
-
-void
 TwoLevelPredictor::update(Addr pc, Addr actual)
 {
-    // Replica mode: the shared state is trained exactly once per
-    // record, by the primary's own column.
-    if (_sweepPrimary != nullptr)
-        return;
     bool replaced = false;
     TableEntry &entry = ownTable().access(currentKey(pc), replaced);
-    if (replaced || !entry.valid) {
-        entry.target = actual;
-        entry.valid = true;
-    } else if (entry.target == actual) {
-        entry.hysteresis.hit();
-        entry.confidence.increment();
-    } else {
-        entry.confidence.decrement();
-        if (!_config.hysteresis || entry.hysteresis.miss())
-            entry.target = actual;
-    }
+    trainTwoLevelEntry(entry, replaced, actual, _config.hysteresis);
     pushHistory(pc, actual);
 }
 
@@ -168,10 +111,8 @@ TwoLevelPredictor::observeConditional(Addr pc, bool taken, Addr target)
 {
     // The rejected section 3.3 variant: taken conditional targets
     // enter the history and push indirect targets out of the pattern.
-    // (Replicas own no history either way: bound mode suppresses the
-    // push and the kernel advances the shared group once per branch.)
-    if (_sweepPrimary != nullptr)
-        return;
+    // (Bound mode suppresses the push: the kernel advances the shared
+    // group once per branch.)
     if (_config.includeConditionalTargets && taken)
         pushHistory(pc, target);
 }
@@ -199,7 +140,6 @@ TwoLevelPredictor::reset()
         _table->reset();
     _history.reset();
     invalidateKeyCache();
-    _predMemoValid = false;
 }
 
 std::string

@@ -71,10 +71,37 @@ struct TwoLevelConfig
      * Exact configuration equality. Two predictors with equal
      * configurations are identical state machines: fed the same
      * branch stream they hold the same tables, histories and
-     * counters forever (the property SweepKernel::dedupe() exploits).
+     * counters forever (the property the lane engine's machine
+     * folding exploits, see sim/simulator.cc).
      */
     bool operator==(const TwoLevelConfig &other) const = default;
 };
+
+/**
+ * The two-level target-update rule (section 3.1) applied to the
+ * entry the resolved branch accessed: a replaced or empty entry takes
+ * the target outright; a hit strengthens the hysteresis and
+ * confidence counters; a miss weakens confidence and replaces the
+ * target when the 2-bit-counter rule allows it (always, with
+ * @p hysteresis off). Shared by TwoLevelPredictor::update() and the
+ * lane engine, which drives tables directly.
+ */
+inline void
+trainTwoLevelEntry(TableEntry &entry, bool replaced, Addr actual,
+                   bool hysteresis)
+{
+    if (replaced || !entry.valid) {
+        entry.target = actual;
+        entry.valid = true;
+    } else if (entry.target == actual) {
+        entry.hysteresis.hit();
+        entry.confidence.increment();
+    } else {
+        entry.confidence.decrement();
+        if (!hysteresis || entry.hysteresis.miss())
+            entry.target = actual;
+    }
+}
 
 class TwoLevelPredictor final : public IndirectPredictor
 {
@@ -98,20 +125,16 @@ class TwoLevelPredictor final : public IndirectPredictor
     /** Bound to a sweep kernel (joinSweepKernel accepted). */
     bool sweepBound() const { return _sweepGroup != nullptr; }
 
-    /** The dedup primary this column mirrors, nullptr when it owns
-     *  its own state (see _sweepPrimary). For the lane engine. */
-    TwoLevelPredictor *sweepPrimary() const { return _sweepPrimary; }
-
     void reset() override;
     std::string name() const override;
 
     std::uint64_t tableCapacity() const override
     {
-        return stateOwner()->ownTable().capacity();
+        return ownTable().capacity();
     }
     std::uint64_t tableOccupancy() const override
     {
-        return stateOwner()->ownTable().occupancy();
+        return ownTable().occupancy();
     }
 
     const TwoLevelConfig &config() const { return _config; }
@@ -122,53 +145,26 @@ class TwoLevelPredictor final : public IndirectPredictor
     /**
      * Direct state access for the lane engine (sim/simulator.cc),
      * which drives bound machines table-first: one key per shared
-     * variant per record, then prefetch/probe/access on the owning
-     * table without re-entering predict()/update(). Only meaningful
-     * on a state owner (sweepPrimary() == nullptr).
+     * variant per record, then prefetch/probe/access on the table
+     * without re-entering predict()/update().
      */
     SweepKeyVariant *sweepVariant() const { return _sweepVariant; }
     SweepHistoryGroup *sweepGroup() const { return _sweepGroup; }
     TargetTable &table() { return ownTable(); }
-    bool replicated() const { return _replicated; }
 
     /** True once this predictor allocated its second-level table.
-     *  Tables are allocated on first use, so a dedup replica - whose
-     *  state lives in its primary's table - never owns one. */
+     *  Tables are allocated on first use, so a predictor the lane
+     *  engine folds into an equal machine never owns one. */
     bool ownsTable() const { return _table != nullptr; }
-
-    /**
-     * Store @p pred as this record's memoized shared prediction, as
-     * if predict() had just produced it (lane engine only). Keeps
-     * the dedup contract alive when the lane engine probes the table
-     * directly: any replica or generic reader consulting
-     * sharedPredict() later in the record still sees the pre-update
-     * answer.
-     */
-    void primeSharedPrediction(Addr pc, const Prediction &pred);
 
   private:
     void pushHistory(Addr pc, Addr target);
     void invalidateKeyCache() { _cacheValid = false; }
 
-    /** The predictor whose table actually holds this column's state:
-     *  the dedup primary when this is a replica, else this. */
-    const TwoLevelPredictor *
-    stateOwner() const
-    {
-        return _sweepPrimary != nullptr ? _sweepPrimary : this;
-    }
-
     /** This predictor's own table, allocated on first use (see
      *  ownsTable()); const because capacity/occupancy queries on a
      *  never-driven predictor may be the first use. */
     TargetTable &ownTable() const;
-
-    /** The raw table lookup predict() performs when it owns state. */
-    Prediction lookup(Addr pc);
-
-    /** Bound-mode predict: memoized per (group version, pc) so dedup
-     *  replicas can mirror the primary's pre-update answer. */
-    Prediction sharedPredict(Addr pc);
 
     TwoLevelConfig _config;
     PatternBuilder _builder;
@@ -188,34 +184,6 @@ class TwoLevelPredictor final : public IndirectPredictor
      */
     SweepHistoryGroup *_sweepGroup = nullptr;
     SweepKeyVariant *_sweepVariant = nullptr;
-
-    /**
-     * State deduplication (SweepKernel::dedupe()): when an
-     * earlier-joined column has an equal TwoLevelConfig, this
-     * predictor becomes its *replica* - predict() mirrors the
-     * primary's memoized per-record prediction, update() is a
-     * no-op, occupancy/capacity report the primary's table, and
-     * its own table is never allocated. Identical configurations fed
-     * the identical record stream evolve identically, so every
-     * mirrored answer is bit-for-bit what this column's own table
-     * would have produced.
-     */
-    TwoLevelPredictor *_sweepPrimary = nullptr;
-
-    /** Set by SweepKernel::dedupe() on a primary that acquired at
-     *  least one replica: only then is the prediction memo below
-     *  maintained (columns nobody mirrors skip the memo stores). */
-    bool _replicated = false;
-
-    friend class SweepKernel;
-
-    // Prediction memo (sharedPredict): built by the replicated
-    // primary's own predict() before its update trains the table,
-    // read by replicas later in the same record's member loop.
-    std::uint64_t _predMemoVersion = 0;
-    Addr _predMemoPc = 0;
-    bool _predMemoValid = false;
-    Prediction _predMemo;
 
     // predict()/update() pairs reuse the same key; cache it so the
     // pattern is assembled once per dynamic branch.

@@ -65,8 +65,8 @@ struct SweepKernelStats
     /** Predictors in fused chunks that declined to join (they still
      *  rode the shared traversal with private history). */
     unsigned predictorsUnbound = 0;
-    /** Two-level columns deduplicated into replicas of an
-     *  equal-configuration primary (SweepKernel::dedupe()). */
+    /** Two-level members the lane plan folded onto an earlier
+     *  equal-configuration machine (TraversalStats::foldedMembers). */
     unsigned predictorsDeduped = 0;
     /** Fallback cause: a predictor factory threw. */
     unsigned fallbackFactory = 0;

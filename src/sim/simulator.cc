@@ -1,7 +1,6 @@
 #include "sim/simulator.hh"
 
 #include <chrono>
-#include <unordered_map>
 
 #include "core/hybrid.hh"
 #include "core/set_assoc_table.hh"
@@ -24,6 +23,19 @@ namespace {
 
 constexpr std::size_t kPrefetchDistance = 16;
 
+/** Count one scored branch whose prediction was @p prediction. */
+inline void
+countPrediction(SimResult &result, const Prediction &prediction,
+                Addr target)
+{
+    ++result.branches;
+    if (!prediction.correctFor(target)) {
+        ++result.misses;
+        if (!prediction.valid)
+            ++result.noPrediction;
+    }
+}
+
 [[noreturn]] void
 throwCancelled(const Trace &trace)
 {
@@ -34,36 +46,32 @@ throwCancelled(const Trace &trace)
 /**
  * The lane engine's execution plan for a fused traversal.
  *
- * Columns whose per-record work is a pure function of bound
- * two-level component predictions - plain bound TwoLevelPredictor
- * columns and confidence-metaprediction hybrids with every component
- * bound - are executed in *phases* across the whole column set:
- * first every distinct state machine is probed, then each column
- * combines its members' predictions into counters, then every
- * machine trains, and only then do the remaining (generic) columns
- * run their usual predict/update pairs.
+ * Columns whose per-record work is a function of bound two-level
+ * component predictions - plain bound TwoLevelPredictor columns and
+ * hybrids (confidence or selector metaprediction) with every
+ * component bound - are executed in *phases* across the whole column
+ * set: first every distinct state machine is probed, then each column
+ * combines its members' predictions into counters, then every machine
+ * trains, and only then do the remaining (generic) columns run their
+ * usual predict/update pairs.
  *
- * A *machine* is one dedup state owner (TwoLevelPredictor whose
- * table actually holds state); columns reference machines by index,
- * so a fig17 row's dozen hybrids sharing a p1 component probe that
- * component once per record instead of once per column. The phase
- * split is bit-identical to the interleaved order because columns
- * are state-disjoint: the only couplings are the dedup prediction
- * memo (written by the machine probe phase, version-gated, and
- * deliberately surviving the machine's own update until the kernel
- * commit bumps the version) and the shared history (advanced only
- * by the commit after all phases).
- *
- * The machine's driver object is the first-encountered component
- * referencing that owner, upgraded to the owner itself whenever the
- * owner appears in a lane column - so update() trains the state
- * exactly once per record: through the driver when the owner's
- * column is a lane column (driver == owner), through the owner's
- * own generic column otherwise (driver is a replica whose update()
- * is a no-op).
+ * A *machine* is one distinct TwoLevelConfig among the lane columns'
+ * two-level members, found by the same linear equality search
+ * planChunks() uses. Equal configurations are identical state
+ * machines fed the identical record stream, so the first member with
+ * a configuration drives the one table and every later equal member
+ * is *folded* onto it: it never probes, trains or even allocates a
+ * table (TwoLevelPredictor allocates on first use). A fig17 row's
+ * dozen hybrids sharing a p1 component thus probe that component once
+ * per record. The phase split is bit-identical to the interleaved
+ * order because columns are state-disjoint apart from the machines,
+ * which are all probed before any trains, and the shared history,
+ * which only the kernel commit after all phases advances. Generic
+ * columns hold no bound machine and run independently.
  */
 struct LanePlan
 {
+    /** A passthrough or hybrid column over member machines. */
     struct Column
     {
         std::size_t result;    ///< index into the results array
@@ -72,15 +80,21 @@ struct LanePlan
         std::uint32_t count;   ///< member machines (1 for plain)
     };
 
+    /** A selector-metaprediction hybrid: its two members' machine
+     *  predictions feed the hybrid's own selection table. */
+    struct SelectorColumn
+    {
+        Column column;
+        HybridPredictor *hybrid;
+    };
+
     /**
      * One machine's flattened per-record execution recipe: the lane
-     * engine drives the state-owning table directly (prefetch, probe,
-     * access plus the verbatim two-level update rule) with the key of
-     * the machine's shared variant, resolved once per record per
-     * *slot* (distinct variant). This removes the whole
-     * predict()/update()/currentKey() call stack from the hot loop;
-     * the dedup contract survives because replicated owners get their
-     * prediction memo primed with the probed answer (see prime).
+     * engine drives the owner's table directly (prefetch, probe,
+     * access plus the two-level update rule) with the key of the
+     * machine's shared variant, resolved once per record per *slot*
+     * (distinct variant). This removes the whole
+     * predict()/update()/currentKey() call stack from the hot loop.
      */
     struct Machine
     {
@@ -91,15 +105,7 @@ struct LanePlan
          *  table work and lets it inline into the lane loops. */
         SetAssocTable *setAssoc;
         std::uint32_t keySlot;     ///< index into keySlots/laneKeys
-        TwoLevelPredictor *owner;  ///< state owner (memo priming)
-        /** Phase 3 trains this table (driver == owner). When the
-         *  owner's own column is generic, its update() there is the
-         *  one real training pass and phase 3 must not add another. */
-        bool train;
-        bool hysteresis;           ///< owner's 2bc update rule flag
-        /** Owner has replicas or out-of-plan readers: mirror the
-         *  probed prediction into its sharedPredict() memo. */
-        bool prime;
+        bool hysteresis;           ///< the 2bc update rule flag
     };
 
     /** One distinct (variant, group) key source among the machines. */
@@ -109,15 +115,40 @@ struct LanePlan
         SweepHistoryGroup *group;
     };
 
-    std::vector<TwoLevelPredictor *> machines; ///< driver objects
-    std::vector<Machine> exec;                 ///< parallel to machines
+    std::vector<TwoLevelPredictor *> owners;   ///< one per machine
+    std::vector<Machine> machines;             ///< parallel to owners
     std::vector<KeySlot> keySlots;
     std::vector<Key> laneKeys;                 ///< per-slot scratch
     std::vector<std::uint16_t> memberPool;     ///< column members
-    std::vector<Column> columns;               ///< lane columns
+    std::vector<Column> columns;               ///< passthrough/confidence
+    std::vector<SelectorColumn> selectors;
     std::vector<IndirectPredictor *> generic;  ///< record-at-a-time
     std::vector<std::size_t> genericResult;
     std::vector<Prediction> lanePred;          ///< per-machine scratch
+    /** Members folded onto an earlier equal machine. */
+    std::uint32_t folded = 0;
+
+    /**
+     * Table occupancy and capacity of a lane column, from its
+     * members' machine tables by HybridPredictor's rule: occupancies
+     * sum, capacities sum unless any member is unbounded (0), which
+     * makes the whole unbounded. A folded member reports its
+     * machine's table, which is exactly what its own would hold.
+     */
+    void
+    tableStats(const Column &column, SimResult &result) const
+    {
+        bool bounded = true;
+        for (std::uint32_t k = 0; k < column.count; ++k) {
+            const TargetTable &table =
+                *machines[memberPool[column.first + k]].table;
+            result.tableOccupancy += table.occupancy();
+            result.tableCapacity += table.capacity();
+            bounded &= table.capacity() != 0;
+        }
+        if (!bounded)
+            result.tableCapacity = 0;
+    }
 };
 
 LanePlan
@@ -125,90 +156,81 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
               bool fused)
 {
     LanePlan plan;
-    std::unordered_map<const TwoLevelPredictor *, std::uint16_t>
-        machineOf;
-    auto machineIndex = [&plan, &machineOf](
-                            TwoLevelPredictor &component) {
-        TwoLevelPredictor *owner = component.sweepPrimary() != nullptr
-                                       ? component.sweepPrimary()
-                                       : &component;
-        auto [it, inserted] = machineOf.try_emplace(
-            owner, static_cast<std::uint16_t>(plan.machines.size()));
-        if (inserted)
-            plan.machines.push_back(&component);
-        else if (&component == owner)
-            plan.machines[it->second] = owner;
-        return it->second;
+    // The machine a two-level member runs on: the earlier one with an
+    // equal configuration (the member folds), else a new one whose
+    // table it owns.
+    const auto machineOf = [&plan](TwoLevelPredictor &member) {
+        for (std::size_t m = 0; m < plan.owners.size(); ++m) {
+            if (plan.owners[m]->config() == member.config()) {
+                ++plan.folded;
+                return static_cast<std::uint16_t>(m);
+            }
+        }
+        IBP_ASSERT(plan.owners.size() <= 0xffff,
+                   "lane plan exceeds 65536 machines");
+        plan.owners.push_back(&member);
+        return static_cast<std::uint16_t>(plan.owners.size() - 1);
+    };
+    const auto allBound = [](HybridPredictor &hybrid) {
+        for (unsigned c = 0; c < hybrid.numComponents(); ++c) {
+            if (!hybrid.component(c).sweepBound())
+                return false;
+        }
+        return true;
     };
 
     for (std::size_t i = 0; i < predictors.size(); ++i) {
         IndirectPredictor *predictor = predictors[i];
+        LanePlan::Column column{
+            i, false, static_cast<std::uint32_t>(plan.memberPool.size()),
+            1};
         if (fused) {
             if (auto *two =
                     dynamic_cast<TwoLevelPredictor *>(predictor);
                 two != nullptr && two->sweepBound()) {
-                plan.columns.push_back(
-                    {i, false,
-                     static_cast<std::uint32_t>(
-                         plan.memberPool.size()),
-                     1});
-                plan.memberPool.push_back(machineIndex(*two));
+                plan.memberPool.push_back(machineOf(*two));
+                plan.columns.push_back(column);
                 continue;
             }
             if (auto *hybrid =
                     dynamic_cast<HybridPredictor *>(predictor);
-                hybrid != nullptr &&
-                hybrid->config().meta == MetaKind::Confidence) {
-                bool all_bound = true;
-                for (unsigned c = 0; c < hybrid->numComponents(); ++c)
-                    all_bound &= hybrid->component(c).sweepBound();
-                if (all_bound) {
-                    const LanePlan::Column column{
-                        i, true,
-                        static_cast<std::uint32_t>(
-                            plan.memberPool.size()),
-                        hybrid->numComponents()};
-                    for (unsigned c = 0; c < hybrid->numComponents();
-                         ++c) {
-                        plan.memberPool.push_back(
-                            machineIndex(hybrid->component(c)));
-                    }
-                    plan.columns.push_back(column);
-                    continue;
+                hybrid != nullptr && allBound(*hybrid)) {
+                column.hybrid = true;
+                column.count = hybrid->numComponents();
+                for (unsigned c = 0; c < column.count; ++c) {
+                    plan.memberPool.push_back(
+                        machineOf(hybrid->component(c)));
                 }
+                if (hybrid->config().meta == MetaKind::Selector)
+                    plan.selectors.push_back({column, hybrid});
+                else
+                    plan.columns.push_back(column);
+                continue;
             }
         }
         plan.generic.push_back(predictor);
         plan.genericResult.push_back(i);
     }
-    plan.lanePred.resize(plan.machines.size());
+    plan.lanePred.resize(plan.owners.size());
 
-    // Resolve the flattened execution recipes now that every driver
-    // upgrade has happened. Machines sharing a PatternSpec share a
-    // key slot, so a fig17 row resolves each distinct key exactly
-    // once per record no matter how many tables consume it.
-    plan.exec.reserve(plan.machines.size());
-    for (TwoLevelPredictor *driver : plan.machines) {
-        TwoLevelPredictor *owner = driver->sweepPrimary() != nullptr
-                                       ? driver->sweepPrimary()
-                                       : driver;
+    // Resolve the flattened execution recipes. Machines sharing a
+    // PatternSpec share a key slot, so a fig17 row resolves each
+    // distinct key exactly once per record no matter how many tables
+    // consume it.
+    plan.machines.reserve(plan.owners.size());
+    for (TwoLevelPredictor *owner : plan.owners) {
         SweepKeyVariant *variant = owner->sweepVariant();
-        SweepHistoryGroup *group = owner->sweepGroup();
-        IBP_ASSERT(variant != nullptr && group != nullptr,
-                   "lane machine not sweep-bound");
         std::uint32_t slot = 0;
         while (slot < plan.keySlots.size() &&
                plan.keySlots[slot].variant != variant) {
             ++slot;
         }
         if (slot == plan.keySlots.size())
-            plan.keySlots.push_back({variant, group});
-        const bool train = driver == owner;
-        plan.exec.push_back(
-            {&owner->table(),
-             dynamic_cast<SetAssocTable *>(&owner->table()), slot,
-             owner, train, owner->config().hysteresis,
-             owner->replicated()});
+            plan.keySlots.push_back({variant, owner->sweepGroup()});
+        TargetTable &table = owner->table();
+        plan.machines.push_back(
+            {&table, dynamic_cast<SetAssocTable *>(&table), slot,
+             owner->config().hysteresis});
     }
     plan.laneKeys.resize(plan.keySlots.size());
     return plan;
@@ -325,7 +347,7 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
         need_conditionals |= predictor->consumesConditionals();
 
     const std::size_t machine_count = plan.machines.size();
-    const LanePlan::Machine *const machines = plan.exec.data();
+    const LanePlan::Machine *const machines = plan.machines.data();
     const std::size_t key_slot_count = plan.keySlots.size();
     const LanePlan::KeySlot *const key_slots = plan.keySlots.data();
     Key *const lane_keys = plan.laneKeys.data();
@@ -333,12 +355,13 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     const std::uint16_t *const members = plan.memberPool.data();
 
     if (options.traversal != nullptr) {
-        options.traversal->laneColumns =
-            static_cast<std::uint32_t>(plan.columns.size());
+        options.traversal->laneColumns = static_cast<std::uint32_t>(
+            plan.columns.size() + plan.selectors.size());
         options.traversal->genericColumns =
             static_cast<std::uint32_t>(plan.generic.size());
         options.traversal->laneMachines =
             static_cast<std::uint32_t>(machine_count);
+        options.traversal->foldedMembers = plan.folded;
     }
 
     // The trace is consumed in cache-resident SoA blocks (zero-copy
@@ -407,12 +430,10 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                         lane_keys[machine.keySlot]);
             }
 
-            // Phase 1: probe every distinct state machine once -
-            // directly on the owning table, reproducing lookup()
-            // verbatim. The probes are pre-update by construction;
-            // replicated owners get their prediction memo primed so
-            // replicas and generic readers later in the record still
-            // mirror this pre-update answer.
+            // Phase 1: probe every distinct state machine once,
+            // directly on its table, reproducing
+            // TwoLevelPredictor::predict(). The probes are pre-update
+            // by construction.
             for (std::size_t m = 0; m < machine_count; ++m) {
                 const LanePlan::Machine &machine = machines[m];
                 const TableEntry *entry =
@@ -428,9 +449,6 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                         true, entry->target,
                         static_cast<int>(entry->confidence.value())};
                 }
-                if (machine.prime)
-                    machine.owner->primeSharedPrediction(pc,
-                                                         lane_pred[m]);
             }
 
             // Phase 2: per-column combine into counters (pure
@@ -443,47 +461,48 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                     if (!column.hybrid) {
                         combined = lane_pred[member[0]];
                     } else {
-                        // The confidence metapredictor, verbatim:
-                        // highest confidence wins, ties to the
-                        // earlier component, an invalid winner means
-                        // no prediction (HybridPredictor::predict).
-                        int chosen = -1;
-                        int best = -2;
-                        for (std::uint32_t k = 0; k < column.count;
-                             ++k) {
-                            const Prediction &pred =
-                                lane_pred[member[k]];
-                            if (pred.confidence > best) {
-                                best = pred.confidence;
-                                chosen = static_cast<int>(k);
-                            }
-                        }
-                        if (chosen >= 0 &&
-                            lane_pred[member[chosen]].valid) {
+                        const int chosen = confidenceChoice(
+                            column.count,
+                            [lane_pred, member](unsigned k)
+                                -> const Prediction & {
+                                return lane_pred[member[k]];
+                            });
+                        if (chosen >= 0)
                             combined = lane_pred[member[chosen]];
-                        }
                     }
-                    SimResult &result = results[column.result];
-                    ++result.branches;
-                    if (!combined.correctFor(target)) {
-                        ++result.misses;
-                        if (!combined.valid)
-                            ++result.noPrediction;
-                    }
+                    countPrediction(results[column.result], combined,
+                                    target);
                 }
             }
+            // Selector hybrids choose (when counted) and train their
+            // selection tables on every record, warm-up included,
+            // from their members' pre-update machine predictions.
+            for (const LanePlan::SelectorColumn &selector :
+                 plan.selectors) {
+                const std::uint16_t *member =
+                    members + selector.column.first;
+                const Prediction &first = lane_pred[member[0]];
+                const Prediction &second = lane_pred[member[1]];
+                if (counted) {
+                    const int chosen =
+                        selector.hybrid->selectorChoice(pc, first,
+                                                        second);
+                    countPrediction(
+                        results[selector.column.result],
+                        chosen < 0 ? Prediction{}
+                                   : (chosen == 0 ? first : second),
+                        target);
+                }
+                selector.hybrid->trainSelector(pc, first, second,
+                                               target);
+            }
 
-            // Phase 3: train every machine whose driver is its owner
-            // exactly once, with the verbatim two-level update rule
-            // (TwoLevelPredictor::update); the access consumes the
-            // probe's way memo, and bound owners push no history
-            // (the kernel commit below advances the shared groups).
-            // Machines owned by a generic column are trained there,
-            // in phase 4.
+            // Phase 3: train every machine exactly once with the
+            // two-level update rule; the access consumes the probe's
+            // way memo, and bound owners push no history (the
+            // kernel commit below advances the shared groups).
             for (std::size_t m = 0; m < machine_count; ++m) {
                 const LanePlan::Machine &machine = machines[m];
-                if (!machine.train)
-                    continue;
                 bool replaced = false;
                 TableEntry &entry =
                     machine.setAssoc != nullptr
@@ -491,35 +510,18 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                               lane_keys[machine.keySlot], replaced)
                         : machine.table->access(
                               lane_keys[machine.keySlot], replaced);
-                if (replaced || !entry.valid) {
-                    entry.target = target;
-                    entry.valid = true;
-                } else if (entry.target == target) {
-                    entry.hysteresis.hit();
-                    entry.confidence.increment();
-                } else {
-                    entry.confidence.decrement();
-                    if (!machine.hysteresis || entry.hysteresis.miss())
-                        entry.target = target;
-                }
+                trainTwoLevelEntry(entry, replaced, target,
+                                   machine.hysteresis);
             }
 
             // Phase 4: generic columns run their usual interleaved
-            // predict/update. Reads of shared machine state hit the
-            // version-gated prediction memo, which still holds the
-            // pre-update answer until the commit below.
+            // predict/update.
             for (std::size_t g = 0; g < plan.generic.size(); ++g) {
                 IndirectPredictor *predictor = plan.generic[g];
                 const Prediction prediction = predictor->predict(pc);
                 if (counted) {
-                    SimResult &result =
-                        results[plan.genericResult[g]];
-                    ++result.branches;
-                    if (!prediction.correctFor(target)) {
-                        ++result.misses;
-                        if (!prediction.valid)
-                            ++result.noPrediction;
-                    }
+                    countPrediction(results[plan.genericResult[g]],
+                                    prediction, target);
                 }
                 predictor->update(pc, target);
             }
@@ -544,9 +546,16 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             .count();
     const double seconds =
         group_seconds / static_cast<double>(predictors.size());
+    for (const LanePlan::Column &column : plan.columns)
+        plan.tableStats(column, results[column.result]);
+    for (const LanePlan::SelectorColumn &selector : plan.selectors)
+        plan.tableStats(selector.column, results[selector.column.result]);
+    for (std::size_t g = 0; g < plan.generic.size(); ++g) {
+        SimResult &result = results[plan.genericResult[g]];
+        result.tableOccupancy = plan.generic[g]->tableOccupancy();
+        result.tableCapacity = plan.generic[g]->tableCapacity();
+    }
     for (std::size_t i = 0; i < predictors.size(); ++i) {
-        results[i].tableOccupancy = predictors[i]->tableOccupancy();
-        results[i].tableCapacity = predictors[i]->tableCapacity();
         results[i].seconds = seconds;
         results[i].groupSeconds = group_seconds;
         results[i].sharedTraversal = true;

@@ -125,9 +125,12 @@ struct TraversalStats
     std::uint32_t laneColumns = 0;
     /** Columns that ran the generic record-at-a-time path. */
     std::uint32_t genericColumns = 0;
-    /** Distinct state machines (dedup owners) the lane engine
-     *  probes and trains once per record. */
+    /** Distinct state machines (one per distinct TwoLevelConfig)
+     *  the lane engine probes and trains once per record. */
     std::uint32_t laneMachines = 0;
+    /** Two-level members folded onto an earlier equal machine: they
+     *  never probe, train or allocate a table of their own. */
+    std::uint32_t foldedMembers = 0;
 };
 
 /** Extra knobs for a simulation run. */
@@ -224,8 +227,11 @@ SimResult simulate(IndirectPredictor &predictor, const Trace &trace,
  * (only the aggregate of `seconds` is physically meaningful).
  *
  * When options.kernel is set, predictors bound to it share their
- * first-level history through the kernel (see SimOptions::kernel);
- * the counters remain bit-identical to the unfused run.
+ * first-level history through the kernel (see SimOptions::kernel),
+ * and bound two-level and hybrid columns run in the lane engine,
+ * where two-level members with equal configurations share one table
+ * (see TraversalStats::foldedMembers); the counters remain
+ * bit-identical to the unfused run.
  *
  * Null predictor pointers are not allowed. An empty span returns an
  * empty vector without touching the trace.

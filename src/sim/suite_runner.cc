@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <system_error>
@@ -969,27 +970,18 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
         }
     };
 
-    // Fused-path telemetry (satellite: mirror trace_source). Chunks
-    // run concurrently, so the counters are atomic; a "group" here is
-    // one fused chunk (split-on-idle can divide a benchmark's columns
-    // across several chunks, each fused independently).
-    std::atomic<unsigned> fused_groups{0};
-    std::atomic<unsigned> fallback_factory{0};
-    std::atomic<unsigned> fallback_cancelled{0};
-    std::atomic<unsigned> fallback_injected{0};
-    std::atomic<unsigned> fallback_error{0};
-    std::atomic<unsigned> predictors_bound{0};
-    std::atomic<unsigned> predictors_unbound{0};
-    std::atomic<unsigned> predictors_deduped{0};
-    unsigned fallback_injector_armed = 0;
-    // Block-traversal telemetry summed over successful fused chunks
-    // (metrics.simd; see TraversalStats).
-    std::atomic<std::uint64_t> simd_columnar_blocks{0};
-    std::atomic<std::uint64_t> simd_transposed_blocks{0};
-    std::atomic<std::uint64_t> simd_skipped_records{0};
-    std::atomic<std::uint64_t> simd_lane_columns{0};
-    std::atomic<std::uint64_t> simd_generic_columns{0};
-    std::atomic<std::uint64_t> simd_lane_machines{0};
+    // Fused-path telemetry (metrics.sweep_kernel and metrics.simd),
+    // summed per chunk under one mutex - chunks run concurrently. A
+    // "group" here is one fused chunk (split-on-idle can divide a
+    // benchmark's columns across several chunks, each fused
+    // independently).
+    std::mutex telemetry_mutex;
+    SweepKernelStats sweep;
+    SimdStats simd;
+    const auto tally = [&telemetry_mutex](const auto &count) {
+        std::lock_guard<std::mutex> lock(telemetry_mutex);
+        count();
+    };
 
     using Units = std::vector<std::vector<std::size_t>>;
     // One fused chunk task: claim its cells, build the members'
@@ -1036,8 +1028,7 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                     "fused", std::to_string(lead.gridId) + "/" +
                                  *lead.benchmark);
             } catch (const RunException &) {
-                fallback_injected.fetch_add(
-                    1, std::memory_order_relaxed);
+                tally([&] { ++sweep.fallbackInjected; });
                 return;
             }
 
@@ -1089,8 +1080,7 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                     predictors.push_back(std::move(predictor));
                 }
             } catch (...) {
-                fallback_factory.fetch_add(
-                    1, std::memory_order_relaxed);
+                tally([&] { ++sweep.fallbackFactory; });
                 return;
             }
 
@@ -1117,24 +1107,6 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                 const std::vector<SimResult> cells =
                     simulateMany(raw, *chunk_trace, options);
                 slot.disarm();
-                simd_columnar_blocks.fetch_add(
-                    traversal.columnarBlocks,
-                    std::memory_order_relaxed);
-                simd_transposed_blocks.fetch_add(
-                    traversal.transposedBlocks,
-                    std::memory_order_relaxed);
-                simd_skipped_records.fetch_add(
-                    traversal.skippedRecords,
-                    std::memory_order_relaxed);
-                simd_lane_columns.fetch_add(
-                    traversal.laneColumns,
-                    std::memory_order_relaxed);
-                simd_generic_columns.fetch_add(
-                    traversal.genericColumns,
-                    std::memory_order_relaxed);
-                simd_lane_machines.fetch_add(
-                    traversal.laneMachines,
-                    std::memory_order_relaxed);
                 persistCells(members, cells);
                 held.release();
                 for (std::size_t i = 0; i < members.size();
@@ -1148,33 +1120,32 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                 } else {
                     countClaimed(members);
                 }
-                fused_groups.fetch_add(
-                    1, std::memory_order_relaxed);
-                predictors_bound.fetch_add(
-                    kernel.joinedPredictors(),
-                    std::memory_order_relaxed);
-                predictors_unbound.fetch_add(
-                    kernel.declinedPredictors(),
-                    std::memory_order_relaxed);
-                predictors_deduped.fetch_add(
-                    kernel.dedupedPredictors(),
-                    std::memory_order_relaxed);
+                tally([&] {
+                    ++sweep.groupsFused;
+                    sweep.predictorsBound += kernel.joinedPredictors();
+                    sweep.predictorsUnbound +=
+                        kernel.declinedPredictors();
+                    sweep.predictorsDeduped += traversal.foldedMembers;
+                    simd.columnarBlocks += traversal.columnarBlocks;
+                    simd.transposedBlocks += traversal.transposedBlocks;
+                    simd.skippedRecords += traversal.skippedRecords;
+                    simd.laneColumns += traversal.laneColumns;
+                    simd.genericColumns += traversal.genericColumns;
+                    simd.laneMachines += traversal.laneMachines;
+                });
             } catch (const RunException &exception) {
                 // Leave the chunk's jobs pending; phase 2 gives each
                 // own cell its isolated retries.
                 slot.disarm();
-                if (exception.error().kind ==
-                    ErrorKind::Timeout) {
-                    fallback_cancelled.fetch_add(
-                        1, std::memory_order_relaxed);
-                } else {
-                    fallback_error.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
+                const bool timeout =
+                    exception.error().kind == ErrorKind::Timeout;
+                tally([&] {
+                    ++(timeout ? sweep.fallbackCancelled
+                               : sweep.fallbackError);
+                });
             } catch (...) {
                 slot.disarm();
-                fallback_error.fetch_add(
-                    1, std::memory_order_relaxed);
+                tally([&] { ++sweep.fallbackError; });
             }
         };
 
@@ -1219,12 +1190,12 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
     // phase 2, which re-runs them under the full per-cell
     // retry/deadline isolation. Results are bit-identical either way
     // (see simulateMany()).
-    if (session.singlePass && !jobs.empty()) {
+    if (!jobs.empty()) {
         // Foreign cells run only through the steal sweep.
         const std::vector<Units> groups = groupTasks(
             [](const Job &job) { return !job.foreign; });
         if (FaultInjector::global().armedFor("sim")) {
-            fallback_injector_armed =
+            sweep.fallbackInjectorArmed =
                 static_cast<unsigned>(groups.size());
         } else {
             Executor::Batch batch(executor);
@@ -1509,53 +1480,20 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
         }
         // Fused-path observability, mirroring trace_source: how many
         // chunks the fused engine served and why any fell back.
-        if (session.singlePass && !jobs.empty()) {
-            SweepKernelStats sweep;
-            sweep.groupsFused =
-                fused_groups.load(std::memory_order_relaxed);
-            sweep.fallbackFactory =
-                fallback_factory.load(std::memory_order_relaxed);
-            sweep.fallbackCancelled =
-                fallback_cancelled.load(std::memory_order_relaxed);
-            sweep.fallbackInjected =
-                fallback_injected.load(std::memory_order_relaxed);
-            sweep.fallbackError =
-                fallback_error.load(std::memory_order_relaxed);
-            sweep.fallbackInjectorArmed = fallback_injector_armed;
+        if (!jobs.empty()) {
             sweep.groupsPerCell =
                 sweep.fallbackFactory + sweep.fallbackCancelled +
                 sweep.fallbackInjected + sweep.fallbackError +
                 sweep.fallbackInjectorArmed;
-            sweep.predictorsBound =
-                predictors_bound.load(std::memory_order_relaxed);
-            sweep.predictorsUnbound =
-                predictors_unbound.load(std::memory_order_relaxed);
-            sweep.predictorsDeduped =
-                predictors_deduped.load(std::memory_order_relaxed);
             metrics->recordSweepKernel(sweep);
         }
         // SIMD/SoA observability: the process-wide dispatch level is
         // always worth recording; the traversal counters are summed
         // over the fused chunks above (zero for per-cell runs, which
         // is itself informative).
-        {
-            SimdStats simd;
-            simd.dispatchLevel = simdLevelName(simdLevel());
-            simd.fallbackReason = simdFallbackReason();
-            simd.columnarBlocks =
-                simd_columnar_blocks.load(std::memory_order_relaxed);
-            simd.transposedBlocks = simd_transposed_blocks.load(
-                std::memory_order_relaxed);
-            simd.skippedRecords =
-                simd_skipped_records.load(std::memory_order_relaxed);
-            simd.laneColumns =
-                simd_lane_columns.load(std::memory_order_relaxed);
-            simd.genericColumns =
-                simd_generic_columns.load(std::memory_order_relaxed);
-            simd.laneMachines =
-                simd_lane_machines.load(std::memory_order_relaxed);
-            metrics->recordSimd(simd);
-        }
+        simd.dispatchLevel = simdLevelName(simdLevel());
+        simd.fallbackReason = simdFallbackReason();
+        metrics->recordSimd(simd);
         // Result-store observability: recorded whenever the store
         // was armed for this run (even an all-miss cold pass), so
         // the CI warm-store gate can assert hits == cells with zero

@@ -160,16 +160,6 @@ struct RunSession
      */
     std::function<void()> onCellFinished;
     /**
-     * Allow the single-pass multi-predictor engine (simulateMany):
-     * all pending columns of a benchmark are fed from one trace
-     * traversal, and any failure (injected fault, factory error,
-     * watchdog cancellation) falls back to the per-cell isolated
-     * path, so results and isolation semantics are identical either
-     * way (docs/PERFORMANCE.md). Tests set this to false to force
-     * the per-cell reference path.
-     */
-    bool singlePass = true;
-    /**
      * Grid sharding (docs/SERVICE.md): when shardCount > 1 AND a
      * result store is armed, runBatch() simulates only the cells of
      * the fused chunks this shard owns, persisting them into the

@@ -2,11 +2,8 @@
 
 #include <bit>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "robust/atomic_file.hh"
@@ -26,15 +23,8 @@ namespace ibp {
 
 namespace {
 
-constexpr char kMagicV2[8] = {'I', 'B', 'P', 'M', 'A', 'P', '2', '\0'};
 constexpr char kMagicV3[8] = {'I', 'B', 'P', 'M', 'A', 'P', '3', '\0'};
 constexpr std::uint32_t kEndianTag = 0x01020304u;
-
-// v2 (record-array) layout constants.
-constexpr std::uint32_t kVersionV2 = 2;
-constexpr std::size_t kHeaderBytesV2 = 64;
-constexpr std::size_t kChecksumOffsetV2 = 56;
-constexpr std::size_t kRecordAlign = 16;
 
 // v3 (columnar) layout constants.
 constexpr std::uint32_t kVersionV3 = 3;
@@ -42,15 +32,8 @@ constexpr std::size_t kHeaderBytesV3 = 128;
 constexpr std::size_t kChecksumOffsetV3 = 80;
 constexpr std::size_t kColumnAlign = 64;
 
-// The v2 on-disk record is BranchRecord's in-memory layout, and the
-// v3 columns assume 4-byte addresses. Pin both down so a
+// The v3 columns assume 4-byte addresses. Pin that down so a
 // compiler/ABI change fails the build, not the reader.
-static_assert(sizeof(BranchRecord) == 12);
-static_assert(offsetof(BranchRecord, pc) == 0);
-static_assert(offsetof(BranchRecord, target) == 4);
-static_assert(offsetof(BranchRecord, kind) == 8);
-static_assert(offsetof(BranchRecord, taken) == 9);
-static_assert(std::is_trivially_copyable_v<BranchRecord>);
 static_assert(sizeof(Addr) == 4);
 
 constexpr std::size_t
@@ -88,60 +71,20 @@ getU64(const char *base, std::size_t offset)
 }
 
 /** FNV-1a over the header bytes before the checksum field
- * (little-endian words; @p words is 7 for v2, 10 for v3). */
+ * (little-endian words). */
 [[maybe_unused]] std::uint64_t
-headerChecksum(const char *base, std::size_t words)
+headerChecksum(const char *base)
 {
-    std::uint64_t buffer[10];
-    std::memcpy(buffer, base, words * sizeof(std::uint64_t));
-    return fnv1a64(buffer, words, 0xcbf29ce484222325ULL);
+    constexpr std::size_t kWords = kChecksumOffsetV3 / 8;
+    std::uint64_t buffer[kWords];
+    std::memcpy(buffer, base, sizeof(buffer));
+    return fnv1a64(buffer, kWords, 0xcbf29ce484222325ULL);
 }
 
 [[maybe_unused]] RunError
 badFile(const std::string &path, const std::string &what)
 {
     return RunError::permanent("mmap trace '" + path + "': " + what);
-}
-
-std::string
-encodeV2(const Trace &trace)
-{
-    const std::size_t name_bytes = trace.name().size();
-    const std::size_t records_offset =
-        alignUp(kHeaderBytesV2 + name_bytes, kRecordAlign);
-    const std::size_t count = trace.size();
-
-    // Zero-filled up front so padding (header gap, name tail, record
-    // tail bytes) is deterministic: storing the same trace twice
-    // must produce byte-identical files.
-    std::string blob(records_offset + count * sizeof(BranchRecord),
-                     '\0');
-    std::memcpy(blob.data(), kMagicV2, sizeof(kMagicV2));
-    putU32(blob, 8, kVersionV2);
-    putU32(blob, 12, kEndianTag);
-    putU32(blob, 16, sizeof(BranchRecord));
-    putU32(blob, 20, kHeaderBytesV2);
-    putU64(blob, 24, trace.seed());
-    putU64(blob, 32, count);
-    putU32(blob, 40, static_cast<std::uint32_t>(name_bytes));
-    putU32(blob, 44, trace.siteCountHint());
-    putU64(blob, 48, records_offset);
-    putU64(blob, kChecksumOffsetV2, headerChecksum(blob.data(), 7));
-    std::memcpy(blob.data() + kHeaderBytesV2, trace.name().data(),
-                name_bytes);
-
-    // Field-by-field rather than one bulk memcpy of the array, so
-    // the two padding bytes of every record stay zero even if the
-    // in-memory copies carry garbage there.
-    char *out = blob.data() + records_offset;
-    for (const BranchRecord &record : trace.records()) {
-        std::memcpy(out + 0, &record.pc, sizeof(record.pc));
-        std::memcpy(out + 4, &record.target, sizeof(record.target));
-        out[8] = static_cast<char>(record.kind);
-        out[9] = record.taken ? 1 : 0;
-        out += sizeof(BranchRecord);
-    }
-    return blob;
 }
 
 std::string
@@ -172,7 +115,7 @@ encodeV3(const Trace &trace)
     putU64(blob, 56, target_offset);
     putU64(blob, 64, meta_offset);
     putU64(blob, 72, file_size);
-    putU64(blob, kChecksumOffsetV3, headerChecksum(blob.data(), 10));
+    putU64(blob, kChecksumOffsetV3, headerChecksum(blob.data()));
     std::memcpy(blob.data() + kHeaderBytesV3, trace.name().data(),
                 name_bytes);
 
@@ -226,50 +169,6 @@ struct Mapping
 };
 
 Result<Trace>
-loadV2(const std::string &path, std::shared_ptr<Mapping> mapping,
-       const char *bytes, std::size_t file_size)
-{
-    if (file_size < kHeaderBytesV2)
-        return badFile(path, "truncated header");
-    if (getU32(bytes, 8) != kVersionV2)
-        return badFile(path, "version skew");
-    if (getU32(bytes, 12) != kEndianTag)
-        return badFile(path, "foreign endianness");
-    if (getU32(bytes, 16) != sizeof(BranchRecord))
-        return badFile(path, "record size mismatch");
-    if (getU32(bytes, 20) != kHeaderBytesV2)
-        return badFile(path, "header size mismatch");
-    if (getU64(bytes, kChecksumOffsetV2) != headerChecksum(bytes, 7))
-        return badFile(path, "header checksum mismatch");
-
-    const std::uint64_t seed = getU64(bytes, 24);
-    const std::uint64_t count = getU64(bytes, 32);
-    const std::uint32_t name_bytes = getU32(bytes, 40);
-    const std::uint32_t site_hint = getU32(bytes, 44);
-    const std::uint64_t records_offset = getU64(bytes, 48);
-
-    if (records_offset % kRecordAlign != 0)
-        return badFile(path, "misaligned record array");
-    if (records_offset != alignUp(kHeaderBytesV2 + name_bytes,
-                                  kRecordAlign) ||
-        records_offset > file_size) {
-        return badFile(path, "bad records offset");
-    }
-    if (count > (file_size - records_offset) / sizeof(BranchRecord))
-        return badFile(path, "truncated record array");
-
-    std::string name(bytes + kHeaderBytesV2, name_bytes);
-    const auto *records = reinterpret_cast<const BranchRecord *>(
-        bytes + records_offset);
-    Trace trace = Trace::fromView(std::move(name), seed,
-                                  std::move(mapping), records,
-                                  static_cast<std::size_t>(count));
-    trace.setSiteCountHint(site_hint);
-    trace.setReadPath(TraceReadPath::Mmap);
-    return trace;
-}
-
-Result<Trace>
 loadV3(const std::string &path, std::shared_ptr<Mapping> mapping,
        const char *bytes, std::size_t file_size)
 {
@@ -283,7 +182,7 @@ loadV3(const std::string &path, std::shared_ptr<Mapping> mapping,
         return badFile(path, "address size mismatch");
     if (getU32(bytes, 20) != kHeaderBytesV3)
         return badFile(path, "header size mismatch");
-    if (getU64(bytes, kChecksumOffsetV3) != headerChecksum(bytes, 10))
+    if (getU64(bytes, kChecksumOffsetV3) != headerChecksum(bytes))
         return badFile(path, "header checksum mismatch");
 
     const std::uint64_t seed = getU64(bytes, 24);
@@ -350,12 +249,6 @@ encodeTraceMmap(const Trace &trace)
         return RunError::permanent(
             "mmap trace format unsupported on this platform");
     }
-    // IBP_TRACE_FORMAT=v2 pins the writer to the record-array layout
-    // (used by the migration smoke test to seed a v2 cache; handy as
-    // an escape hatch if a v3 consumer regresses).
-    const char *format = std::getenv("IBP_TRACE_FORMAT");
-    if (format != nullptr && std::string_view(format) == "v2")
-        return encodeV2(trace);
     return encodeV3(trace);
 }
 
@@ -398,15 +291,13 @@ loadTraceMmap(const std::string &path)
         return badFile(path, "mmap failed");
     auto mapping = std::make_shared<Mapping>(base, file_size);
 
-    // The magic selects the layout: v3 columnar is what we write
-    // today, v2 record arrays stay readable so a warm cache carries
-    // across the format change without regeneration.
+    // Any other magic - including the retired record-array v2 layout
+    // - is a miss; the content-addressed cache regenerates the entry
+    // as v3.
     const char *bytes = static_cast<const char *>(base);
-    if (std::memcmp(bytes, kMagicV3, sizeof(kMagicV3)) == 0)
-        return loadV3(path, std::move(mapping), bytes, file_size);
-    if (std::memcmp(bytes, kMagicV2, sizeof(kMagicV2)) == 0)
-        return loadV2(path, std::move(mapping), bytes, file_size);
-    return badFile(path, "bad magic");
+    if (std::memcmp(bytes, kMagicV3, sizeof(kMagicV3)) != 0)
+        return badFile(path, "bad magic");
+    return loadV3(path, std::move(mapping), bytes, file_size);
 }
 
 #else // !IBP_HAVE_MMAP

@@ -4,7 +4,7 @@
  * docs/PERFORMANCE.md "batched grid plan"): a batch of grids produces
  * exactly the counters of running its grids one at a time, at any
  * thread count and on both table implementations, while simulating
- * each distinct state machine once per benchmark; dedup replicas own
+ * each distinct state machine once per benchmark; folded lane members own
  * no table storage; the spec-level chunk plan is deterministic and
  * keeps every shared machine inside one chunk; sharded ownership
  * covers every cell exactly once; a lone shard steals every foreign
@@ -210,43 +210,50 @@ TEST_F(BatchPlanTest, BatchMatchesOneGridAtATime)
         EXPECT_EQ(run, runs.front());
 }
 
-TEST_F(BatchPlanTest, ReplicaOwnsNoTable)
+TEST_F(BatchPlanTest, FoldedMemberOwnsNoTable)
 {
     SuiteRunner runner({"idl"});
     const Trace &trace = runner.trace("idl");
     const TableSpec table = TableSpec::setAssoc(1024, 4);
-    TwoLevelPredictor primary(paperTwoLevel(3, table));
-    TwoLevelPredictor replica(paperTwoLevel(3, table));
+    TwoLevelPredictor owner(paperTwoLevel(3, table));
+    TwoLevelPredictor folded(paperTwoLevel(3, table));
     HybridPredictor hybrid(paperHybrid(3, 5, table));
     // Tables are allocated on first use, never at construction.
-    EXPECT_FALSE(primary.ownsTable());
+    EXPECT_FALSE(owner.ownsTable());
 
     SweepKernel kernel;
-    std::vector<IndirectPredictor *> raw = {&primary, &replica, &hybrid};
+    std::vector<IndirectPredictor *> raw = {&owner, &folded, &hybrid};
     for (IndirectPredictor *predictor : raw)
         kernel.tryJoin(*predictor);
     kernel.finalize();
-    ASSERT_EQ(replica.sweepPrimary(), &primary);
-    ASSERT_EQ(hybrid.component(0).sweepPrimary(), &primary);
 
     SimOptions options;
     options.kernel = &kernel;
+    TraversalStats traversal;
+    options.traversal = &traversal;
     const std::vector<SimResult> fused = simulateMany(raw, trace, options);
+    // The second plain column and the hybrid's p=3 component fold
+    // onto the first column's machine: two machines in all.
+    EXPECT_EQ(traversal.foldedMembers, 2u);
+    EXPECT_EQ(traversal.laneMachines, 2u);
 
-    EXPECT_TRUE(primary.ownsTable());
-    EXPECT_FALSE(replica.ownsTable());
+    EXPECT_TRUE(owner.ownsTable());
+    EXPECT_FALSE(folded.ownsTable());
     EXPECT_FALSE(hybrid.component(0).ownsTable());
     EXPECT_TRUE(hybrid.component(1).ownsTable());
 
-    // The replicas still report (and predict from) the primary's
-    // state, bit-identically to solo runs.
+    // Folded members still report their machine's state,
+    // bit-identically to solo runs.
     TwoLevelPredictor solo(paperTwoLevel(3, table));
     const SimResult alone = simulate(solo, trace);
     EXPECT_EQ(fused[1].misses, alone.misses);
     EXPECT_EQ(fused[1].tableOccupancy, alone.tableOccupancy);
     EXPECT_EQ(fused[1].tableCapacity, alone.tableCapacity);
     HybridPredictor solo_hybrid(paperHybrid(3, 5, table));
-    EXPECT_EQ(fused[2].misses, simulate(solo_hybrid, trace).misses);
+    const SimResult alone_hybrid = simulate(solo_hybrid, trace);
+    EXPECT_EQ(fused[2].misses, alone_hybrid.misses);
+    EXPECT_EQ(fused[2].tableOccupancy, alone_hybrid.tableOccupancy);
+    EXPECT_EQ(fused[2].tableCapacity, alone_hybrid.tableCapacity);
 }
 
 TEST_F(BatchPlanTest, ChunkPlanKeepsSharedMachinesTogether)

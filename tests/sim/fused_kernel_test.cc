@@ -30,6 +30,8 @@
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
 
+#include "per_cell_oracle.hh"
+
 namespace ibp {
 namespace {
 
@@ -188,14 +190,13 @@ TEST_F(FusedKernelTest, KernelRunMatchesSoloRunsBitForBit)
     }
 }
 
-TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
+TEST_F(FusedKernelTest, FoldedMembersMatchSoloRunsBitForBit)
 {
     // A fig17-style row: several hybrids share their first component
     // (equal TwoLevelConfig), and two columns are fully identical.
-    // The kernel dedupes those into replicas that mirror one
-    // primary's per-record predictions instead of simulating their
-    // own tables - every counter, including table occupancy, must
-    // still match a solo run of each column exactly.
+    // The lane plan folds those onto one machine each instead of
+    // simulating their own tables - every counter, including table
+    // occupancy, must still match a solo run of each column exactly.
     SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
     const Trace &trace = runner.trace("idl");
     const auto spec = [](const std::string &text) {
@@ -219,15 +220,19 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
     for (IndirectPredictor *predictor : raw)
         kernel.tryJoin(*predictor);
     kernel.finalize();
-    // h7/h7-dup first components mirror h5's, h7-dup's second mirrors
-    // h7's, and solo6-dup mirrors solo6: at least four replicas.
-    EXPECT_GE(kernel.dedupedPredictors(), 4u);
 
     SimOptions options;
     options.kernel = &kernel;
+    TraversalStats traversal;
+    options.traversal = &traversal;
     const std::vector<SimResult> many =
         simulateMany(raw, trace, options);
     ASSERT_EQ(many.size(), columns.size());
+    // h7/h7-dup first components fold onto h5's, h7-dup's second
+    // onto h7's, and solo6-dup onto solo6: exactly four.
+    EXPECT_EQ(traversal.foldedMembers, 4u);
+    EXPECT_EQ(traversal.laneMachines, 4u);
+    EXPECT_EQ(traversal.genericColumns, 0u);
 
     for (std::size_t i = 0; i < columns.size(); ++i) {
         auto fresh = columns[i].make();
@@ -242,7 +247,7 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
             << columns[i].label;
     }
 
-    // The grid path surfaces the dedup count in the run telemetry,
+    // The grid path surfaces the fold count in the run telemetry,
     // and it survives the JSON round-trip.
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner grid_runner({"idl"}, /*emitConditionals=*/true);
@@ -251,9 +256,7 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
     session.metrics = &metrics;
     const GridResult fused = grid_runner.run(columns, session);
 
-    RunSession per_cell;
-    per_cell.singlePass = false;
-    const GridResult reference = grid_runner.run(columns, per_cell);
+    const GridResult reference = perCellOracle(grid_runner, columns);
     expectSameGrid(grid_runner, columns, fused, reference);
 
     ASSERT_TRUE(metrics.hasSweepKernel());
@@ -264,6 +267,100 @@ TEST_F(FusedKernelTest, DedupedReplicasMatchSoloRunsBitForBit)
               sweep.predictorsDeduped);
 }
 
+/**
+ * Plain, confidence-hybrid and selector-hybrid columns whose
+ * components repeat one another's configurations (p=3 and p=7 on one
+ * table, plus an unbounded pair), so the lane plan folds them onto
+ * shared machines across all three column kinds.
+ */
+std::vector<SweepColumn>
+oneEngineColumns()
+{
+    const auto spec = [](const std::string &text) {
+        return [text]() { return makePredictorFromSpec(text); };
+    };
+    return {
+        {"plain-p3", spec("twolevel:p=3,table=assoc4:1024")},
+        {"conf-3-7", spec("hybrid:p1=3,p2=7,table=assoc4:1024")},
+        {"sel-3-7",
+         spec("hybrid:p1=3,p2=7,table=assoc4:1024,meta=selector")},
+        {"sel-7-3",
+         spec("hybrid:p1=7,p2=3,table=assoc4:1024,meta=selector")},
+        {"plain-p7", spec("twolevel:p=7,table=assoc4:1024")},
+        {"sel-uncon",
+         spec("hybrid:p1=2,p2=6,table=unconstrained,meta=selector")},
+        {"conf-uncon", spec("hybrid:p1=2,p2=6,table=unconstrained")},
+    };
+}
+
+/** One fused simulateMany over oneEngineColumns() against a solo
+ *  simulate() of each column, both with @p warmup branches. */
+void
+expectOneEngineMatchesSolo(std::uint64_t warmup)
+{
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    const Trace &trace = runner.trace("idl");
+    const auto columns = oneEngineColumns();
+
+    std::vector<std::unique_ptr<IndirectPredictor>> predictors;
+    std::vector<IndirectPredictor *> raw;
+    for (const auto &column : columns) {
+        predictors.push_back(column.make());
+        raw.push_back(predictors.back().get());
+    }
+    SweepKernel kernel;
+    for (IndirectPredictor *predictor : raw)
+        kernel.tryJoin(*predictor);
+    kernel.finalize();
+
+    SimOptions options;
+    options.kernel = &kernel;
+    options.warmupBranches = warmup;
+    TraversalStats traversal;
+    options.traversal = &traversal;
+    const std::vector<SimResult> many =
+        simulateMany(raw, trace, options);
+    ASSERT_EQ(many.size(), columns.size());
+
+    // Every column runs in the lane engine, and four machines (p=3,
+    // p=7, unbounded p=2 and p=6) serve all twelve members.
+    EXPECT_EQ(traversal.genericColumns, 0u);
+    EXPECT_EQ(traversal.laneColumns, columns.size());
+    EXPECT_EQ(traversal.laneMachines, 4u);
+    EXPECT_EQ(traversal.foldedMembers, 8u);
+
+    SimOptions solo_options;
+    solo_options.warmupBranches = warmup;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        auto fresh = columns[i].make();
+        const SimResult one = simulate(*fresh, trace, solo_options);
+        EXPECT_EQ(many[i].branches, one.branches) << columns[i].label;
+        EXPECT_EQ(many[i].misses, one.misses) << columns[i].label;
+        EXPECT_EQ(many[i].noPrediction, one.noPrediction)
+            << columns[i].label;
+        EXPECT_EQ(many[i].tableOccupancy, one.tableOccupancy)
+            << columns[i].label;
+        EXPECT_EQ(many[i].tableCapacity, one.tableCapacity)
+            << columns[i].label;
+    }
+}
+
+TEST_F(FusedKernelTest, OneEngineRunsEveryHybridKindBitForBit)
+{
+    expectOneEngineMatchesSolo(0);
+}
+
+TEST_F(FusedKernelTest, OneEngineMatchesSoloRunsAfterWarmup)
+{
+    // Selectors train during warm-up; only the counting stops. (On
+    // this trace a lane engine that skipped warm-up selector training
+    // still matches at 500 but not at 1000.)
+    for (const std::uint64_t warmup : {500u, 1000u}) {
+        SCOPED_TRACE(warmup);
+        expectOneEngineMatchesSolo(warmup);
+    }
+}
+
 TEST_F(FusedKernelTest, FusedGridMatchesPerCellGridSingleThread)
 {
     setenv("IBP_THREADS", "1", 1);
@@ -271,9 +368,7 @@ TEST_F(FusedKernelTest, FusedGridMatchesPerCellGridSingleThread)
                        /*emitConditionals=*/true);
     const auto columns = fusedColumns();
 
-    RunSession per_cell;
-    per_cell.singlePass = false;
-    const GridResult reference = runner.run(columns, per_cell);
+    const GridResult reference = perCellOracle(runner, columns);
 
     RunSession fused_session;
     RunMetrics metrics;
@@ -320,9 +415,7 @@ TEST_F(FusedKernelTest, FusedGridMatchesAcrossThreadCounts)
 
     setenv("IBP_THREADS", "1", 1);
     SuiteRunner serial({"idl", "perl"}, /*emitConditionals=*/true);
-    RunSession serial_session;
-    serial_session.singlePass = false;
-    const GridResult reference = serial.run(columns, serial_session);
+    const GridResult reference = perCellOracle(serial, columns);
 
     expectSameGrid(serial, columns, fused, reference);
 }

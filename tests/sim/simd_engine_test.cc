@@ -5,14 +5,16 @@
  * SimResult counters whether the process dispatches vectorized or
  * forced-scalar (IBP_SIMD=off), and whether the trace is consumed
  * zero-copy from v3 columnar storage or transposed block-by-block
- * from record storage (including a v2-pinned `.ibpm` file, the
- * migration case a warm pre-v3 cache presents).
+ * from record storage. A stale `.ibpm` entry in the retired v2
+ * layout is a cache miss, regenerated once and rewritten as v3.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_mmap.hh"
+#include "util/bits.hh"
 
 namespace ibp {
 namespace {
@@ -57,7 +60,6 @@ class SimdEngineTest : public ::testing::Test
     {
         TraceCache::configureGlobal("");
         unsetenv("IBP_EVENTS");
-        unsetenv("IBP_TRACE_FORMAT");
     }
 };
 
@@ -208,38 +210,109 @@ TEST_F(SimdEngineTest, ColumnarTraceMatchesRecordStorageBitForBit)
     std::filesystem::remove_all(dir);
 }
 
-TEST_F(SimdEngineTest, V2PinnedTraceServesIdentically)
+/**
+ * The retired record-array `.ibpm` v2 layout, as caches written
+ * before the columnar format hold it: a 64-byte header (magic
+ * "IBPMAP2", version 2, endian tag, record size 12, header size,
+ * seed, count, name bytes, site hint, records offset, FNV-1a of the
+ * first 56 bytes), the name, then 12-byte records 16-byte aligned.
+ */
+std::string
+encodeRetiredV2(const Trace &trace)
+{
+    const auto put = [](std::string &blob, std::size_t offset,
+                        auto value) {
+        std::memcpy(blob.data() + offset, &value, sizeof(value));
+    };
+    const std::size_t name_bytes = trace.name().size();
+    const std::size_t records_offset = (64 + name_bytes + 15) & ~15ull;
+    std::string blob(records_offset + trace.size() * 12, '\0');
+    std::memcpy(blob.data(), "IBPMAP2", 8);
+    put(blob, 8, std::uint32_t{2});
+    put(blob, 12, std::uint32_t{0x01020304u});
+    put(blob, 16, std::uint32_t{12});
+    put(blob, 20, std::uint32_t{64});
+    put(blob, 24, std::uint64_t{trace.seed()});
+    put(blob, 32, std::uint64_t{trace.size()});
+    put(blob, 40, static_cast<std::uint32_t>(name_bytes));
+    put(blob, 44, std::uint32_t{trace.siteCountHint()});
+    put(blob, 48, std::uint64_t{records_offset});
+    std::uint64_t words[7];
+    std::memcpy(words, blob.data(), sizeof(words));
+    put(blob, 56, fnv1a64(words, 7, 0xcbf29ce484222325ULL));
+    std::memcpy(blob.data() + 64, trace.name().data(), name_bytes);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        char *out = blob.data() + records_offset + i * 12;
+        put(blob, records_offset + i * 12, trace[i].pc);
+        put(blob, records_offset + i * 12 + 4, trace[i].target);
+        out[8] = static_cast<char>(trace[i].kind);
+        out[9] = trace[i].taken ? 1 : 0;
+    }
+    return blob;
+}
+
+TEST_F(SimdEngineTest, StaleV2CacheEntryIsRegeneratedAsV3)
 {
     if (!traceMmapSupported())
         GTEST_SKIP() << "mmap traces unsupported on this platform";
-    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
-    const Trace &trace = runner.trace("idl");
+    const std::string dir =
+        testing::TempDir() + "/ibp_simd_stale_v2_test";
+    std::filesystem::remove_all(dir);
+    TraceCache::configureGlobal(dir);
     const auto columns = engineColumns();
 
-    const std::string dir =
-        testing::TempDir() + "/ibp_simd_v2pin_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const std::string path = dir + "/trace-v2.ibpm";
+    // Cold pass: generate and store the entry, and keep the retired
+    // v2 encoding of the very same trace.
+    std::vector<SimResult> cold;
+    std::string stale;
+    {
+        SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+        ASSERT_EQ(runner.traceSourceStats().generated, 1u);
+        cold = runEngine(columns, runner.trace("idl"));
+        stale = encodeRetiredV2(runner.trace("idl"));
+    }
+    std::vector<std::string> entries;
+    for (const auto &file : std::filesystem::directory_iterator(dir)) {
+        if (file.path().extension() == ".ibpm")
+            entries.push_back(file.path().string());
+    }
+    ASSERT_EQ(entries.size(), 1u);
+    const std::string &entry = entries.front();
+    const auto header = [&entry] {
+        std::ifstream in(entry, std::ios::binary);
+        std::string magic(7, '\0');
+        in.read(magic.data(), 7);
+        return magic;
+    };
+    ASSERT_EQ(header(), "IBPMAP3");
+    {
+        std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+        out.write(stale.data(),
+                  static_cast<std::streamsize>(stale.size()));
+    }
+    EXPECT_FALSE(loadTraceMmap(entry).ok());
 
-    // A warm cache written before the columnar format: the v2 writer
-    // pin produces exactly what such a cache holds.
-    setenv("IBP_TRACE_FORMAT", "v2", 1);
-    ASSERT_TRUE(saveTraceMmap(trace, path).ok());
-    unsetenv("IBP_TRACE_FORMAT");
+    // The v2 entry is a miss: regenerated exactly once, rewritten as
+    // v3, and the counters do not move.
+    {
+        SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+        EXPECT_EQ(runner.traceSourceStats().generated, 1u);
+        EXPECT_EQ(runner.traceSourceStats().cacheHits, 0u);
+        expectSameResults(columns, cold,
+                          runEngine(columns, runner.trace("idl")));
+    }
+    EXPECT_EQ(header(), "IBPMAP3");
 
-    const auto loaded = loadTraceMmap(path);
-    ASSERT_TRUE(loaded.ok());
-    const Trace &v2 = loaded.value();
-    EXPECT_FALSE(v2.isColumnar());
-    EXPECT_EQ(v2.readPath(), TraceReadPath::Mmap);
-    ASSERT_EQ(v2, trace);
-
-    const std::vector<SimResult> from_v2 = runEngine(columns, v2);
-    const std::vector<SimResult> from_records =
-        runEngine(columns, trace);
-    expectSameResults(columns, from_v2, from_records);
-
+    // And the rewritten entry serves zero-copy from then on.
+    {
+        SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+        EXPECT_EQ(runner.traceSourceStats().generated, 0u);
+        EXPECT_EQ(runner.traceSourceStats().mmapHits, 1u);
+        EXPECT_TRUE(runner.trace("idl").isColumnar());
+        expectSameResults(columns, cold,
+                          runEngine(columns, runner.trace("idl")));
+    }
+    TraceCache::configureGlobal("");
     std::filesystem::remove_all(dir);
 }
 

@@ -19,6 +19,8 @@
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
 
+#include "per_cell_oracle.hh"
+
 namespace ibp {
 namespace {
 
@@ -138,12 +140,9 @@ TEST_F(SimulateManyTest, SinglePassGridMatchesPerCellGrid)
     SuiteRunner runner({"idl", "perl", "self"});
     const auto columns = diverseColumns();
 
-    RunSession per_cell;
-    per_cell.singlePass = false;
-    const GridResult reference = runner.run(columns, per_cell);
+    const GridResult reference = perCellOracle(runner, columns);
 
     RunSession single_pass;
-    single_pass.singlePass = true;
     RunMetrics metrics;
     single_pass.metrics = &metrics;
     const GridResult fast = runner.run(columns, single_pass);
