@@ -3,7 +3,8 @@
  * The BENCH_micro experiment: whole-cell simulate() throughput of a
  * Figure-18-style predictor mix, flat tables vs the retained
  * reference tables, plus the three-engine (per-column / single-pass
- * / fused) comparison on the Figure-17 row sweep. Lives in the
+ * / fused) comparison on the Figure-17 row sweep and the solo vs
+ * LRU-stack comparison on a fully-associative size sweep. Lives in the
  * suites library - separate from the google-benchmark loops in
  * micro_throughput.cc - so the ibpd daemon can serve it like any
  * paper experiment.
@@ -142,6 +143,58 @@ bestOf(const MixCell &cell, unsigned reps)
             ibp::simulate(*predictor, benchTrace());
         if (rep == 0 || result.seconds < best.seconds)
             best = result;
+    }
+    return best;
+}
+
+/**
+ * The fully-associative capacity sweep of Figures 11 and 18: p=3 on
+ * LRU tables of the ten sizes 64..32K. Fused, the lane engine runs
+ * the ten columns as one LRU stack (core/lru_stack.hh).
+ */
+std::vector<MixCell>
+fullAssocSweep()
+{
+    using namespace ibp;
+    std::vector<MixCell> cells;
+    for (std::uint64_t size = 64; size <= 32768; size *= 2) {
+        cells.push_back({"fullassoc-" + std::to_string(size), [size] {
+                             return std::make_unique<TwoLevelPredictor>(
+                                 paperTwoLevel(
+                                     3, TableSpec::fullyAssoc(size)));
+                         }});
+    }
+    return cells;
+}
+
+/** Best-of-@p reps group time of one fused simulateMany() over
+ *  @p cells (fresh predictors bound to a SweepKernel each rep);
+ *  @p traversal receives the last rep's telemetry. */
+double
+bestFusedSeconds(const std::vector<MixCell> &cells, unsigned reps,
+                 ibp::TraversalStats &traversal)
+{
+    using namespace ibp;
+    double best = 0.0;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        std::vector<std::unique_ptr<IndirectPredictor>> predictors;
+        std::vector<IndirectPredictor *> raw;
+        for (const MixCell &cell : cells) {
+            predictors.push_back(cell.make());
+            raw.push_back(predictors.back().get());
+        }
+        SweepKernel kernel;
+        for (IndirectPredictor *predictor : raw)
+            kernel.tryJoin(*predictor);
+        kernel.finalize();
+        SimOptions options;
+        options.kernel = &kernel;
+        traversal = TraversalStats{};
+        options.traversal = &traversal;
+        const double seconds =
+            simulateMany(raw, benchTrace(), options).front().groupSeconds;
+        if (rep == 0 || seconds < best)
+            best = seconds;
     }
     return best;
 }
@@ -314,6 +367,60 @@ microThroughputExperiment()
                                 std::max(fused_seconds, 1e-12),
                             2) +
                 "x vs 13 per-column traversals.");
+
+            // ---------------------------------------------------
+            // The fully-associative size sweep: ten solo simulate()
+            // runs, each over its own FullyAssocTable, vs one fused
+            // traversal where the lane engine answers all ten sizes
+            // from one LRU stack depth per record. Counters are
+            // bit-identical (tests/sim/fused_kernel_test.cc).
+            setTableImplementation(TableImpl::Flat);
+            const auto sweep = fullAssocSweep();
+            double sweep_solo_seconds = 0.0;
+            std::uint64_t sweep_branches = 0;
+            for (const MixCell &cell : sweep) {
+                const SimResult solo = bestOf(cell, reps);
+                sweep_solo_seconds += solo.seconds;
+                sweep_branches += solo.branches;
+            }
+            TraversalStats stack_traversal;
+            const double stack_seconds =
+                bestFusedSeconds(sweep, reps, stack_traversal);
+            setTableImplementation(initial);
+
+            ResultTable stack_table(
+                "Fully-associative size sweep (p=3, 64..32K entries) "
+                "on porky-100k: 10 solo runs vs one LRU stack",
+                "engine");
+            stack_table.addColumn("seconds");
+            stack_table.addColumn("Mbranches/s");
+            stack_table.addColumn("speedup");
+            const auto sweep_rate = [sweep_branches](double seconds) {
+                return static_cast<double>(sweep_branches) /
+                       std::max(seconds, 1e-12) / 1e6;
+            };
+            stack_table.set("solo", "seconds", sweep_solo_seconds);
+            stack_table.set("solo", "Mbranches/s",
+                            sweep_rate(sweep_solo_seconds));
+            stack_table.set("solo", "speedup", 1.0);
+            stack_table.set("lru-stack", "seconds", stack_seconds);
+            stack_table.set("lru-stack", "Mbranches/s",
+                            sweep_rate(stack_seconds));
+            stack_table.set("lru-stack", "speedup",
+                            sweep_solo_seconds /
+                                std::max(stack_seconds, 1e-12));
+            context.emit(stack_table);
+            context.note(
+                "LRU stack speedup on the fully-associative size "
+                "sweep: " +
+                formatFixed(sweep_solo_seconds /
+                                std::max(stack_seconds, 1e-12),
+                            2) +
+                "x vs 10 solo traversals (" +
+                std::to_string(stack_traversal.lruStacks) +
+                " stack of " +
+                std::to_string(stack_traversal.stackedMembers) +
+                " members).");
 
             // ---------------------------------------------------
             // The grid sharder's cell-claim layer (docs/SERVICE.md):

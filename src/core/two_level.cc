@@ -50,8 +50,7 @@ TargetTable &
 TwoLevelPredictor::ownTable() const
 {
     if (!_table) {
-        _table = makeTable(_config.table,
-                           EntryCounterSpec{_config.confidenceBits, 2},
+        _table = makeTable(_config.table, _config.entryCounters(),
                            _tableImpl);
     }
     return *_table;
@@ -90,11 +89,7 @@ TwoLevelPredictor::joinSweepKernel(SweepKernel &kernel)
 Prediction
 TwoLevelPredictor::predict(Addr pc)
 {
-    const TableEntry *entry = ownTable().probe(currentKey(pc));
-    if (!entry || !entry->valid)
-        return Prediction{};
-    return Prediction{true, entry->target,
-                      static_cast<int>(entry->confidence.value())};
+    return twoLevelPrediction(ownTable().probe(currentKey(pc)));
 }
 
 void

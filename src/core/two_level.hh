@@ -67,6 +67,13 @@ struct TwoLevelConfig
     void validate() const;
     std::string describe() const;
 
+    /** Counter widths of the second-level table's entries. */
+    EntryCounterSpec
+    entryCounters() const
+    {
+        return EntryCounterSpec{confidenceBits, 2};
+    }
+
     /**
      * Exact configuration equality. Two predictors with equal
      * configurations are identical state machines: fed the same
@@ -76,6 +83,37 @@ struct TwoLevelConfig
      */
     bool operator==(const TwoLevelConfig &other) const = default;
 };
+
+/**
+ * True when @p a and @p b both use a fully-associative table and are
+ * equal in everything but its size: identical state machines apart
+ * from capacity, so LRU inclusion lets one LRU stack (core/lru_stack.hh)
+ * run them all. The one rule both the batch planner (planChunks) and
+ * the lane plan (sim/simulator.cc) group stack-mates by.
+ */
+inline bool
+lruStackMates(const TwoLevelConfig &a, const TwoLevelConfig &b)
+{
+    if (a.table.kind != TableKind::FullyAssoc ||
+        b.table.kind != TableKind::FullyAssoc) {
+        return false;
+    }
+    TwoLevelConfig sizeless = b;
+    sizeless.table.entries = a.table.entries;
+    return a == sizeless;
+}
+
+/** The prediction a probed entry makes (none for a missing or
+ *  invalid entry). Shared by TwoLevelPredictor::predict() and the
+ *  lane engine. */
+inline Prediction
+twoLevelPrediction(const TableEntry *entry)
+{
+    if (entry == nullptr || !entry->valid)
+        return Prediction{};
+    return Prediction{true, entry->target,
+                      static_cast<int>(entry->confidence.value())};
+}
 
 /**
  * The two-level target-update rule (section 3.1) applied to the
@@ -151,6 +189,9 @@ class TwoLevelPredictor final : public IndirectPredictor
     SweepKeyVariant *sweepVariant() const { return _sweepVariant; }
     SweepHistoryGroup *sweepGroup() const { return _sweepGroup; }
     TargetTable &table() { return ownTable(); }
+
+    /** The table implementation pinned at construction. */
+    TableImpl tableImpl() const { return _tableImpl; }
 
     /** True once this predictor allocated its second-level table.
      *  Tables are allocated on first use, so a predictor the lane

@@ -140,6 +140,8 @@ RunMetrics::recordSimd(const SimdStats &stats)
     _simd.laneColumns += stats.laneColumns;
     _simd.genericColumns += stats.genericColumns;
     _simd.laneMachines += stats.laneMachines;
+    _simd.lruStacks += stats.lruStacks;
+    _simd.stackedMembers += stats.stackedMembers;
 }
 
 bool
@@ -488,6 +490,8 @@ RunMetrics::toJson() const
         block.set("lane_columns", stats.laneColumns);
         block.set("generic_columns", stats.genericColumns);
         block.set("lane_machines", stats.laneMachines);
+        block.set("lru_stacks", stats.lruStacks);
+        block.set("stacked_members", stats.stackedMembers);
         json.set("simd", std::move(block));
     }
 
@@ -662,6 +666,10 @@ RunMetrics::fromJson(const Json &json)
             block.numberOr("generic_columns", 0));
         stats.laneMachines = static_cast<std::uint64_t>(
             block.numberOr("lane_machines", 0));
+        stats.lruStacks = static_cast<std::uint64_t>(
+            block.numberOr("lru_stacks", 0));
+        stats.stackedMembers = static_cast<std::uint64_t>(
+            block.numberOr("stacked_members", 0));
         metrics.recordSimd(stats);
     }
     if (json.contains("serve")) {

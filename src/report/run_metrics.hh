@@ -216,6 +216,12 @@ struct SimdStats
     /** Distinct state machines (dedup owners) the lane engine
      *  drove, summed over fused traversals. */
     std::uint64_t laneMachines = 0;
+    /** LRU stacks the lane engine ran, summed over fused
+     *  traversals (TraversalStats::lruStacks). */
+    std::uint64_t lruStacks = 0;
+    /** Lane machines run as LRU stack members, a subset of
+     *  laneMachines (TraversalStats::stackedMembers). */
+    std::uint64_t stackedMembers = 0;
 };
 
 /**

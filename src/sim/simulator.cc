@@ -1,8 +1,11 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 
 #include "core/hybrid.hh"
+#include "core/lru_stack.hh"
 #include "core/set_assoc_table.hh"
 #include "core/simd.hh"
 #include "core/sweep_kernel.hh"
@@ -68,6 +71,20 @@ throwCancelled(const Trace &trace)
  * which are all probed before any trains, and the shared history,
  * which only the kernel commit after all phases advances. Generic
  * columns hold no bound machine and run independently.
+ *
+ * Machines that are LRU stack-mates (lruStackMates(): fully
+ * associative, equal but for the table size) run as one LruStack
+ * (core/lru_stack.hh) instead of one table each: one lookup and one
+ * stack depth per record answer every size. A stack forms only from
+ * two or more machines (one is slower than its FullyAssocTable) whose
+ * owners all pinned the flat table implementation, so a run on the
+ * reference tables - the tests' oracle and the benchmark's reference
+ * check - still drives the node-based LRU lists. Table machines keep
+ * ids 0..T-1 in plan order and stack members follow, each stack's
+ * members contiguous and ascending in size; stack members never
+ * allocate a table of their own. A stack shares no state with any
+ * other machine, so it probes and trains in one step during phase 1
+ * (stepStacks()).
  */
 struct LanePlan
 {
@@ -108,6 +125,16 @@ struct LanePlan
         bool hysteresis;           ///< the 2bc update rule flag
     };
 
+    /** LRU stack-mate machines run as one stack: member k is
+     *  machine firstMachine + k. */
+    struct Stack
+    {
+        LruStack lru;
+        std::uint32_t firstMachine;
+        std::uint32_t keySlot;
+        bool hysteresis;
+    };
+
     /** One distinct (variant, group) key source among the machines. */
     struct KeySlot
     {
@@ -116,7 +143,9 @@ struct LanePlan
     };
 
     std::vector<TwoLevelPredictor *> owners;   ///< one per machine
-    std::vector<Machine> machines;             ///< parallel to owners
+    /** Table machines' recipes, parallel to owners' first T. */
+    std::vector<Machine> machines;
+    std::vector<Stack> stacks;                 ///< the other owners
     std::vector<KeySlot> keySlots;
     std::vector<Key> laneKeys;                 ///< per-slot scratch
     std::vector<std::uint16_t> memberPool;     ///< column members
@@ -133,23 +162,101 @@ struct LanePlan
      * members' machine tables by HybridPredictor's rule: occupancies
      * sum, capacities sum unless any member is unbounded (0), which
      * makes the whole unbounded. A folded member reports its
-     * machine's table, which is exactly what its own would hold.
+     * machine's table, which is exactly what its own would hold; a
+     * stack member reports what its size's table would hold.
      */
     void
     tableStats(const Column &column, SimResult &result) const
     {
         bool bounded = true;
         for (std::uint32_t k = 0; k < column.count; ++k) {
-            const TargetTable &table =
-                *machines[memberPool[column.first + k]].table;
-            result.tableOccupancy += table.occupancy();
-            result.tableCapacity += table.capacity();
-            bounded &= table.capacity() != 0;
+            const std::uint32_t m = memberPool[column.first + k];
+            std::uint64_t occupancy = 0;
+            std::uint64_t capacity = 0;
+            if (m < machines.size()) {
+                occupancy = machines[m].table->occupancy();
+                capacity = machines[m].table->capacity();
+            } else {
+                const Stack *stack = &stacks.front();
+                while (m >= stack->firstMachine + stack->lru.members())
+                    ++stack;
+                occupancy = stack->lru.occupancy(m - stack->firstMachine);
+                capacity = stack->lru.size(m - stack->firstMachine);
+            }
+            result.tableOccupancy += occupancy;
+            result.tableCapacity += capacity;
+            bounded &= capacity != 0;
         }
         if (!bounded)
             result.tableCapacity = 0;
     }
 };
+
+/**
+ * Reorder @p plan's machines for LRU stacks (see LanePlan): group the
+ * flat-table stack-mates sharing a key source, keep groups of two or
+ * more as stacks, renumber the remaining table machines 0..T-1 and
+ * every stack's members after them, and return each stack's member
+ * count in that order.
+ */
+std::vector<std::size_t>
+formStacks(LanePlan &plan)
+{
+    std::vector<std::vector<std::uint16_t>> groups;
+    for (std::size_t m = 0; m < plan.owners.size(); ++m) {
+        const TwoLevelPredictor &owner = *plan.owners[m];
+        if (owner.config().table.kind != TableKind::FullyAssoc ||
+            owner.tableImpl() != TableImpl::Flat) {
+            continue;
+        }
+        std::size_t g = 0;
+        while (g < groups.size()) {
+            const TwoLevelPredictor &mate = *plan.owners[groups[g][0]];
+            if (lruStackMates(mate.config(), owner.config()) &&
+                mate.sweepVariant() == owner.sweepVariant()) {
+                break;
+            }
+            ++g;
+        }
+        if (g == groups.size())
+            groups.emplace_back();
+        groups[g].push_back(static_cast<std::uint16_t>(m));
+    }
+    std::erase_if(groups, [](const auto &group) { return group.size() < 2; });
+    if (groups.empty())
+        return {};
+
+    std::vector<bool> stacked(plan.owners.size(), false);
+    for (const auto &group : groups) {
+        for (const std::uint16_t m : group)
+            stacked[m] = true;
+    }
+    std::vector<std::uint16_t> remap(plan.owners.size());
+    std::vector<TwoLevelPredictor *> ordered;
+    const auto place = [&](std::uint16_t m) {
+        remap[m] = static_cast<std::uint16_t>(ordered.size());
+        ordered.push_back(plan.owners[m]);
+    };
+    for (std::size_t m = 0; m < plan.owners.size(); ++m) {
+        if (!stacked[m])
+            place(static_cast<std::uint16_t>(m));
+    }
+    std::vector<std::size_t> stack_sizes;
+    for (auto &group : groups) {
+        std::sort(group.begin(), group.end(),
+                  [&plan](std::uint16_t a, std::uint16_t b) {
+                      return plan.owners[a]->config().table.entries <
+                             plan.owners[b]->config().table.entries;
+                  });
+        for (const std::uint16_t m : group)
+            place(m);
+        stack_sizes.push_back(group.size());
+    }
+    for (std::uint16_t &member : plan.memberPool)
+        member = remap[member];
+    plan.owners = std::move(ordered);
+    return stack_sizes;
+}
 
 LanePlan
 buildLanePlan(std::span<IndirectPredictor *const> predictors,
@@ -212,28 +319,77 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         plan.genericResult.push_back(i);
     }
     plan.lanePred.resize(plan.owners.size());
+    const std::vector<std::size_t> stack_sizes = formStacks(plan);
 
     // Resolve the flattened execution recipes. Machines sharing a
     // PatternSpec share a key slot, so a fig17 row resolves each
     // distinct key exactly once per record no matter how many tables
     // consume it.
-    plan.machines.reserve(plan.owners.size());
-    for (TwoLevelPredictor *owner : plan.owners) {
-        SweepKeyVariant *variant = owner->sweepVariant();
+    const auto keySlotOf = [&plan](const TwoLevelPredictor &owner) {
+        SweepKeyVariant *variant = owner.sweepVariant();
         std::uint32_t slot = 0;
         while (slot < plan.keySlots.size() &&
                plan.keySlots[slot].variant != variant) {
             ++slot;
         }
         if (slot == plan.keySlots.size())
-            plan.keySlots.push_back({variant, owner->sweepGroup()});
-        TargetTable &table = owner->table();
+            plan.keySlots.push_back({variant, owner.sweepGroup()});
+        return slot;
+    };
+    std::size_t m = 0;
+    const std::size_t table_machines =
+        plan.owners.size() -
+        std::accumulate(stack_sizes.begin(), stack_sizes.end(),
+                        std::size_t{0});
+    for (; m < table_machines; ++m) {
+        TwoLevelPredictor &owner = *plan.owners[m];
+        TargetTable &table = owner.table();
         plan.machines.push_back(
-            {&table, dynamic_cast<SetAssocTable *>(&table), slot,
-             owner->config().hysteresis});
+            {&table, dynamic_cast<SetAssocTable *>(&table),
+             keySlotOf(owner), owner.config().hysteresis});
+    }
+    for (const std::size_t members : stack_sizes) {
+        const TwoLevelConfig &config = plan.owners[m]->config();
+        std::vector<std::uint64_t> sizes;
+        for (std::size_t k = 0; k < members; ++k)
+            sizes.push_back(plan.owners[m + k]->config().table.entries);
+        plan.stacks.push_back(
+            {LruStack(std::move(sizes), config.entryCounters()),
+             static_cast<std::uint32_t>(m), keySlotOf(*plan.owners[m]),
+             config.hysteresis});
+        m += members;
     }
     plan.laneKeys.resize(plan.keySlots.size());
     return plan;
+}
+
+/**
+ * One record's work for every LRU stack: probe, record each member's
+ * pre-update prediction in @p lane_pred, and train. A stack shares
+ * no state with the table machines, so it can train before they are
+ * probed; what phase 2 reads is the recorded predictions. Kept out of
+ * line: inlined into the lane loop it slowed grids without a stack
+ * (fig17).
+ */
+[[gnu::noinline]] void
+stepStacks(LanePlan::Stack *stacks, std::size_t count, const Key *lane_keys,
+           Prediction *lane_pred, Addr target)
+{
+    for (LanePlan::Stack *stack = stacks; stack != stacks + count;
+         ++stack) {
+        const Key &key = lane_keys[stack->keySlot];
+        std::uint32_t resident = 0;
+        const TableEntry *row = stack->lru.probe(key, resident);
+        Prediction *pred = lane_pred + stack->firstMachine;
+        const std::size_t members = stack->lru.members();
+        for (std::size_t k = 0; k < members; ++k)
+            pred[k] = twoLevelPrediction(k < resident ? nullptr : row + k);
+        TableEntry *entries = stack->lru.access(key);
+        for (std::size_t k = 0; k < members; ++k) {
+            trainTwoLevelEntry(entries[k], k < resident, target,
+                               stack->hysteresis);
+        }
+    }
 }
 
 } // namespace
@@ -353,6 +509,8 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     Key *const lane_keys = plan.laneKeys.data();
     Prediction *const lane_pred = plan.lanePred.data();
     const std::uint16_t *const members = plan.memberPool.data();
+    LanePlan::Stack *const stacks = plan.stacks.data();
+    const std::size_t stack_count = plan.stacks.size();
 
     if (options.traversal != nullptr) {
         options.traversal->laneColumns = static_cast<std::uint32_t>(
@@ -360,8 +518,12 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
         options.traversal->genericColumns =
             static_cast<std::uint32_t>(plan.generic.size());
         options.traversal->laneMachines =
-            static_cast<std::uint32_t>(machine_count);
+            static_cast<std::uint32_t>(plan.owners.size());
         options.traversal->foldedMembers = plan.folded;
+        options.traversal->lruStacks =
+            static_cast<std::uint32_t>(plan.stacks.size());
+        options.traversal->stackedMembers = static_cast<std::uint32_t>(
+            plan.owners.size() - machine_count);
     }
 
     // The trace is consumed in cache-resident SoA blocks (zero-copy
@@ -436,19 +598,17 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             // by construction.
             for (std::size_t m = 0; m < machine_count; ++m) {
                 const LanePlan::Machine &machine = machines[m];
-                const TableEntry *entry =
+                lane_pred[m] = twoLevelPrediction(
                     machine.setAssoc != nullptr
                         ? machine.setAssoc->probe(
                               lane_keys[machine.keySlot])
                         : machine.table->probe(
-                              lane_keys[machine.keySlot]);
-                if (entry == nullptr || !entry->valid) {
-                    lane_pred[m] = Prediction{};
-                } else {
-                    lane_pred[m] = Prediction{
-                        true, entry->target,
-                        static_cast<int>(entry->confidence.value())};
-                }
+                              lane_keys[machine.keySlot]));
+            }
+            // ... and every LRU stack once for all of its members.
+            if (stack_count != 0) {
+                stepStacks(stacks, stack_count, lane_keys, lane_pred,
+                           target);
             }
 
             // Phase 2: per-column combine into counters (pure

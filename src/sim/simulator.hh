@@ -131,6 +131,12 @@ struct TraversalStats
     /** Two-level members folded onto an earlier equal machine: they
      *  never probe, train or allocate a table of their own. */
     std::uint32_t foldedMembers = 0;
+    /** LRU stacks the lane engine ran: each drives two or more
+     *  fully-associative machines of different sizes in one pass. */
+    std::uint32_t lruStacks = 0;
+    /** Machines run as LRU stack members (counted in laneMachines
+     *  too); they never allocate a table of their own. */
+    std::uint32_t stackedMembers = 0;
 };
 
 /** Extra knobs for a simulation run. */
@@ -230,8 +236,10 @@ SimResult simulate(IndirectPredictor &predictor, const Trace &trace,
  * first-level history through the kernel (see SimOptions::kernel),
  * and bound two-level and hybrid columns run in the lane engine,
  * where two-level members with equal configurations share one table
- * (see TraversalStats::foldedMembers); the counters remain
- * bit-identical to the unfused run.
+ * (see TraversalStats::foldedMembers) and fully-associative machines
+ * that differ only in size share one LRU stack
+ * (TraversalStats::lruStacks); the counters remain bit-identical to
+ * the unfused run.
  *
  * Null predictor pointers are not allowed. An empty span returns an
  * empty vector without touching the trace.

@@ -64,8 +64,10 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
     const std::size_t count = columns.size();
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-    // Union-find over batch columns, joined through shared machines;
-    // a root is always its component's first column.
+    // Union-find over batch columns, joined through shared machines
+    // and through LRU stack-mates (lruStackMates(): the lane engine
+    // runs those as one stack); a root is always its component's
+    // first column.
     std::vector<std::size_t> parent(count);
     std::iota(parent.begin(), parent.end(), std::size_t{0});
     const auto find = [&parent](std::size_t c) {
@@ -75,33 +77,49 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
         }
         return c;
     };
+    const auto join = [&find, &parent](std::size_t a, std::size_t b) {
+        a = find(a);
+        b = find(b);
+        parent[std::max(a, b)] = std::min(a, b);
+    };
     std::vector<const TwoLevelConfig *> machines;
     std::vector<std::size_t> first_user;
+    std::vector<bool> stacked;
     for (std::size_t c = 0; c < count; ++c) {
         for (const TwoLevelConfig &config : columns[c]->machines) {
             std::size_t m = 0;
             while (m < machines.size() && !(*machines[m] == config))
                 ++m;
-            if (m == machines.size()) {
-                machines.push_back(&config);
-                first_user.push_back(c);
+            if (m < machines.size()) {
+                join(c, first_user[m]);
                 continue;
             }
-            const std::size_t a = find(c);
-            const std::size_t b = find(first_user[m]);
-            parent[std::max(a, b)] = std::min(a, b);
+            machines.push_back(&config);
+            first_user.push_back(c);
+            stacked.push_back(false);
+            for (std::size_t mate = 0; mate + 1 < machines.size(); ++mate) {
+                if (lruStackMates(*machines[mate], config)) {
+                    join(c, first_user[mate]);
+                    stacked[mate] = true;
+                    stacked[m] = true;
+                    break;
+                }
+            }
         }
     }
 
-    // Per-component table bytes and sizedness (every table bounded),
-    // at the root.
+    // Per-component table bytes and sizedness (every table bounded
+    // and none in an LRU stack), at the root. An unsized component
+    // is a chunk of its own and does not set the packing cap.
     std::vector<std::uint64_t> bytes(count, 0);
     std::vector<bool> sized(count, true);
     for (std::size_t m = 0; m < machines.size(); ++m) {
         const std::size_t root = find(first_user[m]);
         bytes[root] += machines[m]->table.entries * sizeof(TableEntry);
-        if (machines[m]->table.kind == TableKind::Unconstrained)
+        if (machines[m]->table.kind == TableKind::Unconstrained ||
+            stacked[m]) {
             sized[root] = false;
+        }
     }
     std::uint64_t capacity = 0;
     for (std::size_t c = 0; c < count; ++c) {
@@ -1132,6 +1150,8 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                     simd.laneColumns += traversal.laneColumns;
                     simd.genericColumns += traversal.genericColumns;
                     simd.laneMachines += traversal.laneMachines;
+                    simd.lruStacks += traversal.lruStacks;
+                    simd.stackedMembers += traversal.stackedMembers;
                 });
             } catch (const RunException &exception) {
                 // Leave the chunk's jobs pending; phase 2 gives each

@@ -172,6 +172,8 @@ TEST(RunMetricsTest, SimdBlockRoundTripsAndStaysOptional)
     stats.laneColumns = 637;
     stats.genericColumns = 7;
     stats.laneMachines = 728;
+    stats.lruStacks = 7;
+    stats.stackedMembers = 70;
     metrics.recordSimd(stats);
     // A second record accumulates counters but keeps the dispatch
     // strings as a process-wide fact.
@@ -190,6 +192,8 @@ TEST(RunMetricsTest, SimdBlockRoundTripsAndStaysOptional)
     EXPECT_EQ(simd.laneColumns, 2u * 637);
     EXPECT_EQ(simd.genericColumns, 2u * 7);
     EXPECT_EQ(simd.laneMachines, 2u * 728);
+    EXPECT_EQ(simd.lruStacks, 2u * 7);
+    EXPECT_EQ(simd.stackedMembers, 2u * 70);
 }
 
 } // namespace

@@ -6,7 +6,9 @@
  * thread count and on both table implementations, while simulating
  * each distinct state machine once per benchmark; folded lane members own
  * no table storage; the spec-level chunk plan is deterministic and
- * keeps every shared machine inside one chunk; sharded ownership
+ * keeps every shared machine inside one chunk; LRU stack-mates share
+ * one chunk of their own, own no tables, and form only from two or
+ * more flat-table machines; sharded ownership
  * covers every cell exactly once; a lone shard steals every foreign
  * cell nobody holds; a batch drained mid-run resumes
  * from its journal bit-identically; and a claimed, stored, journalled
@@ -254,6 +256,247 @@ TEST_F(BatchPlanTest, FoldedMemberOwnsNoTable)
     EXPECT_EQ(fused[2].misses, alone_hybrid.misses);
     EXPECT_EQ(fused[2].tableOccupancy, alone_hybrid.tableOccupancy);
     EXPECT_EQ(fused[2].tableCapacity, alone_hybrid.tableCapacity);
+}
+
+/**
+ * The quick Figure 18 batch (bench/fig18_best_predictors.cc): per
+ * size, a BTB grid and one grid per organisation over p = 0, 2, 4.
+ * @p names receives each batch column's "<org>-<size>-p<p>" (or
+ * "btb-<size>").
+ */
+std::vector<std::vector<SweepColumn>>
+quickFig18(std::vector<std::string> &names)
+{
+    std::vector<std::vector<SweepColumn>> grids;
+    for (const std::uint64_t size : {256u, 2048u, 16384u}) {
+        const std::string entries = std::to_string(size);
+        grids.push_back(
+            {btbColumn("btb", TableSpec::fullyAssoc(size), true)});
+        names.push_back("btb-" + entries);
+        for (const std::string org :
+             {"tagless", "assoc2", "assoc4", "fullassoc"}) {
+            std::vector<SweepColumn> columns;
+            for (const unsigned p : {0u, 2u, 4u}) {
+                const TableSpec spec =
+                    org == "tagless"  ? TableSpec::tagless(size)
+                    : org == "assoc2" ? TableSpec::setAssoc(size, 2)
+                    : org == "assoc4" ? TableSpec::setAssoc(size, 4)
+                                      : TableSpec::fullyAssoc(size);
+                columns.push_back(specColumn("p=" + std::to_string(p),
+                                             paperTwoLevel(p, spec)));
+                names.push_back(org + "-" + entries + "-p" +
+                                std::to_string(p));
+            }
+            grids.push_back(std::move(columns));
+        }
+    }
+    return grids;
+}
+
+/** @p chunk's columns by name, unit by unit. */
+std::string
+describeChunk(const ChunkPlan::Chunk &chunk,
+              const std::vector<std::string> &names)
+{
+    std::string text;
+    for (const auto &unit : chunk.units) {
+        text += text.empty() ? "{" : " {";
+        for (const std::size_t c : unit)
+            text += " " + names[c];
+        text += " }";
+    }
+    return text;
+}
+
+TEST_F(BatchPlanTest, StackMatesShareOneChunk)
+{
+    std::vector<std::string> names;
+    const ChunkPlan plan = planChunks(quickFig18(names));
+    // Each path length's fully-associative columns, one per size grid,
+    // are one component in a chunk of its own that no sized component
+    // packs into.
+    std::size_t stack_chunks = 0;
+    for (const ChunkPlan::Chunk &chunk : plan.chunks) {
+        if (describeChunk(chunk, names).find("fullassoc") ==
+            std::string::npos) {
+            continue;
+        }
+        ++stack_chunks;
+        EXPECT_FALSE(chunk.packable);
+        ASSERT_EQ(chunk.units.size(), 1u);
+        ASSERT_EQ(chunk.units[0].size(), 3u);
+        const std::string p = names[chunk.units[0][0]].substr(
+            names[chunk.units[0][0]].rfind('-'));
+        EXPECT_EQ(describeChunk(chunk, names),
+                  "{ fullassoc-256" + p + " fullassoc-2048" + p +
+                      " fullassoc-16384" + p + " }");
+    }
+    EXPECT_EQ(stack_chunks, 3u);
+}
+
+TEST_F(BatchPlanTest, QuickFig18PacksItsOtherChunksAsWithoutStacks)
+{
+    // The chunks of quick fig18 before stacks existed (each
+    // fully-associative machine its own sized component), with the
+    // fully-associative columns taken out: stacks, which neither pack
+    // nor set the packing cap, leave every other chunk as it was.
+    const std::vector<std::string> unstacked = {
+        "{ btb-256 }",
+        "{ tagless-256-p0 } { tagless-256-p2 } { tagless-256-p4 } "
+        "{ assoc2-256-p0 } { assoc2-256-p2 } { assoc2-256-p4 } "
+        "{ assoc4-256-p0 } { assoc4-256-p2 } { assoc4-256-p4 } "
+        "{ tagless-2048-p0 } { tagless-2048-p2 } { tagless-2048-p4 } "
+        "{ assoc2-2048-p0 } { assoc2-2048-p2 } { assoc2-2048-p4 }",
+        "{ btb-2048 }",
+        "{ assoc4-2048-p0 } { assoc4-2048-p2 } { assoc4-2048-p4 }",
+        "{ btb-16384 }",
+        "{ tagless-16384-p0 }",
+        "{ tagless-16384-p2 }",
+        "{ tagless-16384-p4 }",
+        "{ assoc2-16384-p0 }",
+        "{ assoc2-16384-p2 }",
+        "{ assoc2-16384-p4 }",
+        "{ assoc4-16384-p0 }",
+        "{ assoc4-16384-p2 }",
+        "{ assoc4-16384-p4 }",
+    };
+    std::vector<std::string> names;
+    const ChunkPlan plan = planChunks(quickFig18(names));
+    std::vector<std::string> others;
+    for (const ChunkPlan::Chunk &chunk : plan.chunks) {
+        const std::string text = describeChunk(chunk, names);
+        if (text.find("fullassoc") == std::string::npos)
+            others.push_back(text);
+    }
+    EXPECT_EQ(others, unstacked);
+}
+
+TEST_F(BatchPlanTest, StackMembersOwnNoTable)
+{
+    SuiteRunner runner({"idl"});
+    const Trace &trace = runner.trace("idl");
+    TwoLevelPredictor small(paperTwoLevel(3, TableSpec::fullyAssoc(256)));
+    TwoLevelPredictor large(paperTwoLevel(3, TableSpec::fullyAssoc(1024)));
+    HybridPredictor hybrid(
+        paperHybrid(3, 5, TableSpec::fullyAssoc(256)));
+
+    SweepKernel kernel;
+    std::vector<IndirectPredictor *> raw = {&small, &large, &hybrid};
+    for (IndirectPredictor *predictor : raw)
+        kernel.tryJoin(*predictor);
+    kernel.finalize();
+    SimOptions options;
+    options.kernel = &kernel;
+    TraversalStats traversal;
+    options.traversal = &traversal;
+    const std::vector<SimResult> fused = simulateMany(raw, trace, options);
+
+    // p=3 at 256 and 1024 entries are one stack (the hybrid's p=3
+    // component folds onto it); the lone p=5 machine drives a table.
+    EXPECT_EQ(traversal.lruStacks, 1u);
+    EXPECT_EQ(traversal.stackedMembers, 2u);
+    EXPECT_EQ(traversal.laneMachines, 3u);
+    EXPECT_EQ(traversal.foldedMembers, 1u);
+    EXPECT_FALSE(small.ownsTable());
+    EXPECT_FALSE(large.ownsTable());
+    EXPECT_FALSE(hybrid.component(0).ownsTable());
+    EXPECT_TRUE(hybrid.component(1).ownsTable());
+
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        const auto solo =
+            i == 2 ? std::unique_ptr<IndirectPredictor>(
+                         std::make_unique<HybridPredictor>(paperHybrid(
+                             3, 5, TableSpec::fullyAssoc(256))))
+                   : std::unique_ptr<IndirectPredictor>(
+                         std::make_unique<TwoLevelPredictor>(
+                             i == 0 ? small.config() : large.config()));
+        const SimResult alone = simulate(*solo, trace);
+        EXPECT_EQ(fused[i].misses, alone.misses) << i;
+        EXPECT_EQ(fused[i].noPrediction, alone.noPrediction) << i;
+        EXPECT_EQ(fused[i].tableOccupancy, alone.tableOccupancy) << i;
+        EXPECT_EQ(fused[i].tableCapacity, alone.tableCapacity) << i;
+    }
+}
+
+TEST_F(BatchPlanTest, LoneFullyAssocMachineFormsNoStack)
+{
+    // Planner: a fully-associative machine with no stack-mate is a
+    // sized component like any other table, so the two below (no
+    // mates: their path lengths differ) pack together up to the
+    // 512-entry cap.
+    const std::vector<std::vector<SweepColumn>> grids = {
+        {specColumn("fa3", paperTwoLevel(3, TableSpec::fullyAssoc(256))),
+         specColumn("sa3",
+                    paperTwoLevel(3, TableSpec::setAssoc(512, 4)))},
+        {specColumn("fa5", paperTwoLevel(5, TableSpec::fullyAssoc(256)))},
+    };
+    const ChunkPlan plan = planChunks(grids);
+    ASSERT_EQ(plan.chunks.size(), 2u);
+    EXPECT_EQ(plan.chunkOf[0], plan.chunkOf[2]);
+    EXPECT_NE(plan.unitOf[0], plan.unitOf[2]);
+    EXPECT_TRUE(plan.chunks[plan.chunkOf[0]].packable);
+
+    // Lane plan: no stack of one, so each machine drives its table.
+    SuiteRunner runner({"idl"});
+    TwoLevelPredictor p3(paperTwoLevel(3, TableSpec::fullyAssoc(256)));
+    TwoLevelPredictor p5(paperTwoLevel(5, TableSpec::fullyAssoc(256)));
+    SweepKernel kernel;
+    std::vector<IndirectPredictor *> raw = {&p3, &p5};
+    for (IndirectPredictor *predictor : raw)
+        kernel.tryJoin(*predictor);
+    kernel.finalize();
+    SimOptions options;
+    options.kernel = &kernel;
+    TraversalStats traversal;
+    options.traversal = &traversal;
+    simulateMany(raw, runner.trace("idl"), options);
+    EXPECT_EQ(traversal.lruStacks, 0u);
+    EXPECT_EQ(traversal.laneMachines, 2u);
+    EXPECT_TRUE(p3.ownsTable());
+    EXPECT_TRUE(p5.ownsTable());
+}
+
+TEST_F(BatchPlanTest, ReferenceTablesFormNoStackAndMatch)
+{
+    // A fully-associative size sweep, one grid per size as in fig11
+    // and fig18: on the flat tables each path length is one stack, on
+    // the reference tables every size drives its own LRU list - with
+    // the same cells.
+    std::vector<std::vector<SweepColumn>> grids;
+    for (const std::uint64_t size : {16u, 128u, 1024u}) {
+        std::vector<SweepColumn> row;
+        for (const unsigned p : {1u, 4u}) {
+            row.push_back(specColumn(
+                "p=" + std::to_string(p),
+                paperTwoLevel(p, TableSpec::fullyAssoc(size))));
+        }
+        row.push_back(specColumn(
+            "hybrid", paperHybrid(1, 4, TableSpec::fullyAssoc(size))));
+        grids.push_back(std::move(row));
+    }
+    setenv("IBP_THREADS", "2", 1);
+    std::vector<std::vector<CellTuple>> runs;
+    for (const TableImpl impl : {TableImpl::Flat, TableImpl::Reference}) {
+        setTableImplementation(impl);
+        const std::string store =
+            _dir + "/store-" + tableImplName(impl);
+        ResultStore::configureGlobal(store);
+        SuiteRunner runner(kBenchmarks);
+        RunMetrics metrics;
+        RunSession session;
+        session.metrics = &metrics;
+        const std::vector<GridResult> results =
+            runner.runBatch(grids, session);
+        runs.push_back(storedCells(store, grids, results));
+
+        const bool flat = impl == TableImpl::Flat;
+        EXPECT_EQ(metrics.simd().lruStacks,
+                  flat ? 2 * kBenchmarks.size() : 0u);
+        EXPECT_EQ(metrics.simd().stackedMembers,
+                  flat ? 6 * kBenchmarks.size() : 0u);
+        EXPECT_EQ(metrics.simd().laneMachines, 6 * kBenchmarks.size());
+    }
+    EXPECT_EQ(runs[0], runs[1]);
 }
 
 TEST_F(BatchPlanTest, ChunkPlanKeepsSharedMachinesTogether)

@@ -24,6 +24,7 @@
 #include "core/ittage.hh"
 #include "core/shared_hybrid.hh"
 #include "core/sweep_kernel.hh"
+#include "core/table_spec.hh"
 #include "core/target_cache.hh"
 #include "core/two_level.hh"
 #include "robust/fault_injection.hh"
@@ -358,6 +359,106 @@ TEST_F(FusedKernelTest, OneEngineMatchesSoloRunsAfterWarmup)
     for (const std::uint64_t warmup : {500u, 1000u}) {
         SCOPED_TRACE(warmup);
         expectOneEngineMatchesSolo(warmup);
+    }
+}
+
+/**
+ * Fully-associative columns the lane plan runs as LRU stacks: a p=3
+ * size sweep from 1 to 32768 entries (beyond the trace's distinct
+ * keys at the top, so the largest members never evict), a {1, 2}
+ * stack without the 2bc rule whose six-stamp window renumbers every
+ * few records, confidence- and selector-hybrid members that make a
+ * p=5 {64, 1024} stack and fold their p=3 components onto the sweep,
+ * a duplicate sweep column that folds, and a lone p=2 table that
+ * stacks with nothing.
+ */
+std::vector<SweepColumn>
+lruStackColumns()
+{
+    const auto spec = [](const std::string &text) {
+        return [text]() { return makePredictorFromSpec(text); };
+    };
+    std::vector<SweepColumn> columns;
+    for (const unsigned size : {1u, 2u, 16u, 64u, 256u, 1024u, 4096u,
+                                32768u}) {
+        const std::string table = "fullassoc:" + std::to_string(size);
+        columns.push_back(
+            {"p3-" + table, spec("twolevel:p=3,table=" + table)});
+    }
+    columns.push_back(
+        {"p3-dup", spec("twolevel:p=3,table=fullassoc:256")});
+    columns.push_back(
+        {"no2bc-1", spec("twolevel:p=1,2bc=0,table=fullassoc:1")});
+    columns.push_back(
+        {"no2bc-2", spec("twolevel:p=1,2bc=0,table=fullassoc:2")});
+    columns.push_back(
+        {"conf-3-5", spec("hybrid:p1=3,p2=5,table=fullassoc:1024")});
+    columns.push_back(
+        {"sel-5-3",
+         spec("hybrid:p1=5,p2=3,table=fullassoc:64,meta=selector")});
+    columns.push_back({"lone-p2", spec("twolevel:p=2,table=fullassoc:512")});
+    return columns;
+}
+
+TEST_F(FusedKernelTest, LruStacksMatchSoloReferenceRunsBitForBit)
+{
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    const Trace &trace = runner.trace("idl");
+    const auto columns = lruStackColumns();
+    for (const std::uint64_t warmup : {0u, 700u}) {
+        SCOPED_TRACE(warmup);
+        std::vector<std::unique_ptr<IndirectPredictor>> predictors;
+        std::vector<IndirectPredictor *> raw;
+        for (const auto &column : columns) {
+            predictors.push_back(column.make());
+            raw.push_back(predictors.back().get());
+        }
+        SweepKernel kernel;
+        for (IndirectPredictor *predictor : raw)
+            kernel.tryJoin(*predictor);
+        kernel.finalize();
+
+        SimOptions options;
+        options.kernel = &kernel;
+        options.warmupBranches = warmup;
+        TraversalStats traversal;
+        options.traversal = &traversal;
+        const std::vector<SimResult> many =
+            simulateMany(raw, trace, options);
+        ASSERT_EQ(many.size(), columns.size());
+
+        // Stacks: the p=3 sweep (8 sizes), the 2bc-less {1, 2} and
+        // the hybrids' p=5 {64, 1024}; the lone p=2 table drives its
+        // own table. The duplicate and both hybrids' p=3 components
+        // fold onto the sweep.
+        EXPECT_EQ(traversal.lruStacks, 3u);
+        EXPECT_EQ(traversal.stackedMembers, 12u);
+        EXPECT_EQ(traversal.laneMachines, 13u);
+        EXPECT_EQ(traversal.foldedMembers, 3u);
+        EXPECT_EQ(traversal.genericColumns, 0u);
+        // The trace holds fewer p=3 keys than 1024, so the three
+        // largest sweep members never evict; and the {1, 2} stack
+        // renumbers its six-stamp window after every four restamps,
+        // thousands of times.
+        EXPECT_LT(many[5].tableOccupancy, 1024u);
+        EXPECT_GT(many[9].branches, 4u * 2000);
+
+        setTableImplementation(TableImpl::Reference);
+        SimOptions solo_options;
+        solo_options.warmupBranches = warmup;
+        for (std::size_t i = 0; i < columns.size(); ++i) {
+            auto fresh = columns[i].make();
+            const SimResult one = simulate(*fresh, trace, solo_options);
+            EXPECT_EQ(many[i].branches, one.branches) << columns[i].label;
+            EXPECT_EQ(many[i].misses, one.misses) << columns[i].label;
+            EXPECT_EQ(many[i].noPrediction, one.noPrediction)
+                << columns[i].label;
+            EXPECT_EQ(many[i].tableOccupancy, one.tableOccupancy)
+                << columns[i].label;
+            EXPECT_EQ(many[i].tableCapacity, one.tableCapacity)
+                << columns[i].label;
+        }
+        setTableImplementation(TableImpl::Flat);
     }
 }
 
