@@ -102,7 +102,8 @@ HybridPredictor::predict(Addr pc)
                   [this](unsigned k) -> const Prediction & {
                       return _cachePreds[k];
                   })
-            : selectorChoice(pc, _cachePreds[0], _cachePreds[1]);
+            : selectorChoice(pc, _cachePreds[0].valid,
+                             _cachePreds[1].valid);
 
     _lastChosen = chosen;
     if (chosen < 0)
@@ -121,7 +122,8 @@ HybridPredictor::update(Addr pc, Addr actual)
             for (std::size_t i = 0; i < _components.size(); ++i)
                 _cachePreds[i] = _components[i]->predict(pc);
         }
-        trainSelector(pc, _cachePreds[0], _cachePreds[1], actual);
+        trainSelector(pc, _cachePreds[0].correctFor(actual),
+                      _cachePreds[1].correctFor(actual));
     }
 
     // Every component trains on every branch (tables, hysteresis and
@@ -133,27 +135,24 @@ HybridPredictor::update(Addr pc, Addr actual)
 }
 
 int
-HybridPredictor::selectorChoice(Addr pc, const Prediction &first,
-                                const Prediction &second)
+HybridPredictor::selectorChoice(Addr pc, bool firstValid, bool secondValid)
 {
     // Upper half of the counter range prefers component 0.
     int chosen = selectorCounter(pc).isConfident() ? 0 : 1;
-    const Prediction *preds[2] = {&first, &second};
-    if (!preds[chosen]->valid)
+    const bool valid[2] = {firstValid, secondValid};
+    if (!valid[chosen])
         chosen ^= 1; // fall back to the other component
-    return preds[chosen]->valid ? chosen : -1;
+    return valid[chosen] ? chosen : -1;
 }
 
 void
-HybridPredictor::trainSelector(Addr pc, const Prediction &first,
-                               const Prediction &second, Addr actual)
+HybridPredictor::trainSelector(Addr pc, bool firstCorrect,
+                               bool secondCorrect)
 {
-    const bool first_right = first.correctFor(actual);
-    const bool second_right = second.correctFor(actual);
     SatCounter &counter = selectorCounter(pc);
-    if (first_right && !second_right)
+    if (firstCorrect && !secondCorrect)
         counter.increment();
-    else if (second_right && !first_right)
+    else if (secondCorrect && !firstCorrect)
         counter.decrement();
 }
 

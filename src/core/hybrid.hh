@@ -81,27 +81,27 @@ struct HybridConfig
 /**
  * The confidence metapredictor (section 6.1) over @p count component
  * predictions, @p prediction(k) being component k's: the highest
- * confidence wins, ties go to the earlier component (the paper's
- * "fixed ordering"), and components with no entry report confidence
- * -1 and lose to any real entry. Returns the winning component, or -1
- * when the winner has no valid target. Shared by
- * HybridPredictor::predict() and the lane engine.
+ * confidenceRank() wins, ties go to the earlier component (the
+ * paper's "fixed ordering"), and a component with no entry ranks
+ * below any real entry. Returns the winning component, or -1 when no
+ * component has a valid target. The lane engine applies the same rank
+ * to its outcome words (twoLevelOutcome()).
  */
 template <typename PredictionAt>
 inline int
 confidenceChoice(unsigned count, PredictionAt &&prediction)
 {
     int chosen = -1;
-    int best = -2;
+    std::uint32_t best = 0;
     for (unsigned k = 0; k < count; ++k) {
-        const int confidence = prediction(k).confidence;
-        if (confidence > best) {
-            best = confidence;
+        const Prediction &candidate = prediction(k);
+        const std::uint32_t rank = confidenceRank(
+            candidate.valid, static_cast<unsigned>(candidate.confidence));
+        if (rank > best) {
+            best = rank;
             chosen = static_cast<int>(k);
         }
     }
-    if (chosen >= 0 && !prediction(static_cast<unsigned>(chosen)).valid)
-        chosen = -1;
     return chosen;
 }
 
@@ -144,22 +144,21 @@ class HybridPredictor final : public IndirectPredictor
     int lastChosen() const { return _lastChosen; }
 
     /**
-     * Selector metaprediction, given the two components' predictions
-     * for @p pc: the component the selection table prefers, the other
-     * one when that has no target, -1 when neither has. Shared by
-     * predict() and the lane engine.
+     * Selector metaprediction for @p pc, given whether each component
+     * has a valid target: the component the selection table prefers,
+     * the other one when that has no target, -1 when neither has.
+     * Shared by predict() and the lane engine (which reads the bits
+     * from its outcome words).
      */
-    int selectorChoice(Addr pc, const Prediction &first,
-                       const Prediction &second);
+    int selectorChoice(Addr pc, bool firstValid, bool secondValid);
 
     /**
-     * Train the selection table on the resolved target @p actual: the
-     * counter moves toward whichever component alone was right (the
-     * predictions are the components' pre-update answers). Shared by
-     * update() and the lane engine.
+     * Train the selection table for @p pc on whether each component's
+     * pre-update prediction was correct: the counter moves toward
+     * whichever component alone was right. Shared by update() and the
+     * lane engine.
      */
-    void trainSelector(Addr pc, const Prediction &first,
-                       const Prediction &second, Addr actual);
+    void trainSelector(Addr pc, bool firstCorrect, bool secondCorrect);
 
   private:
     SatCounter &selectorCounter(Addr pc);

@@ -3,7 +3,8 @@
  * Runtime SIMD dispatch for the simulation hot path.
  *
  * Every vectorized primitive in the engine — the FlatMap group tag
- * probe, the trace-block kind classifier, the PDEP pattern scatter —
+ * probe, the trace-block kind classifier, the lane engine's pair
+ * column scoring, the PDEP pattern scatter —
  * routes its level selection through this one module so the whole
  * process answers a single question the same way: how wide may the
  * hot loops go on this machine, under this configuration?
@@ -29,6 +30,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "core/outcome.hh"
 
 // One x86 gate for every vector primitive: the intrinsics below need
 // both the architecture and a GNU-flavoured compiler (function target
@@ -139,6 +142,45 @@ scanTags16(const std::uint8_t *tags, std::uint8_t tag)
 std::size_t classifyMeta(const std::uint8_t *meta, std::size_t count,
                          std::uint32_t base, bool includeConditionals,
                          std::uint32_t *out);
+
+/**
+ * Score @p count *pair columns* against one record's outcome words
+ * (core/outcome.hh): column i's answer is words[first[i]] unless
+ * words[second[i]] has a strictly higher rank, so the first member
+ * wins ties; a plain column has second[i] == first[i]. misses[i]
+ * gains 1 unless the answer is correct, noPrediction[i] gains 1
+ * unless it is valid. Branch-free and inlined into the lane loop;
+ * scorePairsAvx2() is the same reduction eight columns at a time.
+ */
+inline void
+scorePairsScalar(const std::uint32_t *words, const std::uint32_t *first,
+                 const std::uint32_t *second, std::uint32_t *misses,
+                 std::uint32_t *noPrediction, std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::uint32_t a = words[first[i]];
+        const std::uint32_t b = words[second[i]];
+        // A mask select, not `? :`, which compilers may turn into a
+        // branch that mispredicts on every rank flip.
+        const std::uint32_t second_wins =
+            0u - static_cast<std::uint32_t>(outcomeRank(b) > outcomeRank(a));
+        const std::uint32_t chosen = a ^ ((a ^ b) & second_wins);
+        misses[i] += outcomeCorrect(chosen) ? 0 : 1;
+        noPrediction[i] += outcomeValid(chosen) ? 0 : 1;
+    }
+}
+
+/** Columns scorePairsAvx2() scores per step; with fewer pairs the
+ *  out-of-line call costs more than it saves. */
+inline constexpr std::size_t kPairsPerAvx2Step = 8;
+
+/** scorePairsScalar() with AVX2 gathers, eight columns per step and
+ *  a scalar tail (defined out of line so the target attribute never
+ *  leaks). Call only when simdLevel() == Avx2; outcome words and
+ *  machine indices must be below 2^31. */
+void scorePairsAvx2(const std::uint32_t *words, const std::uint32_t *first,
+                    const std::uint32_t *second, std::uint32_t *misses,
+                    std::uint32_t *noPrediction, std::size_t count);
 
 } // namespace simd
 

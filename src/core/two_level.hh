@@ -23,6 +23,7 @@
 #include <string>
 
 #include "core/history_register.hh"
+#include "core/outcome.hh"
 #include "core/pattern.hh"
 #include "core/predictor.hh"
 #include "core/table_spec.hh"
@@ -113,6 +114,19 @@ twoLevelPrediction(const TableEntry *entry)
         return Prediction{};
     return Prediction{true, entry->target,
                       static_cast<int>(entry->confidence.value())};
+}
+
+/** The outcome word (core/outcome.hh) of a probed entry for the
+ *  resolved target @p actual; 0 for a missing or invalid entry.
+ *  Written by the lane engine's phase 1 for every machine. */
+inline std::uint32_t
+twoLevelOutcome(const TableEntry *entry, Addr actual)
+{
+    if (entry == nullptr || !entry->valid)
+        return 0;
+    return confidenceRank(true, entry->confidence.value())
+               << kOutcomeRankShift |
+           kOutcomeValid | (entry->target == actual ? kOutcomeCorrect : 0);
 }
 
 /**

@@ -26,12 +26,11 @@ namespace {
 
 constexpr std::size_t kPrefetchDistance = 16;
 
-/** Count one scored branch whose prediction was @p prediction. */
+/** Count the miss, if any, of one scored branch whose prediction
+ *  was @p prediction (branches are counted once per traversal). */
 inline void
-countPrediction(SimResult &result, const Prediction &prediction,
-                Addr target)
+countMiss(SimResult &result, const Prediction &prediction, Addr target)
 {
-    ++result.branches;
     if (!prediction.correctFor(target)) {
         ++result.misses;
         if (!prediction.valid)
@@ -53,10 +52,11 @@ throwCancelled(const Trace &trace)
  * component predictions - plain bound TwoLevelPredictor columns and
  * hybrids (confidence or selector metaprediction) with every
  * component bound - are executed in *phases* across the whole column
- * set: first every distinct state machine is probed, then each column
- * combines its members' predictions into counters, then every machine
- * trains, and only then do the remaining (generic) columns run their
- * usual predict/update pairs.
+ * set: first every distinct state machine is probed and scored into an
+ * outcome word (twoLevelOutcome()), then each column reduces its
+ * members' words into counters, then every machine trains, and only
+ * then do the remaining (generic) columns run their usual
+ * predict/update pairs.
  *
  * A *machine* is one distinct TwoLevelConfig among the lane columns'
  * two-level members, found by the same linear equality search
@@ -85,20 +85,38 @@ throwCancelled(const Trace &trace)
  * allocate a table of their own. A stack shares no state with any
  * other machine, so it probes and trains in one step during phase 1
  * (stepStacks()).
+ *
+ * Phase 2 reads only the outcome words. A column of one or two members
+ * (a plain column or a two-component confidence hybrid) is a *pair*:
+ * the plan keeps the pairs' member machines and 32-bit miss and
+ * no-prediction counters in dense arrays, scored by one branch-free
+ * reduction per record (simd::scorePairsScalar() / scorePairsAvx2())
+ * and flushed into the columns' 64-bit totals once per trace block.
+ * Wider confidence hybrids take the highest-ranked word in a scalar
+ * loop; selector hybrids read the words' valid and correct bits.
  */
 struct LanePlan
 {
-    /** A passthrough or hybrid column over member machines. */
+    /** A lane column over member machines, with its 64-bit totals. */
     struct Column
     {
         std::size_t result;    ///< index into the results array
-        bool hybrid;           ///< confidence combine vs passthrough
         std::uint32_t first;   ///< offset into memberPool
         std::uint32_t count;   ///< member machines (1 for plain)
+        std::uint64_t misses = 0;
+        std::uint64_t noPrediction = 0;
+
+        /** Count one scored branch whose answer was @p word. */
+        void
+        score(std::uint32_t word)
+        {
+            misses += outcomeCorrect(word) ? 0 : 1;
+            noPrediction += outcomeValid(word) ? 0 : 1;
+        }
     };
 
-    /** A selector-metaprediction hybrid: its two members' machine
-     *  predictions feed the hybrid's own selection table. */
+    /** A selector-metaprediction hybrid: its two members' outcome
+     *  words feed the hybrid's own selection table. */
     struct SelectorColumn
     {
         Column column;
@@ -149,25 +167,50 @@ struct LanePlan
     std::vector<KeySlot> keySlots;
     std::vector<Key> laneKeys;                 ///< per-slot scratch
     std::vector<std::uint16_t> memberPool;     ///< column members
-    std::vector<Column> columns;               ///< passthrough/confidence
+    /** Confidence and plain columns: the pairs first, then wider. */
+    std::vector<Column> columns;
     std::vector<SelectorColumn> selectors;
     std::vector<IndirectPredictor *> generic;  ///< record-at-a-time
     std::vector<std::size_t> genericResult;
-    std::vector<Prediction> lanePred;          ///< per-machine scratch
+    /** One record's outcome word per machine (twoLevelOutcome()). */
+    std::vector<std::uint32_t> outcome;
+    /** Pair column p = columns[p]: its first and second member
+     *  machine and its counters since the last flush. */
+    std::vector<std::uint32_t> pairFirst;
+    std::vector<std::uint32_t> pairSecond;
+    std::vector<std::uint32_t> pairMisses;
+    std::vector<std::uint32_t> pairNoPrediction;
     /** Members folded onto an earlier equal machine. */
     std::uint32_t folded = 0;
 
+    /** Add the pair counters into their columns' totals and restart
+     *  them; called once per trace block, at most kTraceBlockRecords
+     *  counts, so the 32-bit counters never overflow. */
+    void
+    flushPairs()
+    {
+        for (std::size_t p = 0; p < pairFirst.size(); ++p) {
+            columns[p].misses += pairMisses[p];
+            columns[p].noPrediction += pairNoPrediction[p];
+        }
+        std::fill(pairMisses.begin(), pairMisses.end(), 0);
+        std::fill(pairNoPrediction.begin(), pairNoPrediction.end(), 0);
+    }
+
     /**
-     * Table occupancy and capacity of a lane column, from its
-     * members' machine tables by HybridPredictor's rule: occupancies
-     * sum, capacities sum unless any member is unbounded (0), which
-     * makes the whole unbounded. A folded member reports its
-     * machine's table, which is exactly what its own would hold; a
-     * stack member reports what its size's table would hold.
+     * Write a lane column's totals into @p result: its miss counters,
+     * and its table occupancy and capacity from its members' machine
+     * tables by HybridPredictor's rule: occupancies sum, capacities
+     * sum unless any member is unbounded (0), which makes the whole
+     * unbounded. A folded member reports its machine's table, which
+     * is exactly what its own would hold; a stack member reports what
+     * its size's table would hold.
      */
     void
-    tableStats(const Column &column, SimResult &result) const
+    writeTotals(const Column &column, SimResult &result) const
     {
+        result.misses = column.misses;
+        result.noPrediction = column.noPrediction;
         bool bounded = true;
         for (std::uint32_t k = 0; k < column.count; ++k) {
             const std::uint32_t m = memberPool[column.first + k];
@@ -289,8 +332,7 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
     for (std::size_t i = 0; i < predictors.size(); ++i) {
         IndirectPredictor *predictor = predictors[i];
         LanePlan::Column column{
-            i, false, static_cast<std::uint32_t>(plan.memberPool.size()),
-            1};
+            i, static_cast<std::uint32_t>(plan.memberPool.size()), 1};
         if (fused) {
             if (auto *two =
                     dynamic_cast<TwoLevelPredictor *>(predictor);
@@ -302,7 +344,6 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
             if (auto *hybrid =
                     dynamic_cast<HybridPredictor *>(predictor);
                 hybrid != nullptr && allBound(*hybrid)) {
-                column.hybrid = true;
                 column.count = hybrid->numComponents();
                 for (unsigned c = 0; c < column.count; ++c) {
                     plan.memberPool.push_back(
@@ -318,8 +359,21 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         plan.generic.push_back(predictor);
         plan.genericResult.push_back(i);
     }
-    plan.lanePred.resize(plan.owners.size());
+    plan.outcome.resize(plan.owners.size());
     const std::vector<std::size_t> stack_sizes = formStacks(plan);
+
+    // Pairs first, with their members (as renumbered for the stacks)
+    // in the dense arrays; a plain column pairs its member with itself.
+    const auto wide = std::stable_partition(
+        plan.columns.begin(), plan.columns.end(),
+        [](const LanePlan::Column &column) { return column.count <= 2; });
+    for (auto column = plan.columns.begin(); column != wide; ++column) {
+        const std::uint16_t *member = &plan.memberPool[column->first];
+        plan.pairFirst.push_back(member[0]);
+        plan.pairSecond.push_back(member[column->count - 1]);
+    }
+    plan.pairMisses.assign(plan.pairFirst.size(), 0);
+    plan.pairNoPrediction.assign(plan.pairFirst.size(), 0);
 
     // Resolve the flattened execution recipes. Machines sharing a
     // PatternSpec share a key slot, so a fig17 row resolves each
@@ -365,25 +419,27 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
 
 /**
  * One record's work for every LRU stack: probe, record each member's
- * pre-update prediction in @p lane_pred, and train. A stack shares
+ * pre-update outcome word in @p outcome, and train. A stack shares
  * no state with the table machines, so it can train before they are
- * probed; what phase 2 reads is the recorded predictions. Kept out of
+ * probed; what phase 2 reads is the recorded words. Kept out of
  * line: inlined into the lane loop it slowed grids without a stack
  * (fig17).
  */
 [[gnu::noinline]] void
 stepStacks(LanePlan::Stack *stacks, std::size_t count, const Key *lane_keys,
-           Prediction *lane_pred, Addr target)
+           std::uint32_t *outcome, Addr target)
 {
     for (LanePlan::Stack *stack = stacks; stack != stacks + count;
          ++stack) {
         const Key &key = lane_keys[stack->keySlot];
         std::uint32_t resident = 0;
         const TableEntry *row = stack->lru.probe(key, resident);
-        Prediction *pred = lane_pred + stack->firstMachine;
+        std::uint32_t *words = outcome + stack->firstMachine;
         const std::size_t members = stack->lru.members();
-        for (std::size_t k = 0; k < members; ++k)
-            pred[k] = twoLevelPrediction(k < resident ? nullptr : row + k);
+        for (std::size_t k = 0; k < members; ++k) {
+            words[k] =
+                twoLevelOutcome(k < resident ? nullptr : row + k, target);
+        }
         TableEntry *entries = stack->lru.access(key);
         for (std::size_t k = 0; k < members; ++k) {
             trainTwoLevelEntry(entries[k], k < resident, target,
@@ -507,10 +563,20 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     const std::size_t key_slot_count = plan.keySlots.size();
     const LanePlan::KeySlot *const key_slots = plan.keySlots.data();
     Key *const lane_keys = plan.laneKeys.data();
-    Prediction *const lane_pred = plan.lanePred.data();
+    std::uint32_t *const outcome = plan.outcome.data();
     const std::uint16_t *const members = plan.memberPool.data();
     LanePlan::Stack *const stacks = plan.stacks.data();
     const std::size_t stack_count = plan.stacks.size();
+    const std::size_t pair_count = plan.pairFirst.size();
+    const std::uint32_t *const pair_first = plan.pairFirst.data();
+    const std::uint32_t *const pair_second = plan.pairSecond.data();
+    std::uint32_t *const pair_misses = plan.pairMisses.data();
+    std::uint32_t *const pair_no_prediction = plan.pairNoPrediction.data();
+    // The dispatch level is read once per traversal, and the
+    // out-of-line AVX2 reduction runs only when it has a full step of
+    // pairs to score; fewer pairs run the inlined scalar loop.
+    const bool avx2_pairs = pair_count >= simd::kPairsPerAvx2Step &&
+                            simdLevel() == SimdLevel::Avx2;
 
     if (options.traversal != nullptr) {
         options.traversal->laneColumns = static_cast<std::uint32_t>(
@@ -532,6 +598,8 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     // still sees exactly the sequence simulate() would have fed it,
     // so the counters must match it bit for bit.
     TraceBlockCursor cursor(trace);
+    static_assert(kTraceBlockRecords <= 0xffffffffu,
+                  "a block's pair counts must fit 32 bits");
     std::vector<std::uint32_t> selected(kTraceBlockRecords);
     std::uint64_t seen = 0;
     std::uint64_t polled = 0;
@@ -594,67 +662,66 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
 
             // Phase 1: probe every distinct state machine once,
             // directly on its table, reproducing
-            // TwoLevelPredictor::predict(). The probes are pre-update
+            // TwoLevelPredictor::predict(), and score the answer into
+            // the machine's outcome word. The probes are pre-update
             // by construction.
             for (std::size_t m = 0; m < machine_count; ++m) {
                 const LanePlan::Machine &machine = machines[m];
-                lane_pred[m] = twoLevelPrediction(
+                outcome[m] = twoLevelOutcome(
                     machine.setAssoc != nullptr
                         ? machine.setAssoc->probe(
                               lane_keys[machine.keySlot])
                         : machine.table->probe(
-                              lane_keys[machine.keySlot]));
+                              lane_keys[machine.keySlot]),
+                    target);
             }
             // ... and every LRU stack once for all of its members.
             if (stack_count != 0) {
-                stepStacks(stacks, stack_count, lane_keys, lane_pred,
+                stepStacks(stacks, stack_count, lane_keys, outcome,
                            target);
             }
 
-            // Phase 2: per-column combine into counters (pure
-            // arithmetic - skipped wholesale during warm-up).
+            // Phase 2: reduce the outcome words into column counters
+            // (pure arithmetic - skipped wholesale during warm-up).
             if (counted) {
-                for (const LanePlan::Column &column : plan.columns) {
-                    const std::uint16_t *member =
-                        members + column.first;
-                    Prediction combined;
-                    if (!column.hybrid) {
-                        combined = lane_pred[member[0]];
-                    } else {
-                        const int chosen = confidenceChoice(
-                            column.count,
-                            [lane_pred, member](unsigned k)
-                                -> const Prediction & {
-                                return lane_pred[member[k]];
-                            });
-                        if (chosen >= 0)
-                            combined = lane_pred[member[chosen]];
+                if (avx2_pairs) {
+                    simd::scorePairsAvx2(outcome, pair_first, pair_second,
+                                         pair_misses, pair_no_prediction,
+                                         pair_count);
+                } else {
+                    simd::scorePairsScalar(
+                        outcome, pair_first, pair_second, pair_misses,
+                        pair_no_prediction, pair_count);
+                }
+                for (std::size_t c = pair_count; c < plan.columns.size();
+                     ++c) {
+                    LanePlan::Column &column = plan.columns[c];
+                    const std::uint16_t *member = members + column.first;
+                    std::uint32_t best = outcome[member[0]];
+                    for (std::uint32_t k = 1; k < column.count; ++k) {
+                        const std::uint32_t word = outcome[member[k]];
+                        if (outcomeRank(word) > outcomeRank(best))
+                            best = word;
                     }
-                    countPrediction(results[column.result], combined,
-                                    target);
+                    column.score(best);
                 }
             }
             // Selector hybrids choose (when counted) and train their
             // selection tables on every record, warm-up included,
-            // from their members' pre-update machine predictions.
-            for (const LanePlan::SelectorColumn &selector :
-                 plan.selectors) {
+            // from their members' pre-update outcome words.
+            for (LanePlan::SelectorColumn &selector : plan.selectors) {
                 const std::uint16_t *member =
                     members + selector.column.first;
-                const Prediction &first = lane_pred[member[0]];
-                const Prediction &second = lane_pred[member[1]];
+                const std::uint32_t first = outcome[member[0]];
+                const std::uint32_t second = outcome[member[1]];
                 if (counted) {
-                    const int chosen =
-                        selector.hybrid->selectorChoice(pc, first,
-                                                        second);
-                    countPrediction(
-                        results[selector.column.result],
-                        chosen < 0 ? Prediction{}
-                                   : (chosen == 0 ? first : second),
-                        target);
+                    const int chosen = selector.hybrid->selectorChoice(
+                        pc, outcomeValid(first), outcomeValid(second));
+                    selector.column.score(
+                        chosen < 0 ? 0 : (chosen == 0 ? first : second));
                 }
-                selector.hybrid->trainSelector(pc, first, second,
-                                               target);
+                selector.hybrid->trainSelector(
+                    pc, outcomeCorrect(first), outcomeCorrect(second));
             }
 
             // Phase 3: train every machine exactly once with the
@@ -680,8 +747,8 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                 IndirectPredictor *predictor = plan.generic[g];
                 const Prediction prediction = predictor->predict(pc);
                 if (counted) {
-                    countPrediction(results[plan.genericResult[g]],
-                                    prediction, target);
+                    countMiss(results[plan.genericResult[g]], prediction,
+                              target);
                 }
                 predictor->update(pc, target);
             }
@@ -693,6 +760,7 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             if (kernel != nullptr)
                 kernel->commit(pc, target);
         }
+        plan.flushPairs();
     }
 
     // One traversal produced all results, so the wall time is shared
@@ -707,15 +775,19 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     const double seconds =
         group_seconds / static_cast<double>(predictors.size());
     for (const LanePlan::Column &column : plan.columns)
-        plan.tableStats(column, results[column.result]);
+        plan.writeTotals(column, results[column.result]);
     for (const LanePlan::SelectorColumn &selector : plan.selectors)
-        plan.tableStats(selector.column, results[selector.column.result]);
+        plan.writeTotals(selector.column, results[selector.column.result]);
     for (std::size_t g = 0; g < plan.generic.size(); ++g) {
         SimResult &result = results[plan.genericResult[g]];
         result.tableOccupancy = plan.generic[g]->tableOccupancy();
         result.tableCapacity = plan.generic[g]->tableCapacity();
     }
+    // Every column scores every indirect branch after the warm-up.
+    const std::uint64_t branches =
+        seen > options.warmupBranches ? seen - options.warmupBranches : 0;
     for (std::size_t i = 0; i < predictors.size(); ++i) {
+        results[i].branches = branches;
         results[i].seconds = seconds;
         results[i].groupSeconds = group_seconds;
         results[i].sharedTraversal = true;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the runtime SIMD dispatch layer (core/simd.hh): level
- * forcing, the vector tag scans and the block meta classifier
- * pinned against scalar oracles, and the FlatMap group probe fuzzed
+ * forcing, the vector tag scans, the block meta classifier and the
+ * lane engine's pair-column scoring pinned against scalar oracles,
+ * and the FlatMap group probe fuzzed
  * bit-identical across every dispatch level the CPU supports. These
  * are the guarantees the differential simulation tests build on:
  * for a given input every level must visit slots and records in
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "core/flat_table.hh"
+#include "core/hybrid.hh"
 #include "core/simd.hh"
+#include "core/two_level.hh"
 #include "trace/branch_record.hh"
 #include "util/rng.hh"
 
@@ -168,6 +171,105 @@ TEST(SimdClassifyMeta, MatchesScalarOracleAcrossLevels)
                 << count << " conditionals " << conditionals;
         }
     }
+}
+
+/** Per-column counters of one pair-scoring run. */
+struct PairCounts
+{
+    std::vector<std::uint32_t> misses;
+    std::vector<std::uint32_t> noPrediction;
+
+    explicit PairCounts(std::size_t count)
+        : misses(count, 0), noPrediction(count, 0)
+    {
+    }
+};
+
+TEST(SimdScorePairs, MatchesConfidenceChoiceOracleAcrossCounts)
+{
+    // Machines 0 and 1 never hold a valid entry (all-invalid pairs);
+    // the others draw confidence 0..2, so ranks tie often. Every
+    // column count 0..40 covers each AVX2 tail length, and the last
+    // machine is always referenced so the gathers reach the last
+    // word.
+    constexpr std::size_t kMachines = 37;
+    constexpr Addr kActual = 0x4000;
+    Rng rng(0x5c0de);
+    const bool have_avx2 = supportedLevels().back() == SimdLevel::Avx2;
+    std::uint64_t scored = 0;
+    std::uint64_t missed = 0;
+    std::uint64_t unpredicted = 0;
+    for (std::size_t count = 0; count <= 40; ++count) {
+        std::vector<std::uint32_t> first(count);
+        std::vector<std::uint32_t> second(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            first[i] = static_cast<std::uint32_t>(rng.nextBelow(kMachines));
+            second[i] =
+                static_cast<std::uint32_t>(rng.nextBelow(kMachines));
+            if (i % 5 == 0) {
+                second[i] = first[i]; // a plain column
+            } else if (i % 7 == 3) {
+                first[i] = 0; // both members invalid
+                second[i] = 1;
+            }
+        }
+        if (count != 0)
+            second[count - 1] = kMachines - 1;
+
+        PairCounts oracle(count);
+        PairCounts scalar(count);
+        PairCounts avx2(count);
+        for (unsigned record = 0; record < 24; ++record) {
+            std::vector<TableEntry> entries(kMachines);
+            for (std::size_t m = 2; m < kMachines; ++m) {
+                TableEntry &entry = entries[m];
+                entry.valid = rng.nextBool(0.8);
+                entry.target = rng.nextBool(0.5) ? kActual : kActual + 4;
+                entry.confidence = SatCounter(
+                    2, static_cast<unsigned>(rng.nextBelow(3)));
+            }
+            std::vector<std::uint32_t> words(kMachines);
+            for (std::size_t m = 0; m < kMachines; ++m)
+                words[m] = twoLevelOutcome(&entries[m], kActual);
+
+            for (std::size_t i = 0; i < count; ++i) {
+                const Prediction members[2] = {
+                    twoLevelPrediction(&entries[first[i]]),
+                    twoLevelPrediction(&entries[second[i]])};
+                const int chosen = confidenceChoice(
+                    2, [&members](unsigned k) -> const Prediction & {
+                        return members[k];
+                    });
+                const Prediction answer =
+                    chosen < 0 ? Prediction{} : members[chosen];
+                oracle.misses[i] += answer.correctFor(kActual) ? 0 : 1;
+                oracle.noPrediction[i] += answer.valid ? 0 : 1;
+                ++scored;
+                missed += answer.correctFor(kActual) ? 0 : 1;
+                unpredicted += answer.valid ? 0 : 1;
+            }
+            simd::scorePairsScalar(words.data(), first.data(),
+                                   second.data(), scalar.misses.data(),
+                                   scalar.noPrediction.data(), count);
+            if (have_avx2) {
+                simd::scorePairsAvx2(words.data(), first.data(),
+                                     second.data(), avx2.misses.data(),
+                                     avx2.noPrediction.data(), count);
+            }
+        }
+        EXPECT_EQ(scalar.misses, oracle.misses) << "count " << count;
+        EXPECT_EQ(scalar.noPrediction, oracle.noPrediction)
+            << "count " << count;
+        if (have_avx2) {
+            EXPECT_EQ(avx2.misses, oracle.misses) << "count " << count;
+            EXPECT_EQ(avx2.noPrediction, oracle.noPrediction)
+                << "count " << count;
+        }
+    }
+    // The draws hit every outcome: right, wrong and no prediction.
+    EXPECT_GT(unpredicted, 0u);
+    EXPECT_GT(missed, unpredicted);
+    EXPECT_LT(missed, scored);
 }
 
 /** One op log entry of the FlatMap fuzz: what happened and to whom. */

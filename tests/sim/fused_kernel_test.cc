@@ -21,8 +21,10 @@
 
 #include "core/cascaded.hh"
 #include "core/factory.hh"
+#include "core/hybrid.hh"
 #include "core/ittage.hh"
 #include "core/shared_hybrid.hh"
+#include "core/simd.hh"
 #include "core/sweep_kernel.hh"
 #include "core/table_spec.hh"
 #include "core/target_cache.hh"
@@ -459,6 +461,118 @@ TEST_F(FusedKernelTest, LruStacksMatchSoloReferenceRunsBitForBit)
                 << columns[i].label;
         }
         setTableImplementation(TableImpl::Flat);
+    }
+}
+
+/**
+ * Lane columns for the phase-2 differential (outcome words, pair
+ * reduction, wide and selector loops). With @p manyPairs, ten pair
+ * columns - plain two-level columns, two-component confidence hybrids
+ * with 1-bit confidence (their components tie on most records), and a
+ * hybrid whose two components fold onto one machine - so the AVX2
+ * reduction runs; else three, so every level runs the scalar loop.
+ * Both sets add a three-component confidence hybrid (the wide loop)
+ * and a selector hybrid.
+ */
+std::vector<SweepColumn>
+phaseTwoColumns(bool manyPairs)
+{
+    const auto spec = [](const std::string &text) {
+        return [text]() { return makePredictorFromSpec(text); };
+    };
+    std::vector<SweepColumn> columns = {
+        {"plain-p1", spec("twolevel:p=1,table=assoc4:512")},
+        {"tie-1-4", spec("hybrid:p1=1,p2=4,table=assoc4:512,conf=1")},
+        {"same-3-3", spec("hybrid:p1=3,p2=3,table=assoc4:512")},
+    };
+    if (manyPairs) {
+        columns.push_back(
+            {"plain-p3", spec("twolevel:p=3,table=assoc4:1024")});
+        columns.push_back(
+            {"plain-p6", spec("twolevel:p=6,table=tagless:1024")});
+        columns.push_back(
+            {"tie-0-3", spec("hybrid:p1=0,p2=3,table=assoc4:256,conf=1")});
+        columns.push_back(
+            {"tie-2-6", spec("hybrid:p1=2,p2=6,table=assoc2:512,conf=1")});
+        columns.push_back(
+            {"tie-3-8", spec("hybrid:p1=3,p2=8,table=assoc4:512,conf=1")});
+        columns.push_back(
+            {"conf-2-5", spec("hybrid:p1=2,p2=5,table=assoc4:1024")});
+        columns.push_back(
+            {"conf-6-1", spec("hybrid:p1=6,p2=1,table=unconstrained")});
+    }
+    columns.push_back({"3comp", []() {
+                           HybridConfig config;
+                           config.components = {
+                               paperTwoLevel(5, TableSpec::setAssoc(256, 4)),
+                               paperTwoLevel(2, TableSpec::setAssoc(256, 4)),
+                               paperTwoLevel(0, TableSpec::setAssoc(512, 4))};
+                           config.confidenceBits = 1;
+                           return std::make_unique<HybridPredictor>(config);
+                       }});
+    columns.push_back(
+        {"sel-2-5",
+         spec("hybrid:p1=2,p2=5,table=assoc2:1024,meta=selector")});
+    return columns;
+}
+
+TEST_F(FusedKernelTest, LaneScoringMatchesPerCellOracleAtEveryLevel)
+{
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    const Trace &trace = runner.trace("idl");
+    const SimdLevel initial = simdLevel();
+    for (const bool many_pairs : {true, false}) {
+        const auto columns = phaseTwoColumns(many_pairs);
+        for (const std::uint64_t warmup : {0u, 1000u}) {
+            SimOptions solo_options;
+            solo_options.warmupBranches = warmup;
+            std::vector<SimResult> oracle;
+            for (const SweepColumn &column : columns)
+                oracle.push_back(perCellResult(column, trace, solo_options));
+
+            for (const SimdLevel level :
+                 {SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2}) {
+                SCOPED_TRACE(std::string(simdLevelName(level)) +
+                             (many_pairs ? " many pairs" : " few pairs") +
+                             " warm-up " + std::to_string(warmup));
+                setSimdLevelForTest(level);
+                std::vector<std::unique_ptr<IndirectPredictor>> predictors;
+                std::vector<IndirectPredictor *> raw;
+                for (const auto &column : columns) {
+                    predictors.push_back(column.make());
+                    raw.push_back(predictors.back().get());
+                }
+                SweepKernel kernel;
+                for (IndirectPredictor *predictor : raw)
+                    kernel.tryJoin(*predictor);
+                kernel.finalize();
+                SimOptions options;
+                options.kernel = &kernel;
+                options.warmupBranches = warmup;
+                TraversalStats traversal;
+                options.traversal = &traversal;
+                const std::vector<SimResult> many =
+                    simulateMany(raw, trace, options);
+                setSimdLevelForTest(initial);
+
+                ASSERT_EQ(many.size(), columns.size());
+                EXPECT_EQ(traversal.genericColumns, 0u);
+                EXPECT_EQ(traversal.laneColumns, columns.size());
+                for (std::size_t i = 0; i < columns.size(); ++i) {
+                    EXPECT_EQ(many[i].branches, oracle[i].branches)
+                        << columns[i].label;
+                    EXPECT_EQ(many[i].misses, oracle[i].misses)
+                        << columns[i].label;
+                    EXPECT_EQ(many[i].noPrediction, oracle[i].noPrediction)
+                        << columns[i].label;
+                    EXPECT_EQ(many[i].tableOccupancy,
+                              oracle[i].tableOccupancy)
+                        << columns[i].label;
+                    EXPECT_EQ(many[i].tableCapacity, oracle[i].tableCapacity)
+                        << columns[i].label;
+                }
+            }
+        }
     }
 }
 

@@ -19,22 +19,32 @@
 
 namespace ibp {
 
+/** One cell alone: a fresh predictor from @p column, built on the
+ *  reference tables, simulate()d over @p trace. */
+inline SimResult
+perCellResult(const SweepColumn &column, const Trace &trace,
+              const SimOptions &options = {})
+{
+    const TableImpl initial = tableImplementation();
+    setTableImplementation(TableImpl::Reference);
+    const auto predictor = column.make();
+    SimResult result = simulate(*predictor, trace, options);
+    setTableImplementation(initial);
+    return result;
+}
+
 inline GridResult
 perCellOracle(const SuiteRunner &runner,
               const std::vector<SweepColumn> &columns)
 {
-    const TableImpl initial = tableImplementation();
-    setTableImplementation(TableImpl::Reference);
     GridResult grid;
     for (const SweepColumn &column : columns) {
         for (const std::string &name : runner.benchmarks()) {
-            const auto predictor = column.make();
             grid.set(column.label, name,
-                     simulate(*predictor, runner.trace(name))
+                     perCellResult(column, runner.trace(name))
                          .missPercent());
         }
     }
-    setTableImplementation(initial);
     return grid;
 }
 
