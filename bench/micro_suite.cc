@@ -4,8 +4,10 @@
  * Figure-18-style predictor mix, flat tables vs the retained
  * reference tables, plus the three-engine (per-column / single-pass
  * / fused) comparison on the Figure-17 row sweep, the solo vs
- * LRU-stack comparison on a fully-associative size sweep and the lane
- * engine's pair-column scoring, scalar vs AVX2. Lives in the
+ * LRU-stack comparison on a fully-associative size sweep, the solo
+ * vs fused tables vs set-stack comparison on a set-associative size
+ * sweep and the lane engine's pair-column scoring, scalar vs AVX2.
+ * Lives in the
  * suites library - separate from the google-benchmark loops in
  * micro_throughput.cc - so the ibpd daemon can serve it like any
  * paper experiment.
@@ -23,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/btb.hh"
@@ -165,6 +168,29 @@ fullAssocSweep()
                              return std::make_unique<TwoLevelPredictor>(
                                  paperTwoLevel(
                                      3, TableSpec::fullyAssoc(size)));
+                         }});
+    }
+    return cells;
+}
+
+/**
+ * The set-associative size sweep of Figure 18: p=3 on 2-way and
+ * 4-way tables of the ten sizes 64..32K, 2-way first. Fused, the lane
+ * engine runs 2-way N with 4-way 2N (equal set counts) as one set
+ * stack (core/set_stack.hh): nine stacks and two lone tables.
+ */
+std::vector<MixCell>
+setAssocSweep(unsigned ways)
+{
+    using namespace ibp;
+    std::vector<MixCell> cells;
+    for (std::uint64_t size = 64; size <= 32768; size *= 2) {
+        cells.push_back({"assoc" + std::to_string(ways) + "-" +
+                             std::to_string(size),
+                         [size, ways] {
+                             return std::make_unique<TwoLevelPredictor>(
+                                 paperTwoLevel(
+                                     3, TableSpec::setAssoc(size, ways)));
                          }});
     }
     return cells;
@@ -486,6 +512,66 @@ microThroughputExperiment()
                 " stack of " +
                 std::to_string(stack_traversal.stackedMembers) +
                 " members).");
+
+            // ---------------------------------------------------
+            // The set-associative size sweep: twenty solo simulate()
+            // runs; two fused traversals, one per associativity, in
+            // which no machine has a stack-mate (each drives its own
+            // SetAssocTable); and one fused traversal of all twenty,
+            // where 2-way N and 4-way 2N share a set stack. Counters
+            // are bit-identical (tests/sim/fused_kernel_test.cc).
+            setTableImplementation(TableImpl::Flat);
+            const auto two_way = setAssocSweep(2);
+            const auto four_way = setAssocSweep(4);
+            std::vector<MixCell> both = two_way;
+            both.insert(both.end(), four_way.begin(), four_way.end());
+            double set_solo_seconds = 0.0;
+            std::uint64_t set_branches = 0;
+            for (const MixCell &cell : both) {
+                const SimResult solo = bestOf(cell, reps);
+                set_solo_seconds += solo.seconds;
+                set_branches += solo.branches;
+            }
+            TraversalStats set_traversal;
+            const double tables_seconds =
+                bestFusedSeconds(two_way, reps, set_traversal) +
+                bestFusedSeconds(four_way, reps, set_traversal);
+            const double set_stack_seconds =
+                bestFusedSeconds(both, reps, set_traversal);
+            setTableImplementation(initial);
+
+            ResultTable set_table(
+                "Set-associative size sweep (p=3, 2-way and 4-way, "
+                "64..32K entries) on porky-100k: 20 solo runs vs one "
+                "fused run per associativity vs set stacks",
+                "engine");
+            set_table.addColumn("seconds");
+            set_table.addColumn("Mbranches/s");
+            set_table.addColumn("speedup");
+            for (const auto &[row, seconds] :
+                 {std::pair<const char *, double>{"solo", set_solo_seconds},
+                  {"tables", tables_seconds},
+                  {"set-stacks", set_stack_seconds}}) {
+                set_table.set(row, "seconds", seconds);
+                set_table.set(row, "Mbranches/s",
+                              static_cast<double>(set_branches) /
+                                  std::max(seconds, 1e-12) / 1e6);
+                set_table.set(row, "speedup",
+                              set_solo_seconds / std::max(seconds, 1e-12));
+            }
+            context.emit(set_table);
+            context.note(
+                "Set stack speedup on the set-associative size sweep: " +
+                formatFixed(tables_seconds /
+                                std::max(set_stack_seconds, 1e-12),
+                            2) +
+                "x vs the same tables fused without stacks (" +
+                std::to_string(set_traversal.setStacks) + " stacks of " +
+                std::to_string(set_traversal.setStackedMembers) +
+                " members, " +
+                std::to_string(set_traversal.laneMachines -
+                               set_traversal.setStackedMembers) +
+                " lone tables).");
 
             // ---------------------------------------------------
             // The lane engine's phase 2: pair columns scored by the

@@ -66,7 +66,7 @@ class LruStack
     }
 
     std::size_t members() const { return _sizes.size(); }
-    std::uint64_t size(std::size_t member) const { return _sizes[member]; }
+    std::uint64_t capacity(std::size_t member) const { return _sizes[member]; }
 
     /** Valid entries of @p member's table: every insertion fills
      *  one until the table is full, and no table is larger than the

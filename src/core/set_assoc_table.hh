@@ -59,6 +59,12 @@ class SetAssocTable final : public TargetTable
     std::uint64_t indexOf(const Key &key) const;
     std::uint64_t tagOf(const Key &key) const;
 
+    /** The same split for a table of 2^@p indexBits sets: it depends
+     *  on the set count alone, so tables of equal set count agree on
+     *  every key's set and tag (what core/set_stack.hh relies on). */
+    static std::uint64_t indexOf(const Key &key, unsigned indexBits);
+    static std::uint64_t tagOf(const Key &key, unsigned indexBits);
+
   private:
     struct Way
     {
@@ -95,18 +101,30 @@ class SetAssocTable final : public TargetTable
 };
 
 inline std::uint64_t
+SetAssocTable::indexOf(const Key &key, unsigned indexBits)
+{
+    return key.lo & lowMask(indexBits);
+}
+
+inline std::uint64_t
+SetAssocTable::tagOf(const Key &key, unsigned indexBits)
+{
+    // Everything above the index bits participates in the tag. The
+    // 128-bit hashed keys of unconstrained predictors fold their high
+    // half in so full-precision patterns can also run on small tables.
+    return (key.lo >> indexBits) ^ (key.hi * 0x9e3779b97f4a7c15ULL);
+}
+
+inline std::uint64_t
 SetAssocTable::indexOf(const Key &key) const
 {
-    return key.lo & lowMask(_indexBits);
+    return indexOf(key, _indexBits);
 }
 
 inline std::uint64_t
 SetAssocTable::tagOf(const Key &key) const
 {
-    // Everything above the index bits participates in the tag. The
-    // 128-bit hashed keys of unconstrained predictors fold their high
-    // half in so full-precision patterns can also run on small tables.
-    return (key.lo >> _indexBits) ^ (key.hi * 0x9e3779b97f4a7c15ULL);
+    return tagOf(key, _indexBits);
 }
 
 inline std::uint8_t

@@ -86,22 +86,31 @@ struct TwoLevelConfig
 };
 
 /**
- * True when @p a and @p b both use a fully-associative table and are
- * equal in everything but its size: identical state machines apart
- * from capacity, so LRU inclusion lets one LRU stack (core/lru_stack.hh)
- * run them all. The one rule both the batch planner (planChunks) and
- * the lane plan (sim/simulator.cc) group stack-mates by.
+ * True when @p a and @p b are equal in everything but their table,
+ * and both tables are either fully associative or set-associative
+ * with equal set counts (entries / ways): identical state machines
+ * apart from capacity, so LRU inclusion lets one structure run them
+ * all - an LruStack (core/lru_stack.hh) for fully-associative mates,
+ * a SetStack (core/set_stack.hh) for set-associative ones. The one
+ * rule both the batch planner (planChunks) and the lane plan
+ * (sim/simulator.cc) group stack-mates by.
  */
 inline bool
-lruStackMates(const TwoLevelConfig &a, const TwoLevelConfig &b)
+stackMates(const TwoLevelConfig &a, const TwoLevelConfig &b)
 {
-    if (a.table.kind != TableKind::FullyAssoc ||
-        b.table.kind != TableKind::FullyAssoc) {
+    const TableSpec &x = a.table;
+    const TableSpec &y = b.table;
+    if (x.kind != y.kind)
+        return false;
+    if (x.kind == TableKind::SetAssoc) {
+        if (x.entries / x.ways != y.entries / y.ways)
+            return false;
+    } else if (x.kind != TableKind::FullyAssoc) {
         return false;
     }
-    TwoLevelConfig sizeless = b;
-    sizeless.table.entries = a.table.entries;
-    return a == sizeless;
+    TwoLevelConfig tableless = b;
+    tableless.table = x;
+    return a == tableless;
 }
 
 /** The prediction a probed entry makes (none for a missing or

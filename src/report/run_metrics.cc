@@ -142,6 +142,8 @@ RunMetrics::recordSimd(const SimdStats &stats)
     _simd.laneMachines += stats.laneMachines;
     _simd.lruStacks += stats.lruStacks;
     _simd.stackedMembers += stats.stackedMembers;
+    _simd.setStacks += stats.setStacks;
+    _simd.setStackedMembers += stats.setStackedMembers;
 }
 
 bool
@@ -492,6 +494,8 @@ RunMetrics::toJson() const
         block.set("lane_machines", stats.laneMachines);
         block.set("lru_stacks", stats.lruStacks);
         block.set("stacked_members", stats.stackedMembers);
+        block.set("set_stacks", stats.setStacks);
+        block.set("set_stacked_members", stats.setStackedMembers);
         json.set("simd", std::move(block));
     }
 
@@ -670,6 +674,10 @@ RunMetrics::fromJson(const Json &json)
             block.numberOr("lru_stacks", 0));
         stats.stackedMembers = static_cast<std::uint64_t>(
             block.numberOr("stacked_members", 0));
+        stats.setStacks = static_cast<std::uint64_t>(
+            block.numberOr("set_stacks", 0));
+        stats.setStackedMembers = static_cast<std::uint64_t>(
+            block.numberOr("set_stacked_members", 0));
         metrics.recordSimd(stats);
     }
     if (json.contains("serve")) {

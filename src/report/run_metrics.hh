@@ -222,6 +222,12 @@ struct SimdStats
     /** Lane machines run as LRU stack members, a subset of
      *  laneMachines (TraversalStats::stackedMembers). */
     std::uint64_t stackedMembers = 0;
+    /** Set stacks the lane engine ran, summed over fused traversals
+     *  (TraversalStats::setStacks). */
+    std::uint64_t setStacks = 0;
+    /** Lane machines run as set stack members, a subset of
+     *  laneMachines (TraversalStats::setStackedMembers). */
+    std::uint64_t setStackedMembers = 0;
 };
 
 /**

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <type_traits>
 
 #include "core/hybrid.hh"
 #include "core/lru_stack.hh"
 #include "core/set_assoc_table.hh"
+#include "core/set_stack.hh"
 #include "core/simd.hh"
 #include "core/sweep_kernel.hh"
 #include "core/two_level.hh"
@@ -72,14 +74,18 @@ throwCancelled(const Trace &trace)
  * which only the kernel commit after all phases advances. Generic
  * columns hold no bound machine and run independently.
  *
- * Machines that are LRU stack-mates (lruStackMates(): fully
- * associative, equal but for the table size) run as one LruStack
- * (core/lru_stack.hh) instead of one table each: one lookup and one
- * stack depth per record answer every size. A stack forms only from
- * two or more machines (one is slower than its FullyAssocTable) whose
- * owners all pinned the flat table implementation, so a run on the
+ * Machines that are stack-mates (stackMates(): equal but for the
+ * table, both fully associative or both set-associative with equal
+ * set counts) run as one structure instead of one table each: an
+ * LruStack (core/lru_stack.hh) for fully-associative mates, a
+ * SetStack (core/set_stack.hh) for set-associative ones. One lookup
+ * and one recency depth per record answer every member. A stack forms
+ * only from two or more machines (a lone machine drives its own
+ * table: a one-member LruStack measured slower than its
+ * FullyAssocTable) whose owners all pinned the flat table
+ * implementation, so a run on the
  * reference tables - the tests' oracle and the benchmark's reference
- * check - still drives the node-based LRU lists. Table machines keep
+ * check - still drives the node-based tables. Table machines keep
  * ids 0..T-1 in plan order and stack members follow, each stack's
  * members contiguous and ascending in size; stack members never
  * allocate a table of their own. A stack shares no state with any
@@ -143,11 +149,12 @@ struct LanePlan
         bool hysteresis;           ///< the 2bc update rule flag
     };
 
-    /** LRU stack-mate machines run as one stack: member k is
-     *  machine firstMachine + k. */
+    /** Stack-mate machines run as one Structure (an LruStack or a
+     *  SetStack): member k is machine firstMachine + k. */
+    template <typename Structure>
     struct Stack
     {
-        LruStack lru;
+        Structure structure;
         std::uint32_t firstMachine;
         std::uint32_t keySlot;
         bool hysteresis;
@@ -163,7 +170,9 @@ struct LanePlan
     std::vector<TwoLevelPredictor *> owners;   ///< one per machine
     /** Table machines' recipes, parallel to owners' first T. */
     std::vector<Machine> machines;
-    std::vector<Stack> stacks;                 ///< the other owners
+    /** The other owners: fully-associative stacks, set stacks. */
+    std::vector<Stack<LruStack>> lruStacks;
+    std::vector<Stack<SetStack>> setStacks;
     std::vector<KeySlot> keySlots;
     std::vector<Key> laneKeys;                 ///< per-slot scratch
     std::vector<std::uint16_t> memberPool;     ///< column members
@@ -219,12 +228,8 @@ struct LanePlan
             if (m < machines.size()) {
                 occupancy = machines[m].table->occupancy();
                 capacity = machines[m].table->capacity();
-            } else {
-                const Stack *stack = &stacks.front();
-                while (m >= stack->firstMachine + stack->lru.members())
-                    ++stack;
-                occupancy = stack->lru.occupancy(m - stack->firstMachine);
-                capacity = stack->lru.size(m - stack->firstMachine);
+            } else if (!stackTotals(lruStacks, m, occupancy, capacity)) {
+                stackTotals(setStacks, m, occupancy, capacity);
             }
             result.tableOccupancy += occupancy;
             result.tableCapacity += capacity;
@@ -233,10 +238,40 @@ struct LanePlan
         if (!bounded)
             result.tableCapacity = 0;
     }
+
+    /** Set @p occupancy and @p capacity to what stack member @p m's
+     *  own table would hold, when one of @p stacks runs it. */
+    template <typename Structure>
+    static bool
+    stackTotals(const std::vector<Stack<Structure>> &stacks,
+                std::uint32_t m, std::uint64_t &occupancy,
+                std::uint64_t &capacity)
+    {
+        for (const Stack<Structure> &stack : stacks) {
+            const std::uint32_t k = m - stack.firstMachine;
+            if (m >= stack.firstMachine && k < stack.structure.members()) {
+                occupancy = stack.structure.occupancy(k);
+                capacity = stack.structure.capacity(k);
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** Members of all of @p stacks. */
+    template <typename Structure>
+    static std::uint32_t
+    stackedMembers(const std::vector<Stack<Structure>> &stacks)
+    {
+        std::uint32_t members = 0;
+        for (const Stack<Structure> &stack : stacks)
+            members += static_cast<std::uint32_t>(stack.structure.members());
+        return members;
+    }
 };
 
 /**
- * Reorder @p plan's machines for LRU stacks (see LanePlan): group the
+ * Reorder @p plan's machines for stacks (see LanePlan): group the
  * flat-table stack-mates sharing a key source, keep groups of two or
  * more as stacks, renumber the remaining table machines 0..T-1 and
  * every stack's members after them, and return each stack's member
@@ -248,14 +283,15 @@ formStacks(LanePlan &plan)
     std::vector<std::vector<std::uint16_t>> groups;
     for (std::size_t m = 0; m < plan.owners.size(); ++m) {
         const TwoLevelPredictor &owner = *plan.owners[m];
-        if (owner.config().table.kind != TableKind::FullyAssoc ||
+        const TableKind kind = owner.config().table.kind;
+        if ((kind != TableKind::FullyAssoc && kind != TableKind::SetAssoc) ||
             owner.tableImpl() != TableImpl::Flat) {
             continue;
         }
         std::size_t g = 0;
         while (g < groups.size()) {
             const TwoLevelPredictor &mate = *plan.owners[groups[g][0]];
-            if (lruStackMates(mate.config(), owner.config()) &&
+            if (stackMates(mate.config(), owner.config()) &&
                 mate.sweepVariant() == owner.sweepVariant()) {
                 break;
             }
@@ -404,13 +440,25 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
     }
     for (const std::size_t members : stack_sizes) {
         const TwoLevelConfig &config = plan.owners[m]->config();
-        std::vector<std::uint64_t> sizes;
-        for (std::size_t k = 0; k < members; ++k)
-            sizes.push_back(plan.owners[m + k]->config().table.entries);
-        plan.stacks.push_back(
-            {LruStack(std::move(sizes), config.entryCounters()),
-             static_cast<std::uint32_t>(m), keySlotOf(*plan.owners[m]),
-             config.hysteresis});
+        const auto first = static_cast<std::uint32_t>(m);
+        const std::uint32_t slot = keySlotOf(*plan.owners[m]);
+        if (config.table.kind == TableKind::FullyAssoc) {
+            std::vector<std::uint64_t> sizes;
+            for (std::size_t k = 0; k < members; ++k)
+                sizes.push_back(plan.owners[m + k]->config().table.entries);
+            plan.lruStacks.push_back(
+                {LruStack(std::move(sizes), config.entryCounters()), first,
+                 slot, config.hysteresis});
+        } else {
+            std::vector<unsigned> ways;
+            for (std::size_t k = 0; k < members; ++k)
+                ways.push_back(plan.owners[m + k]->config().table.ways);
+            plan.setStacks.push_back(
+                {SetStack(std::move(ways),
+                          config.table.entries / config.table.ways,
+                          config.entryCounters()),
+                 first, slot, config.hysteresis});
+        }
         m += members;
     }
     plan.laneKeys.resize(plan.keySlots.size());
@@ -418,32 +466,37 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
 }
 
 /**
- * One record's work for every LRU stack: probe, record each member's
- * pre-update outcome word in @p outcome, and train. A stack shares
- * no state with the table machines, so it can train before they are
- * probed; what phase 2 reads is the recorded words. Kept out of
- * line: inlined into the lane loop it slowed grids without a stack
- * (fig17).
+ * One record's work for every stack of @p stacks: probe, record each
+ * member's pre-update outcome word in @p outcome, and train. A stack
+ * shares no state with the table machines, so it can train before
+ * they are probed; what phase 2 reads is the recorded words. Set
+ * stacks first start pulling every stack's set toward the cache. Kept
+ * out of line: inlined into the lane loop it slowed grids without a
+ * stack (fig17).
  */
+template <typename Structure>
 [[gnu::noinline]] void
-stepStacks(LanePlan::Stack *stacks, std::size_t count, const Key *lane_keys,
-           std::uint32_t *outcome, Addr target)
+stepStacks(std::vector<LanePlan::Stack<Structure>> &stacks,
+           const Key *lane_keys, std::uint32_t *outcome, Addr target)
 {
-    for (LanePlan::Stack *stack = stacks; stack != stacks + count;
-         ++stack) {
-        const Key &key = lane_keys[stack->keySlot];
+    if constexpr (std::is_same_v<Structure, SetStack>) {
+        for (const LanePlan::Stack<Structure> &stack : stacks)
+            stack.structure.prefetch(lane_keys[stack.keySlot]);
+    }
+    for (LanePlan::Stack<Structure> &stack : stacks) {
+        const Key &key = lane_keys[stack.keySlot];
         std::uint32_t resident = 0;
-        const TableEntry *row = stack->lru.probe(key, resident);
-        std::uint32_t *words = outcome + stack->firstMachine;
-        const std::size_t members = stack->lru.members();
+        const TableEntry *row = stack.structure.probe(key, resident);
+        std::uint32_t *words = outcome + stack.firstMachine;
+        const std::size_t members = stack.structure.members();
         for (std::size_t k = 0; k < members; ++k) {
             words[k] =
                 twoLevelOutcome(k < resident ? nullptr : row + k, target);
         }
-        TableEntry *entries = stack->lru.access(key);
+        TableEntry *entries = stack.structure.access(key);
         for (std::size_t k = 0; k < members; ++k) {
             trainTwoLevelEntry(entries[k], k < resident, target,
-                               stack->hysteresis);
+                               stack.hysteresis);
         }
     }
 }
@@ -565,8 +618,8 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     Key *const lane_keys = plan.laneKeys.data();
     std::uint32_t *const outcome = plan.outcome.data();
     const std::uint16_t *const members = plan.memberPool.data();
-    LanePlan::Stack *const stacks = plan.stacks.data();
-    const std::size_t stack_count = plan.stacks.size();
+    const bool lru_stacks = !plan.lruStacks.empty();
+    const bool set_stacks = !plan.setStacks.empty();
     const std::size_t pair_count = plan.pairFirst.size();
     const std::uint32_t *const pair_first = plan.pairFirst.data();
     const std::uint32_t *const pair_second = plan.pairSecond.data();
@@ -587,9 +640,13 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             static_cast<std::uint32_t>(plan.owners.size());
         options.traversal->foldedMembers = plan.folded;
         options.traversal->lruStacks =
-            static_cast<std::uint32_t>(plan.stacks.size());
-        options.traversal->stackedMembers = static_cast<std::uint32_t>(
-            plan.owners.size() - machine_count);
+            static_cast<std::uint32_t>(plan.lruStacks.size());
+        options.traversal->stackedMembers =
+            LanePlan::stackedMembers(plan.lruStacks);
+        options.traversal->setStacks =
+            static_cast<std::uint32_t>(plan.setStacks.size());
+        options.traversal->setStackedMembers =
+            LanePlan::stackedMembers(plan.setStacks);
     }
 
     // The trace is consumed in cache-resident SoA blocks (zero-copy
@@ -675,11 +732,11 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
                               lane_keys[machine.keySlot]),
                     target);
             }
-            // ... and every LRU stack once for all of its members.
-            if (stack_count != 0) {
-                stepStacks(stacks, stack_count, lane_keys, outcome,
-                           target);
-            }
+            // ... and every stack once for all of its members.
+            if (lru_stacks)
+                stepStacks(plan.lruStacks, lane_keys, outcome, target);
+            if (set_stacks)
+                stepStacks(plan.setStacks, lane_keys, outcome, target);
 
             // Phase 2: reduce the outcome words into column counters
             // (pure arithmetic - skipped wholesale during warm-up).

@@ -137,6 +137,13 @@ struct TraversalStats
     /** Machines run as LRU stack members (counted in laneMachines
      *  too); they never allocate a table of their own. */
     std::uint32_t stackedMembers = 0;
+    /** Set stacks the lane engine ran: each drives two or more
+     *  set-associative machines of equal set count and different
+     *  associativity in one pass. */
+    std::uint32_t setStacks = 0;
+    /** Machines run as set stack members (counted in laneMachines
+     *  too); they never allocate a table of their own. */
+    std::uint32_t setStackedMembers = 0;
 };
 
 /** Extra knobs for a simulation run. */
@@ -236,9 +243,11 @@ SimResult simulate(IndirectPredictor &predictor, const Trace &trace,
  * first-level history through the kernel (see SimOptions::kernel),
  * and bound two-level and hybrid columns run in the lane engine,
  * where two-level members with equal configurations share one table
- * (see TraversalStats::foldedMembers) and fully-associative machines
+ * (see TraversalStats::foldedMembers), fully-associative machines
  * that differ only in size share one LRU stack
- * (TraversalStats::lruStacks); the counters remain bit-identical to
+ * (TraversalStats::lruStacks), and set-associative machines of equal
+ * set count that differ only in associativity share one set stack
+ * (TraversalStats::setStacks); the counters remain bit-identical to
  * the unfused run.
  *
  * Null predictor pointers are not allowed. An empty span returns an

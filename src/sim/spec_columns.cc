@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/btb.hh"
+#include "core/factory.hh"
 #include "core/spec_codec.hh"
 
 namespace ibp {
@@ -68,6 +69,20 @@ specColumn(std::string label, const IttageConfig &config)
 SweepColumn
 btbColumn(std::string label, const TableSpec &table, bool hysteresis)
 {
+    if (table.kind != TableKind::Unconstrained) {
+        // A bounded BTB is the p=0 two-level machine: its key is the
+        // branch address alone, and its update rule the same 2bc
+        // rule (pinned by BtbColumnEqualsBtbPredictor).
+        TwoLevelConfig config = paperTwoLevel(0, table);
+        config.hysteresis = hysteresis;
+        return SweepColumn{std::move(label),
+                           [config]() {
+                               return std::make_unique<TwoLevelPredictor>(
+                                   config);
+                           },
+                           btbSpecHash(table, hysteresis),
+                           {config}};
+    }
     return SweepColumn{std::move(label),
                        [table, hysteresis]() {
                            return std::make_unique<BtbPredictor>(

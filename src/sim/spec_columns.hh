@@ -48,8 +48,15 @@ SweepColumn specColumn(std::string label,
 /** A keyed column simulating an IttagePredictor. */
 SweepColumn specColumn(std::string label, const IttageConfig &config);
 
-/** A keyed column simulating a BtbPredictor (@p hysteresis selects
- *  the 2-bit-counter update rule, i.e. the paper's BTB-2BC). */
+/**
+ * A keyed column simulating a BTB (@p hysteresis selects the
+ * 2-bit-counter update rule, i.e. the paper's BTB-2BC). A bounded
+ * table runs as the p=0 two-level machine with the same hysteresis
+ * flag - counter-identical to a BtbPredictor on that table, so it
+ * folds onto an equal p=0 column in the lane engine; an unconstrained
+ * one runs a BtbPredictor. Either way the column keeps the BTB's
+ * store key (btbSpecHash()).
+ */
 SweepColumn btbColumn(std::string label, const TableSpec &table,
                       bool hysteresis);
 

@@ -65,9 +65,9 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
     // Union-find over batch columns, joined through shared machines
-    // and through LRU stack-mates (lruStackMates(): the lane engine
-    // runs those as one stack); a root is always its component's
-    // first column.
+    // and through stack-mates (stackMates(): the lane engine runs
+    // those as one stack); a root is always its component's first
+    // column.
     std::vector<std::size_t> parent(count);
     std::iota(parent.begin(), parent.end(), std::size_t{0});
     const auto find = [&parent](std::size_t c) {
@@ -84,7 +84,11 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
     };
     std::vector<const TwoLevelConfig *> machines;
     std::vector<std::size_t> first_user;
+    // Per machine: whether it has a stack-mate, and its stack's first
+    // machine (mates are an equivalence, so the first mate found is
+    // that machine).
     std::vector<bool> stacked;
+    std::vector<std::size_t> stack_of;
     for (std::size_t c = 0; c < count; ++c) {
         for (const TwoLevelConfig &config : columns[c]->machines) {
             std::size_t m = 0;
@@ -97,11 +101,13 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
             machines.push_back(&config);
             first_user.push_back(c);
             stacked.push_back(false);
+            stack_of.push_back(m);
             for (std::size_t mate = 0; mate + 1 < machines.size(); ++mate) {
-                if (lruStackMates(*machines[mate], config)) {
+                if (stackMates(*machines[mate], config)) {
                     join(c, first_user[mate]);
                     stacked[mate] = true;
                     stacked[m] = true;
+                    stack_of[m] = mate;
                     break;
                 }
             }
@@ -110,14 +116,25 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
 
     // Per-component table bytes and sizedness (every table bounded
     // and none in an LRU stack), at the root. An unsized component
-    // is a chunk of its own and does not set the packing cap.
+    // is a chunk of its own and does not set the packing cap. A set
+    // stack is as deep as its largest member, so it counts that
+    // member's table bytes and raises the cap no higher than the
+    // member alone would.
     std::vector<std::uint64_t> bytes(count, 0);
     std::vector<bool> sized(count, true);
+    std::vector<std::uint64_t> stack_entries(machines.size(), 0);
     for (std::size_t m = 0; m < machines.size(); ++m) {
         const std::size_t root = find(first_user[m]);
-        bytes[root] += machines[m]->table.entries * sizeof(TableEntry);
-        if (machines[m]->table.kind == TableKind::Unconstrained ||
-            stacked[m]) {
+        const TableSpec &table = machines[m]->table;
+        std::uint64_t entries = table.entries;
+        if (stacked[m] && table.kind == TableKind::SetAssoc) {
+            std::uint64_t &deepest = stack_entries[stack_of[m]];
+            entries = std::max(deepest, entries) - deepest;
+            deepest += entries;
+        }
+        bytes[root] += entries * sizeof(TableEntry);
+        if (table.kind == TableKind::Unconstrained ||
+            (stacked[m] && table.kind == TableKind::FullyAssoc)) {
             sized[root] = false;
         }
     }
@@ -1152,6 +1169,8 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                     simd.laneMachines += traversal.laneMachines;
                     simd.lruStacks += traversal.lruStacks;
                     simd.stackedMembers += traversal.stackedMembers;
+                    simd.setStacks += traversal.setStacks;
+                    simd.setStackedMembers += traversal.setStackedMembers;
                 });
             } catch (const RunException &exception) {
                 // Leave the chunk's jobs pending; phase 2 gives each

@@ -205,18 +205,19 @@ struct RunSession
  *
  * Columns are numbered in batch order (grid by grid). Columns that
  * share a state machine (an equal TwoLevelConfig in
- * SweepColumn::machines) or hold LRU stack-mates (lruStackMates():
- * fully-associative machines equal but for their size, which the
- * lane engine runs as one stack) are connected; a connected
- * component is the smallest column set that simulates each of its
- * machines - and each of its stacks - exactly once. Components whose
- * tables are all bounded and unstacked are packed first-fit, in
- * order of first appearance, into chunks that never hold more table
- * bytes than the largest such component, so a batch never needs more
- * table memory per traversal than its largest component does. A
- * component with an unbounded table has no known size and gets a
- * chunk of its own, and so does a component holding a stack; neither
- * sets the packing cap. Each grid's opaque columns (no machine list)
+ * SweepColumn::machines) or hold stack-mates (stackMates(): machines
+ * equal but for their table, both fully associative or both
+ * set-associative with one set count, which the lane engine runs as
+ * one stack) are connected; a connected component is the smallest
+ * column set that simulates each of its machines - and each of its
+ * stacks - exactly once. Components whose tables are all bounded and
+ * in no LRU stack are packed first-fit, in order of first appearance,
+ * into chunks that never hold more table bytes than the largest such
+ * component, so a batch never needs more table memory per traversal
+ * than its largest component does; a set stack counts the bytes of
+ * its largest member. A component with an unbounded table has no
+ * known size and gets a chunk of its own, and so does a component
+ * holding an LRU stack; neither sets the packing cap. Each grid's opaque columns (no machine list)
  * share one chunk, exactly as a one-grid run fused them.
  *
  * A chunk is a list of units - its components, or for an opaque chunk

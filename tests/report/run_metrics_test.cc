@@ -174,6 +174,8 @@ TEST(RunMetricsTest, SimdBlockRoundTripsAndStaysOptional)
     stats.laneMachines = 728;
     stats.lruStacks = 7;
     stats.stackedMembers = 70;
+    stats.setStacks = 9;
+    stats.setStackedMembers = 18;
     metrics.recordSimd(stats);
     // A second record accumulates counters but keeps the dispatch
     // strings as a process-wide fact.
@@ -194,6 +196,8 @@ TEST(RunMetricsTest, SimdBlockRoundTripsAndStaysOptional)
     EXPECT_EQ(simd.laneMachines, 2u * 728);
     EXPECT_EQ(simd.lruStacks, 2u * 7);
     EXPECT_EQ(simd.stackedMembers, 2u * 70);
+    EXPECT_EQ(simd.setStacks, 2u * 9);
+    EXPECT_EQ(simd.setStackedMembers, 2u * 18);
 }
 
 } // namespace

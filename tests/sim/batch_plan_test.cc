@@ -8,10 +8,11 @@
  * no table storage; the spec-level chunk plan is deterministic and
  * keeps every shared machine inside one chunk; LRU stack-mates share
  * one chunk of their own, own no tables, and form only from two or
- * more flat-table machines; sharded ownership
- * covers every cell exactly once; a lone shard steals every foreign
- * cell nobody holds; a batch drained mid-run resumes
- * from its journal bit-identically; and a claimed, stored, journalled
+ * more flat-table machines; the full Figure 18 batch forms its set
+ * stacks and folds its BTBs, with the reference tables' cells;
+ * sharded ownership covers every cell exactly once; a lone shard
+ * steals every foreign cell nobody holds; a batch drained mid-run
+ * resumes from its journal bit-identically; and a claimed, stored, journalled
  * batch of more cells than the descriptor limit stays exact.
  */
 
@@ -105,8 +106,9 @@ miniFig17()
 }
 
 /** miniFig17 plus a grid of unbounded tables (a component of unknown
- *  size) and a grid of opaque keyed columns (no machine list: a
- *  BTB, and a two-level column the plan cannot see into). */
+ *  size) and a grid of a bounded BTB (which runs as its p=0 two-level
+ *  machine) and an opaque keyed column (no machine list: a two-level
+ *  column the plan cannot see into). */
 std::vector<std::vector<SweepColumn>>
 mixedBatch()
 {
@@ -133,18 +135,19 @@ using CellTuple =
     std::tuple<unsigned, std::string, std::string, std::uint64_t,
                std::uint64_t, std::uint64_t, std::uint64_t, double>;
 
-/** Every cell of @p results with the integer counters its run
- *  persisted into the store at @p dir, sorted. */
+/** Every cell of @p results (over @p benchmarks) with the integer
+ *  counters its run persisted into the store at @p dir, sorted. */
 std::vector<CellTuple>
 storedCells(const std::string &dir,
             const std::vector<std::vector<SweepColumn>> &grids,
-            const std::vector<GridResult> &results)
+            const std::vector<GridResult> &results,
+            const std::vector<std::string> &benchmarks = kBenchmarks)
 {
     const ResultStore store(dir);
     std::vector<CellTuple> cells;
     for (unsigned g = 0; g < grids.size(); ++g) {
         for (const SweepColumn &column : grids[g]) {
-            for (const std::string &name : kBenchmarks) {
+            for (const std::string &name : benchmarks) {
                 const auto loaded = store.load(ResultStore::cellKey(
                     benchmarkTraceCacheKey(name, false),
                     column.specHash));
@@ -200,10 +203,10 @@ TEST_F(BatchPlanTest, BatchMatchesOneGridAtATime)
 
             // Each distinct machine is simulated once per benchmark,
             // whatever the thread count: 8 component and 8 diagonal
-            // machines in the fig17 rows, 2 unbounded ones and the
-            // opaque two-level column.
+            // machines in the fig17 rows, 2 unbounded ones, the BTB's
+            // p=0 machine and the opaque two-level column.
             EXPECT_EQ(metrics.simd().laneMachines,
-                      19u * kBenchmarks.size())
+                      20u * kBenchmarks.size())
                 << tag;
             EXPECT_EQ(metrics.sweepKernel().groupsPerCell, 0u) << tag;
         }
@@ -259,16 +262,18 @@ TEST_F(BatchPlanTest, FoldedMemberOwnsNoTable)
 }
 
 /**
- * The quick Figure 18 batch (bench/fig18_best_predictors.cc): per
- * size, a BTB grid and one grid per organisation over p = 0, 2, 4.
- * @p names receives each batch column's "<org>-<size>-p<p>" (or
- * "btb-<size>").
+ * The Figure 18 batch (bench/fig18_best_predictors.cc) over @p sizes
+ * and @p pathLengths: per size, a BTB grid and one grid per
+ * organisation over the path lengths. @p names receives each batch
+ * column's "<org>-<size>-p<p>" (or "btb-<size>").
  */
 std::vector<std::vector<SweepColumn>>
-quickFig18(std::vector<std::string> &names)
+fig18Grids(const std::vector<std::uint64_t> &sizes,
+           const std::vector<unsigned> &pathLengths,
+           std::vector<std::string> &names)
 {
     std::vector<std::vector<SweepColumn>> grids;
-    for (const std::uint64_t size : {256u, 2048u, 16384u}) {
+    for (const std::uint64_t size : sizes) {
         const std::string entries = std::to_string(size);
         grids.push_back(
             {btbColumn("btb", TableSpec::fullyAssoc(size), true)});
@@ -276,7 +281,7 @@ quickFig18(std::vector<std::string> &names)
         for (const std::string org :
              {"tagless", "assoc2", "assoc4", "fullassoc"}) {
             std::vector<SweepColumn> columns;
-            for (const unsigned p : {0u, 2u, 4u}) {
+            for (const unsigned p : pathLengths) {
                 const TableSpec spec =
                     org == "tagless"  ? TableSpec::tagless(size)
                     : org == "assoc2" ? TableSpec::setAssoc(size, 2)
@@ -291,6 +296,14 @@ quickFig18(std::vector<std::string> &names)
         }
     }
     return grids;
+}
+
+/** The quick Figure 18 batch: sizes 256, 2048, 16384 over p = 0, 2,
+ *  4. */
+std::vector<std::vector<SweepColumn>>
+quickFig18(std::vector<std::string> &names)
+{
+    return fig18Grids({256, 2048, 16384}, {0, 2, 4}, names);
 }
 
 /** @p chunk's columns by name, unit by unit. */
@@ -314,42 +327,41 @@ TEST_F(BatchPlanTest, StackMatesShareOneChunk)
     const ChunkPlan plan = planChunks(quickFig18(names));
     // Each path length's fully-associative columns, one per size grid,
     // are one component in a chunk of its own that no sized component
-    // packs into.
-    std::size_t stack_chunks = 0;
+    // packs into; the BTBs, which run as the p=0 machines, join the
+    // p=0 stack.
+    std::vector<std::string> stack_chunks;
     for (const ChunkPlan::Chunk &chunk : plan.chunks) {
-        if (describeChunk(chunk, names).find("fullassoc") ==
-            std::string::npos) {
+        const std::string text = describeChunk(chunk, names);
+        if (text.find("fullassoc") == std::string::npos)
             continue;
-        }
-        ++stack_chunks;
+        stack_chunks.push_back(text);
         EXPECT_FALSE(chunk.packable);
-        ASSERT_EQ(chunk.units.size(), 1u);
-        ASSERT_EQ(chunk.units[0].size(), 3u);
-        const std::string p = names[chunk.units[0][0]].substr(
-            names[chunk.units[0][0]].rfind('-'));
-        EXPECT_EQ(describeChunk(chunk, names),
-                  "{ fullassoc-256" + p + " fullassoc-2048" + p +
-                      " fullassoc-16384" + p + " }");
+        EXPECT_EQ(chunk.units.size(), 1u);
     }
-    EXPECT_EQ(stack_chunks, 3u);
+    EXPECT_EQ(stack_chunks,
+              (std::vector<std::string>{
+                  "{ btb-256 fullassoc-256-p0 btb-2048 fullassoc-2048-p0 "
+                  "btb-16384 fullassoc-16384-p0 }",
+                  "{ fullassoc-256-p2 fullassoc-2048-p2 "
+                  "fullassoc-16384-p2 }",
+                  "{ fullassoc-256-p4 fullassoc-2048-p4 "
+                  "fullassoc-16384-p4 }"}));
 }
 
 TEST_F(BatchPlanTest, QuickFig18PacksItsOtherChunksAsWithoutStacks)
 {
     // The chunks of quick fig18 before stacks existed (each
     // fully-associative machine its own sized component), with the
-    // fully-associative columns taken out: stacks, which neither pack
-    // nor set the packing cap, leave every other chunk as it was.
+    // fully-associative columns and the BTBs (which join the p=0
+    // stack) taken out: stacks, which neither pack nor set the
+    // packing cap, leave every other chunk as it was.
     const std::vector<std::string> unstacked = {
-        "{ btb-256 }",
         "{ tagless-256-p0 } { tagless-256-p2 } { tagless-256-p4 } "
         "{ assoc2-256-p0 } { assoc2-256-p2 } { assoc2-256-p4 } "
         "{ assoc4-256-p0 } { assoc4-256-p2 } { assoc4-256-p4 } "
         "{ tagless-2048-p0 } { tagless-2048-p2 } { tagless-2048-p4 } "
         "{ assoc2-2048-p0 } { assoc2-2048-p2 } { assoc2-2048-p4 }",
-        "{ btb-2048 }",
         "{ assoc4-2048-p0 } { assoc4-2048-p2 } { assoc4-2048-p4 }",
-        "{ btb-16384 }",
         "{ tagless-16384-p0 }",
         "{ tagless-16384-p2 }",
         "{ tagless-16384-p4 }",
@@ -499,6 +511,61 @@ TEST_F(BatchPlanTest, ReferenceTablesFormNoStackAndMatch)
     EXPECT_EQ(runs[0], runs[1]);
 }
 
+TEST_F(BatchPlanTest, FullFig18SetStacksMatchReferenceTables)
+{
+    // The full Figure 18 batch: 10 sizes x 7 path lengths x 4
+    // organisations, plus the BTB, on two benchmarks. Quick fig18's
+    // sizes sit 8x apart and form no set stack, so this is the shape
+    // that runs fig18's set stacks (2-way at N entries with 4-way at
+    // 2N) end to end.
+    setenv("IBP_EVENTS", "0.02", 1);
+    setenv("IBP_THREADS", "2", 1);
+    const std::vector<std::string> benchmarks = {"idl", "perl"};
+    std::vector<std::string> names;
+    const auto grids = fig18Grids(
+        {64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768},
+        {0, 1, 2, 3, 4, 5, 6}, names);
+    ASSERT_EQ(names.size(), 290u);
+    // Planner: a set stack counts its largest member's table bytes, so
+    // the largest one (assoc2-16K with assoc4-32K) packs up to the cap
+    // of one 32K-entry table and raises it no higher.
+    const ChunkPlan plan = planChunks(grids);
+    std::uint64_t fullest = 0;
+    for (const ChunkPlan::Chunk &chunk : plan.chunks) {
+        if (chunk.packable)
+            fullest = std::max(fullest, chunk.bytes);
+    }
+    EXPECT_EQ(fullest, 32768 * sizeof(TableEntry));
+
+    std::vector<std::vector<CellTuple>> runs;
+    for (const TableImpl impl : {TableImpl::Flat, TableImpl::Reference}) {
+        setTableImplementation(impl);
+        const std::string store = _dir + "/store-" + tableImplName(impl);
+        ResultStore::configureGlobal(store);
+        SuiteRunner runner(benchmarks);
+        RunMetrics metrics;
+        RunSession session;
+        session.metrics = &metrics;
+        const std::vector<GridResult> results =
+            runner.runBatch(grids, session);
+        runs.push_back(storedCells(store, grids, results, benchmarks));
+
+        // Per benchmark and path length: 9 set stacks (assoc2 64..16K
+        // with assoc4 128..32K) and 2 lone set-associative tables
+        // (assoc4-64, assoc2-32K); the fully-associative sizes are one
+        // LRU stack, and every BTB folds onto its p=0 machine.
+        const bool flat = impl == TableImpl::Flat;
+        const std::size_t n = benchmarks.size();
+        EXPECT_EQ(metrics.simd().setStacks, flat ? 63 * n : 0u);
+        EXPECT_EQ(metrics.simd().setStackedMembers, flat ? 126 * n : 0u);
+        EXPECT_EQ(metrics.simd().lruStacks, flat ? 7 * n : 0u);
+        EXPECT_EQ(metrics.simd().stackedMembers, flat ? 70 * n : 0u);
+        EXPECT_EQ(metrics.simd().genericColumns, 0u);
+        EXPECT_EQ(metrics.simd().laneMachines, 280 * n);
+    }
+    EXPECT_EQ(runs[0], runs[1]);
+}
+
 TEST_F(BatchPlanTest, ChunkPlanKeepsSharedMachinesTogether)
 {
     const auto grids = mixedBatch();
@@ -536,10 +603,12 @@ TEST_F(BatchPlanTest, ChunkPlanKeepsSharedMachinesTogether)
     EXPECT_EQ(plan.unitOf[32], plan.unitOf[33]);
     EXPECT_FALSE(plan.chunks[plan.chunkOf[32]].packable);
     EXPECT_EQ(plan.chunks[plan.chunkOf[32]].units.size(), 1u);
-    // The opaque grid is one chunk with one unit per column.
-    EXPECT_EQ(plan.chunkOf[34], plan.chunkOf[35]);
-    EXPECT_NE(plan.unitOf[34], plan.unitOf[35]);
-    EXPECT_FALSE(plan.chunks[plan.chunkOf[34]].packable);
+    // The BTB runs as its p=0 machine, a sized component that packs;
+    // the opaque column is a chunk of its own.
+    EXPECT_NE(plan.chunkOf[34], plan.chunkOf[35]);
+    EXPECT_TRUE(plan.chunks[plan.chunkOf[34]].packable);
+    EXPECT_FALSE(plan.chunks[plan.chunkOf[35]].packable);
+    EXPECT_EQ(plan.chunks[plan.chunkOf[35]].units.size(), 1u);
 
     // No packed chunk holds more table bytes than the largest
     // component: the four 1024-entry component machines.

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/btb.hh"
 #include "core/cascaded.hh"
 #include "core/factory.hh"
 #include "core/hybrid.hh"
@@ -30,6 +31,7 @@
 #include "core/target_cache.hh"
 #include "core/two_level.hh"
 #include "robust/fault_injection.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
 
@@ -402,6 +404,53 @@ lruStackColumns()
     return columns;
 }
 
+/** Run @p columns over @p trace in one fused simulateMany() with
+ *  warm-up @p warmup, filling @p traversal. */
+std::vector<SimResult>
+runFused(const std::vector<SweepColumn> &columns, const Trace &trace,
+         std::uint64_t warmup, TraversalStats &traversal)
+{
+    std::vector<std::unique_ptr<IndirectPredictor>> predictors;
+    std::vector<IndirectPredictor *> raw;
+    for (const auto &column : columns) {
+        predictors.push_back(column.make());
+        raw.push_back(predictors.back().get());
+    }
+    SweepKernel kernel;
+    for (IndirectPredictor *predictor : raw)
+        kernel.tryJoin(*predictor);
+    kernel.finalize();
+
+    SimOptions options;
+    options.kernel = &kernel;
+    options.warmupBranches = warmup;
+    options.traversal = &traversal;
+    return simulateMany(raw, trace, options);
+}
+
+/** Every counter of @p fused equals a solo simulate() of its column
+ *  on the reference tables (warm-up @p warmup). */
+void
+expectSoloReferenceCounters(const std::vector<SweepColumn> &columns,
+                            const Trace &trace, std::uint64_t warmup,
+                            const std::vector<SimResult> &fused)
+{
+    ASSERT_EQ(fused.size(), columns.size());
+    SimOptions solo_options;
+    solo_options.warmupBranches = warmup;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const SimResult one = perCellResult(columns[i], trace, solo_options);
+        EXPECT_EQ(fused[i].branches, one.branches) << columns[i].label;
+        EXPECT_EQ(fused[i].misses, one.misses) << columns[i].label;
+        EXPECT_EQ(fused[i].noPrediction, one.noPrediction)
+            << columns[i].label;
+        EXPECT_EQ(fused[i].tableOccupancy, one.tableOccupancy)
+            << columns[i].label;
+        EXPECT_EQ(fused[i].tableCapacity, one.tableCapacity)
+            << columns[i].label;
+    }
+}
+
 TEST_F(FusedKernelTest, LruStacksMatchSoloReferenceRunsBitForBit)
 {
     SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
@@ -409,24 +458,9 @@ TEST_F(FusedKernelTest, LruStacksMatchSoloReferenceRunsBitForBit)
     const auto columns = lruStackColumns();
     for (const std::uint64_t warmup : {0u, 700u}) {
         SCOPED_TRACE(warmup);
-        std::vector<std::unique_ptr<IndirectPredictor>> predictors;
-        std::vector<IndirectPredictor *> raw;
-        for (const auto &column : columns) {
-            predictors.push_back(column.make());
-            raw.push_back(predictors.back().get());
-        }
-        SweepKernel kernel;
-        for (IndirectPredictor *predictor : raw)
-            kernel.tryJoin(*predictor);
-        kernel.finalize();
-
-        SimOptions options;
-        options.kernel = &kernel;
-        options.warmupBranches = warmup;
         TraversalStats traversal;
-        options.traversal = &traversal;
         const std::vector<SimResult> many =
-            simulateMany(raw, trace, options);
+            runFused(columns, trace, warmup, traversal);
         ASSERT_EQ(many.size(), columns.size());
 
         // Stacks: the p=3 sweep (8 sizes), the 2bc-less {1, 2} and
@@ -435,6 +469,7 @@ TEST_F(FusedKernelTest, LruStacksMatchSoloReferenceRunsBitForBit)
         // fold onto the sweep.
         EXPECT_EQ(traversal.lruStacks, 3u);
         EXPECT_EQ(traversal.stackedMembers, 12u);
+        EXPECT_EQ(traversal.setStacks, 0u);
         EXPECT_EQ(traversal.laneMachines, 13u);
         EXPECT_EQ(traversal.foldedMembers, 3u);
         EXPECT_EQ(traversal.genericColumns, 0u);
@@ -445,22 +480,127 @@ TEST_F(FusedKernelTest, LruStacksMatchSoloReferenceRunsBitForBit)
         EXPECT_LT(many[5].tableOccupancy, 1024u);
         EXPECT_GT(many[9].branches, 4u * 2000);
 
-        setTableImplementation(TableImpl::Reference);
-        SimOptions solo_options;
-        solo_options.warmupBranches = warmup;
-        for (std::size_t i = 0; i < columns.size(); ++i) {
-            auto fresh = columns[i].make();
-            const SimResult one = simulate(*fresh, trace, solo_options);
-            EXPECT_EQ(many[i].branches, one.branches) << columns[i].label;
-            EXPECT_EQ(many[i].misses, one.misses) << columns[i].label;
-            EXPECT_EQ(many[i].noPrediction, one.noPrediction)
-                << columns[i].label;
-            EXPECT_EQ(many[i].tableOccupancy, one.tableOccupancy)
-                << columns[i].label;
-            EXPECT_EQ(many[i].tableCapacity, one.tableCapacity)
-                << columns[i].label;
+        expectSoloReferenceCounters(columns, trace, warmup, many);
+    }
+}
+
+/**
+ * Set-associative columns for the set-stack differential: a p=3
+ * stack of 1-, 2-, 4- and 8-way members at 256 sets, a 2bc-less p=1
+ * stack of 1-, 2- and 4-way members at two sets and a p=2 stack of
+ * 2 and 8 ways at one set (both evict on most records), a folded
+ * duplicate, a confidence hybrid whose two p=5 components are
+ * stack-mates, and a lone p=2 machine of 128 sets that forms no
+ * stack.
+ */
+std::vector<SweepColumn>
+setStackColumns()
+{
+    const auto spec = [](const std::string &text) {
+        return [text]() { return makePredictorFromSpec(text); };
+    };
+    std::vector<SweepColumn> columns;
+    for (const unsigned ways : {1u, 2u, 4u, 8u}) {
+        const std::string table = "assoc" + std::to_string(ways) + ":" +
+                                  std::to_string(256 * ways);
+        columns.push_back(
+            {"p3-" + table, spec("twolevel:p=3,table=" + table)});
+    }
+    columns.push_back({"p3-dup", spec("twolevel:p=3,table=assoc2:512")});
+    for (const char *table : {"assoc1:2", "assoc2:4", "assoc4:8"}) {
+        columns.push_back({std::string("no2bc-") + table,
+                           spec(std::string("twolevel:p=1,2bc=0,table=") +
+                                table)});
+    }
+    columns.push_back({"p2-assoc2:2", spec("twolevel:p=2,table=assoc2:2")});
+    columns.push_back({"p2-assoc8:8", spec("twolevel:p=2,table=assoc8:8")});
+    columns.push_back({"conf-mates", []() {
+                           HybridConfig config;
+                           config.components = {
+                               paperTwoLevel(5, TableSpec::setAssoc(512, 2)),
+                               paperTwoLevel(5, TableSpec::setAssoc(1024, 4))};
+                           return std::make_unique<HybridPredictor>(config);
+                       }});
+    columns.push_back({"lone-p2", spec("twolevel:p=2,table=assoc4:512")});
+    return columns;
+}
+
+TEST_F(FusedKernelTest, SetStacksMatchSoloReferenceRunsBitForBit)
+{
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    const Trace &trace = runner.trace("idl");
+    const auto columns = setStackColumns();
+    for (const std::uint64_t warmup : {0u, 700u}) {
+        SCOPED_TRACE(warmup);
+        TraversalStats traversal;
+        const std::vector<SimResult> many =
+            runFused(columns, trace, warmup, traversal);
+        ASSERT_EQ(many.size(), columns.size());
+
+        // Set stacks: p=3 {1, 2, 4, 8}, p=1 {1, 2, 4}, p=2 {2, 8} and
+        // the hybrid's p=5 {2, 4}; the duplicate folds and the lone
+        // p=2 machine drives its own table.
+        EXPECT_EQ(traversal.setStacks, 4u);
+        EXPECT_EQ(traversal.setStackedMembers, 11u);
+        EXPECT_EQ(traversal.lruStacks, 0u);
+        EXPECT_EQ(traversal.stackedMembers, 0u);
+        EXPECT_EQ(traversal.laneMachines, 12u);
+        EXPECT_EQ(traversal.foldedMembers, 1u);
+        EXPECT_EQ(traversal.genericColumns, 0u);
+        // The one- and two-set stacks are full: every member holds
+        // its capacity.
+        EXPECT_EQ(many[5].tableOccupancy, 2u);
+        EXPECT_EQ(many[9].tableOccupancy, 8u);
+
+        expectSoloReferenceCounters(columns, trace, warmup, many);
+    }
+}
+
+/**
+ * Bounded BTB columns (btbColumn) run as the p=0 two-level machine;
+ * each must count exactly what a BtbPredictor on the reference
+ * tables counts, for every bounded kind at 64, 1K and 32K entries
+ * with the 2bc rule on and off - also when it folds onto an equal
+ * p=0 column or joins a stack.
+ */
+TEST_F(FusedKernelTest, BtbColumnEqualsBtbPredictor)
+{
+    SuiteRunner runner({"idl", "perl"});
+    std::vector<SweepColumn> columns;
+    std::vector<SweepColumn> btbs;
+    for (const std::uint64_t entries : {64u, 1024u, 32768u}) {
+        for (const TableSpec &table :
+             {TableSpec::fullyAssoc(entries), TableSpec::setAssoc(entries, 2),
+              TableSpec::setAssoc(entries, 4), TableSpec::tagless(entries)}) {
+            for (const bool hysteresis : {true, false}) {
+                const std::string label =
+                    table.describe() + (hysteresis ? "-2bc" : "");
+                columns.push_back(btbColumn(label, table, hysteresis));
+                btbs.push_back({label, [table, hysteresis]() {
+                                    return std::make_unique<BtbPredictor>(
+                                        table, hysteresis);
+                                }});
+            }
         }
-        setTableImplementation(TableImpl::Flat);
+    }
+    columns.push_back(
+        specColumn("p0", paperTwoLevel(0, TableSpec::setAssoc(1024, 4))));
+
+    for (const std::string &name : runner.benchmarks()) {
+        SCOPED_TRACE(name);
+        const Trace &trace = runner.trace(name);
+        TraversalStats traversal;
+        std::vector<SimResult> fused =
+            runFused(columns, trace, 0, traversal);
+        // Every BTB is a lane column; the 2bc 4-way 1K BTB folds onto
+        // the p0 column, and each hysteresis flag's fully-associative
+        // BTBs form one LRU stack.
+        EXPECT_EQ(traversal.genericColumns, 0u);
+        EXPECT_EQ(traversal.foldedMembers, 1u);
+        EXPECT_EQ(traversal.lruStacks, 2u);
+
+        fused.pop_back();
+        expectSoloReferenceCounters(btbs, trace, 0, fused);
     }
 }
 
