@@ -114,14 +114,23 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
         }
     }
 
-    // Per-component table bytes and sizedness (every table bounded
-    // and none in an LRU stack), at the root. An unsized component
-    // is a chunk of its own and does not set the packing cap. A set
-    // stack is as deep as its largest member, so it counts that
-    // member's table bytes and raises the cap no higher than the
-    // member alone would.
+    // Per-component table bytes and placement, at the root. A
+    // component whose tables are all bounded and in no LRU stack is
+    // sized: it is packed first-fit. One holding an LRU stack gets a
+    // chunk of its own. The planner cannot size the rest by bytes - a
+    // component with an unbounded table, or an opaque column (no
+    // machine list, never joined, so its own root) - and those join
+    // their grid's one unpackable chunk, a unit each. Neither of the
+    // unsized kinds sets the packing cap. A set stack is as deep as
+    // its largest member, so it counts that member's table bytes and
+    // raises the cap no higher than the member alone would.
+    enum class Place { Packed, OwnChunk, GridChunk };
+    std::vector<Place> place(count, Place::Packed);
+    for (std::size_t c = 0; c < count; ++c) {
+        if (columns[c]->machines.empty())
+            place[c] = Place::GridChunk;
+    }
     std::vector<std::uint64_t> bytes(count, 0);
-    std::vector<bool> sized(count, true);
     std::vector<std::uint64_t> stack_entries(machines.size(), 0);
     for (std::size_t m = 0; m < machines.size(); ++m) {
         const std::size_t root = find(first_user[m]);
@@ -133,14 +142,15 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
             deepest += entries;
         }
         bytes[root] += entries * sizeof(TableEntry);
-        if (table.kind == TableKind::Unconstrained ||
-            (stacked[m] && table.kind == TableKind::FullyAssoc)) {
-            sized[root] = false;
-        }
+        if (table.kind == TableKind::Unconstrained)
+            place[root] = Place::GridChunk;
+        else if (stacked[m] && table.kind == TableKind::FullyAssoc &&
+                 place[root] == Place::Packed)
+            place[root] = Place::OwnChunk;
     }
     std::uint64_t capacity = 0;
     for (std::size_t c = 0; c < count; ++c) {
-        if (!columns[c]->machines.empty() && find(c) == c && sized[c])
+        if (find(c) == c && place[c] == Place::Packed)
             capacity = std::max(capacity, bytes[c]);
     }
 
@@ -149,28 +159,12 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
     plan.unitOf.assign(count, kNone);
     std::vector<std::size_t> root_chunk(count, kNone);
     std::vector<std::size_t> root_unit(count, kNone);
-    std::map<std::size_t, std::size_t> opaque_chunk; // grid -> chunk
-    const auto newChunk = [&plan](bool packable) {
-        plan.chunks.emplace_back();
-        plan.chunks.back().packable = packable;
-        return plan.chunks.size() - 1;
-    };
+    std::map<std::size_t, std::size_t> grid_chunk; // grid -> chunk
     for (std::size_t c = 0; c < count; ++c) {
-        if (columns[c]->machines.empty()) {
-            const auto [it, fresh] =
-                opaque_chunk.try_emplace(grid_of[c], 0);
-            if (fresh)
-                it->second = newChunk(false);
-            ChunkPlan::Chunk &chunk = plan.chunks[it->second];
-            plan.chunkOf[c] = it->second;
-            plan.unitOf[c] = chunk.units.size();
-            chunk.units.push_back({c});
-            continue;
-        }
         const std::size_t root = find(c);
         if (root_chunk[root] == kNone) {
             std::size_t target = kNone;
-            if (sized[root]) {
+            if (place[root] == Place::Packed) {
                 for (std::size_t k = 0; k < plan.chunks.size(); ++k) {
                     if (plan.chunks[k].packable &&
                         plan.chunks[k].bytes + bytes[root] <= capacity) {
@@ -178,9 +172,18 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
                         break;
                     }
                 }
+            } else if (place[root] == Place::GridChunk) {
+                const auto it = grid_chunk.find(grid_of[root]);
+                if (it != grid_chunk.end())
+                    target = it->second;
             }
-            if (target == kNone)
-                target = newChunk(sized[root]);
+            if (target == kNone) {
+                target = plan.chunks.size();
+                plan.chunks.emplace_back();
+                plan.chunks.back().packable = place[root] == Place::Packed;
+                if (place[root] == Place::GridChunk)
+                    grid_chunk[grid_of[root]] = target;
+            }
             ChunkPlan::Chunk &chunk = plan.chunks[target];
             root_chunk[root] = target;
             root_unit[root] = chunk.units.size();

@@ -50,7 +50,13 @@ namespace ibp {
 using PredictorFactory =
     std::function<std::unique_ptr<IndirectPredictor>()>;
 
-/** One labelled configuration of a sweep. */
+/**
+ * One labelled configuration of a sweep. Bench code builds columns
+ * only through sim/spec_columns.hh (specColumn(), btbColumn()), which
+ * derives `make`, `specHash` and `machines` from one config value so
+ * the three cannot disagree; only a configuration with no spec codec
+ * is still written by hand, as an opaque, unkeyed column.
+ */
 struct SweepColumn
 {
     std::string label;
@@ -59,11 +65,10 @@ struct SweepColumn
      * Canonical content hash of the configuration `make` builds
      * (core/spec_codec.hh), or 0 when unknown. A keyed column's
      * cells are served by the content-addressed result store on
-     * warm runs; an unkeyed column always simulates. Use the
-     * helpers in sim/spec_columns.hh to build keyed columns -
-     * hand-rolled factories must guarantee the hash describes
-     * EXACTLY what the factory constructs, or the store would
-     * serve a different predictor's counters.
+     * warm runs; an unkeyed column always simulates. A hand-rolled
+     * factory with a hash must guarantee the hash describes EXACTLY
+     * what the factory constructs, or the store would serve a
+     * different predictor's counters.
      */
     std::uint64_t specHash = 0;
     /**
@@ -215,10 +220,12 @@ struct RunSession
  * into chunks that never hold more table bytes than the largest such
  * component, so a batch never needs more table memory per traversal
  * than its largest component does; a set stack counts the bytes of
- * its largest member. A component with an unbounded table has no
- * known size and gets a chunk of its own, and so does a component
- * holding an LRU stack; neither sets the packing cap. Each grid's opaque columns (no machine list)
- * share one chunk, exactly as a one-grid run fused them.
+ * its largest member. A component holding an LRU stack gets a chunk
+ * of its own. Columns the planner cannot size by bytes - a component
+ * with an unbounded table, or an opaque column (no machine list) -
+ * join their grid's one unpackable chunk, a unit each, exactly as a
+ * one-grid run fused them: one traversal per grid, not one per
+ * component. Neither kind sets the packing cap.
  *
  * A chunk is a list of units - its components, or for an opaque chunk
  * its single columns - and split-on-idle only divides a chunk between

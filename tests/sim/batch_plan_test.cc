@@ -620,6 +620,43 @@ TEST_F(BatchPlanTest, ChunkPlanKeepsSharedMachinesTogether)
     }
 }
 
+TEST_F(BatchPlanTest, UnboundedComponentsJoinTheirGridsChunk)
+{
+    // The planner cannot size an unbounded table by bytes, so each
+    // component holding one joins its grid's one unpackable chunk as
+    // a unit - beside that grid's opaque columns - instead of taking
+    // a chunk (and a traversal) of its own. The hybrid shares its
+    // p=2 machine with the "p2" column, so those two are one unit.
+    const TwoLevelConfig opaque =
+        paperTwoLevel(2, TableSpec::setAssoc(1024, 4));
+    const std::vector<std::vector<SweepColumn>> grids = {
+        {specColumn("p1", paperTwoLevel(1, TableSpec::unconstrained())),
+         specColumn("p2", paperTwoLevel(2, TableSpec::unconstrained())),
+         SweepColumn{"opaque",
+                     [opaque]() {
+                         return std::make_unique<TwoLevelPredictor>(opaque);
+                     }},
+         specColumn("hybrid",
+                    paperHybrid(2, 4, TableSpec::unconstrained())),
+         specColumn("bounded",
+                    paperTwoLevel(3, TableSpec::setAssoc(1024, 4)))},
+        {specColumn("p5", paperTwoLevel(5, TableSpec::unconstrained())),
+         specColumn("p6", paperTwoLevel(6, TableSpec::unconstrained()))},
+    };
+    const std::vector<std::string> names = {"p1",     "p2", "opaque",
+                                            "hybrid", "bounded",
+                                            "p5",     "p6"};
+    const ChunkPlan plan = planChunks(grids);
+    ASSERT_EQ(plan.chunks.size(), 3u);
+    EXPECT_EQ(describeChunk(plan.chunks[0], names),
+              "{ p1 } { p2 hybrid } { opaque }");
+    EXPECT_FALSE(plan.chunks[0].packable);
+    EXPECT_EQ(describeChunk(plan.chunks[1], names), "{ bounded }");
+    EXPECT_TRUE(plan.chunks[1].packable);
+    EXPECT_EQ(describeChunk(plan.chunks[2], names), "{ p5 } { p6 }");
+    EXPECT_FALSE(plan.chunks[2].packable);
+}
+
 TEST_F(BatchPlanTest, ShardsCoverEveryCellExactlyOnce)
 {
     const auto grids = miniFig17();
