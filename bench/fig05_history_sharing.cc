@@ -9,10 +9,9 @@
  * 5.6%); only AVG-infreq prefers per-address histories.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -33,11 +32,9 @@ fig05Experiment()
             if (context.quick())
                 sweep = {2, 8, 16, 32};
             for (unsigned s : sweep) {
-                columns.push_back(
-                    {"s=" + std::to_string(s), [s]() {
-                         return std::make_unique<TwoLevelPredictor>(
-                             unconstrainedTwoLevel(8, s));
-                     }});
+                columns.push_back(specColumn(
+                    "s=" + std::to_string(s),
+                    unconstrainedTwoLevel(8, s)));
             }
 
             const GridResult grid =
@@ -50,6 +47,7 @@ fig05Experiment()
                 "Paper anchors: AVG 9.4 (s=2) -> 6.0 (global); "
                 "AVG-infreq is the only group preferring per-address "
                 "histories.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
