@@ -10,10 +10,9 @@
  * else in the paper.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -35,11 +34,9 @@ fig07Experiment()
             if (context.quick())
                 sweep = {2, 10, 18, 32};
             for (unsigned h : sweep) {
-                columns.push_back(
-                    {"h=" + std::to_string(h), [h]() {
-                         return std::make_unique<TwoLevelPredictor>(
-                             unconstrainedTwoLevel(8, 32, h));
-                     }});
+                columns.push_back(specColumn(
+                    "h=" + std::to_string(h),
+                    unconstrainedTwoLevel(8, 32, h)));
             }
 
             const GridResult grid =
@@ -50,6 +47,7 @@ fig07Experiment()
                 grid, columns));
             context.note("Paper anchors: AVG 6.0 (h=2) -> 9.6 "
                          "(shared); per-address tables win.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
