@@ -10,10 +10,9 @@
  * phase changes). All groups follow the same U shape.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -32,11 +31,8 @@ fig09Experiment()
             std::vector<SweepColumn> columns;
             const unsigned step = context.quick() ? 3 : 1;
             for (unsigned p = 0; p <= 18; p += step) {
-                columns.push_back(
-                    {"p=" + std::to_string(p), [p]() {
-                         return std::make_unique<TwoLevelPredictor>(
-                             unconstrainedTwoLevel(p));
-                     }});
+                columns.push_back(specColumn("p=" + std::to_string(p),
+                                             unconstrainedTwoLevel(p)));
             }
 
             const GridResult grid =
@@ -48,6 +44,7 @@ fig09Experiment()
             context.note(
                 "Paper anchors: AVG 24.9 (p=0) -> 7.8 (p=3) -> "
                 "minimum 5.8 (p=6) -> rising through p=18.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
