@@ -11,10 +11,9 @@
  * (the largest b with b*p <= 24) approach full precision everywhere.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -64,23 +63,13 @@ fig10Experiment()
                     // fit the 64-bit concatenated key.
                     if (b * p + 30 > 64)
                         continue;
-                    columns.push_back(
-                        {"b=" + std::to_string(b), [p, b]() {
-                             return std::make_unique<
-                                 TwoLevelPredictor>(
-                                 limitedConfig(p, b));
-                         }});
+                    columns.push_back(specColumn(
+                        "b=" + std::to_string(b), limitedConfig(p, b)));
                 }
-                columns.push_back({"b*p<=24", [p]() {
-                                       return std::make_unique<
-                                           TwoLevelPredictor>(
-                                           limitedConfig(p, 0));
-                                   }});
                 columns.push_back(
-                    {"full", [p]() {
-                         return std::make_unique<TwoLevelPredictor>(
-                             unconstrainedTwoLevel(p));
-                     }});
+                    specColumn("b*p<=24", limitedConfig(p, 0)));
+                columns.push_back(
+                    specColumn("full", unconstrainedTwoLevel(p)));
 
                 rows.push_back(std::move(columns));
             }
@@ -99,6 +88,7 @@ fig10Experiment()
                 "Paper anchors: b=8 overlaps full precision; small b "
                 "hurts short paths most; the b*p<=24 rule tracks the "
                 "full-precision curve.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
