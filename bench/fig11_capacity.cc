@@ -10,10 +10,9 @@
  * (p=2 wins at 256 entries, p=3 at 1K, p=6 at 8K).
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -49,12 +48,9 @@ fig11Experiment()
             for (std::uint64_t size : sizes) {
                 std::vector<SweepColumn> columns;
                 for (unsigned p : path_lengths) {
-                    columns.push_back(
-                        {"p=" + std::to_string(p), [p, size]() {
-                             return std::make_unique<
-                                 TwoLevelPredictor>(paperTwoLevel(
-                                 p, TableSpec::fullyAssoc(size)));
-                         }});
+                    columns.push_back(specColumn(
+                        "p=" + std::to_string(p),
+                        paperTwoLevel(p, TableSpec::fullyAssoc(size))));
                 }
                 rows.push_back(std::move(columns));
             }
@@ -72,6 +68,7 @@ fig11Experiment()
                 "Paper anchors: p=2 best at 256 entries (12.5%), p=3 "
                 "at 1K (8.5%), p=6 at 8K (6.6%); the winning path "
                 "length grows with the table.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
