@@ -20,11 +20,10 @@
  * 1-way table at p=4).
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -58,11 +57,8 @@ sweepTable(ExperimentContext &context, SuiteRunner &runner,
             ways == 0 ? "tagless" : "assoc" + std::to_string(ways);
         std::vector<SweepColumn> columns;
         for (unsigned p = 0; p <= max_p; ++p) {
-            columns.push_back(
-                {"p=" + std::to_string(p), [p, ways, interleave]() {
-                     return std::make_unique<TwoLevelPredictor>(
-                         config4k(p, ways, interleave));
-                 }});
+            columns.push_back(specColumn("p=" + std::to_string(p),
+                                         config4k(p, ways, interleave)));
         }
         const GridResult grid =
             runner.run(columns, context.session());
@@ -114,12 +110,8 @@ fig12Experiment()
                   InterleaveKind::PingPong}) {
                 std::vector<SweepColumn> columns;
                 for (unsigned p : ps) {
-                    columns.push_back(
-                        {"p=" + std::to_string(p), [p, kind]() {
-                             return std::make_unique<
-                                 TwoLevelPredictor>(
-                                 config4k(p, 1, kind));
-                         }});
+                    columns.push_back(specColumn(
+                        "p=" + std::to_string(p), config4k(p, 1, kind)));
                 }
                 const GridResult grid =
                     runner.run(columns, context.session());
