@@ -12,10 +12,9 @@
  * p=3 at 1K..4K, p=4 at 8K).
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -45,19 +44,13 @@ fig16Experiment()
             for (unsigned ways : organisations) {
                 for (std::uint64_t size : sizes) {
                     std::vector<SweepColumn> columns;
+                    const TableSpec spec =
+                        ways == 0 ? TableSpec::tagless(size)
+                                  : TableSpec::setAssoc(size, ways);
                     for (unsigned p : path_lengths) {
                         columns.push_back(
-                            {"p=" + std::to_string(p),
-                             [p, ways, size]() {
-                                 const TableSpec spec =
-                                     ways == 0
-                                         ? TableSpec::tagless(size)
-                                         : TableSpec::setAssoc(size,
-                                                               ways);
-                                 return std::make_unique<
-                                     TwoLevelPredictor>(
-                                     paperTwoLevel(p, spec));
-                             }});
+                            specColumn("p=" + std::to_string(p),
+                                       paperTwoLevel(p, spec)));
                     }
                     rows.push_back(std::move(columns));
                 }
@@ -90,6 +83,7 @@ fig16Experiment()
                 "Paper anchors: best p grows with size; tagless "
                 "tables show positive interference at long paths "
                 "(sometimes beating 4-way for p >= 7).");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
