@@ -11,10 +11,9 @@
  * resource-constrained predictors.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -47,14 +46,10 @@ table05Experiment()
                 std::vector<SweepColumn> columns;
                 for (const KeyMix mix :
                      {KeyMix::Xor, KeyMix::Concat}) {
-                    columns.push_back(
-                        {toString(mix), [p, mix]() {
-                             TwoLevelConfig config = paperTwoLevel(
-                                 p, TableSpec::unconstrained());
-                             config.pattern.keyMix = mix;
-                             return std::make_unique<
-                                 TwoLevelPredictor>(config);
-                         }});
+                    TwoLevelConfig config =
+                        paperTwoLevel(p, TableSpec::unconstrained());
+                    config.pattern.keyMix = mix;
+                    columns.push_back(specColumn(toString(mix), config));
                 }
                 rows.push_back(std::move(columns));
             }
@@ -75,6 +70,7 @@ table05Experiment()
             context.note("Paper anchors: differences of 0.01-0.5% "
                          "only; xor halves the tag storage and is "
                          "adopted.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
