@@ -13,10 +13,9 @@
  * hybrid beats even a fully-associative non-hybrid table.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -66,22 +65,15 @@ table06Experiment()
                     if (ways != 0 && comp / ways == 0)
                         continue;
 
+                    const TableSpec spec =
+                        ways == 0 ? TableSpec::tagless(comp)
+                                  : TableSpec::setAssoc(comp, ways);
                     std::vector<SweepColumn> columns;
                     for (const auto &[p1, p2] : pairs) {
-                        const std::string label =
+                        columns.push_back(specColumn(
                             std::to_string(p1) + "." +
-                            std::to_string(p2);
-                        columns.push_back(
-                            {label, [p1 = p1, p2 = p2, comp, ways]() {
-                                 const TableSpec spec =
-                                     ways == 0
-                                         ? TableSpec::tagless(comp)
-                                         : TableSpec::setAssoc(comp,
-                                                               ways);
-                                 return std::make_unique<
-                                     HybridPredictor>(
-                                     paperHybrid(p1, p2, spec));
-                             }});
+                                std::to_string(p2),
+                            paperHybrid(p1, p2, spec)));
                     }
                     grids.push_back(std::move(columns));
                     places.emplace_back(
@@ -117,6 +109,7 @@ table06Experiment()
                 "Paper anchors: 1K 4-way 8.98 (3.1); 8K 4-way 5.95 "
                 "(6.2); short+long combinations win, and the best "
                 "path lengths grow with table size.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
