@@ -8,11 +8,9 @@
  * and table06 benches).
  */
 
-#include <memory>
-
-#include "core/btb.hh"
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -53,59 +51,42 @@ tableA1Experiment()
             std::vector<std::vector<SweepColumn>> grids;
             for (const std::uint64_t size : sizes) {
                 std::vector<SweepColumn> columns;
-                columns.push_back({"btb-fa", [size]() {
-                                       return std::make_unique<
-                                           BtbPredictor>(
-                                           TableSpec::fullyAssoc(
-                                               size),
-                                           true);
-                                   }});
-                for (const auto org : {"tagless", "assoc1", "assoc2",
-                                       "assoc4", "fullassoc"}) {
-                    const std::string org_name(org);
+                columns.push_back(btbColumn(
+                    "btb-fa", TableSpec::fullyAssoc(size), true));
+                for (const std::string org : {"tagless", "assoc1",
+                                              "assoc2", "assoc4",
+                                              "fullassoc"}) {
                     const unsigned p = bestPathLength(
-                        org_name == "assoc1" ? "assoc2" : org_name,
-                        size);
+                        org == "assoc1" ? "assoc2" : org, size);
+                    TableSpec spec;
+                    if (org == "tagless")
+                        spec = TableSpec::tagless(size);
+                    else if (org == "fullassoc")
+                        spec = TableSpec::fullyAssoc(size);
+                    else if (org == "assoc1")
+                        spec = TableSpec::setAssoc(size, 1);
+                    else if (org == "assoc2")
+                        spec = TableSpec::setAssoc(size, 2);
+                    else
+                        spec = TableSpec::setAssoc(size, 4);
                     columns.push_back(
-                        {org_name, [org_name, size, p]() {
-                             TableSpec spec;
-                             if (org_name == "tagless")
-                                 spec = TableSpec::tagless(size);
-                             else if (org_name == "fullassoc")
-                                 spec = TableSpec::fullyAssoc(size);
-                             else if (org_name == "assoc1")
-                                 spec = TableSpec::setAssoc(size, 1);
-                             else if (org_name == "assoc2")
-                                 spec = TableSpec::setAssoc(size, 2);
-                             else
-                                 spec = TableSpec::setAssoc(size, 4);
-                             return std::make_unique<
-                                 TwoLevelPredictor>(
-                                 paperTwoLevel(p, spec));
-                         }});
+                        specColumn(org, paperTwoLevel(p, spec)));
                 }
                 // Hybrids at half-size components, paper-typical
                 // combos for the size class.
                 const unsigned long_p = size <= 1024 ? 3 : 6;
                 const unsigned short_p = size <= 1024 ? 1 : 2;
-                for (const auto org : {"tagless", "assoc2",
-                                       "assoc4"}) {
-                    const std::string org_name(org);
-                    columns.push_back(
-                        {"hyb-" + org_name,
-                         [org_name, size, long_p, short_p]() {
-                             const std::uint64_t comp = size / 2;
-                             const TableSpec spec =
-                                 org_name == "tagless"
-                                     ? TableSpec::tagless(comp)
-                                     : TableSpec::setAssoc(
-                                           comp, org_name == "assoc2"
-                                                     ? 2
-                                                     : 4);
-                             return std::make_unique<
-                                 HybridPredictor>(paperHybrid(
-                                 long_p, short_p, spec));
-                         }});
+                const std::uint64_t comp = size / 2;
+                for (const std::string org :
+                     {"tagless", "assoc2", "assoc4"}) {
+                    const TableSpec spec =
+                        org == "tagless"
+                            ? TableSpec::tagless(comp)
+                            : TableSpec::setAssoc(
+                                  comp, org == "assoc2" ? 2 : 4);
+                    columns.push_back(specColumn(
+                        "hyb-" + org,
+                        paperHybrid(long_p, short_p, spec)));
                 }
 
                 grids.push_back(std::move(columns));
@@ -124,6 +105,7 @@ tableA1Experiment()
                 "assoc2 10.74, assoc4 9.82, fullassoc 8.48, hybrid "
                 "assoc4 8.98; per-benchmark spreads from idl (~1%) "
                 "to gcc (~25%).");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
