@@ -11,10 +11,9 @@
  * (the Figure 17 grid is nearly symmetric).
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -32,42 +31,23 @@ ablMetapredictionExperiment()
             const std::uint64_t comp = context.quick() ? 512 : 1024;
             const unsigned short_p = 1, long_p = 5;
 
+            const TableSpec spec = TableSpec::setAssoc(comp, 4);
+            const HybridConfig base = paperHybrid(long_p, short_p, spec);
+
             std::vector<SweepColumn> columns;
             for (unsigned bits : {1u, 2u, 3u, 4u}) {
+                HybridConfig config = base;
+                config.confidenceBits = bits;
                 columns.push_back(
-                    {"conf" + std::to_string(bits),
-                     [bits, comp, short_p, long_p]() {
-                         HybridConfig config = paperHybrid(
-                             long_p, short_p,
-                             TableSpec::setAssoc(comp, 4));
-                         config.confidenceBits = bits;
-                         return std::make_unique<HybridPredictor>(
-                             config);
-                     }});
+                    specColumn("conf" + std::to_string(bits), config));
             }
-            columns.push_back(
-                {"bpst", [comp, short_p, long_p]() {
-                     HybridConfig config = paperHybrid(
-                         long_p, short_p,
-                         TableSpec::setAssoc(comp, 4));
-                     config.meta = MetaKind::Selector;
-                     return std::make_unique<HybridPredictor>(config);
-                 }});
-            columns.push_back(
-                {"bpst-512", [comp, short_p, long_p]() {
-                     HybridConfig config = paperHybrid(
-                         long_p, short_p,
-                         TableSpec::setAssoc(comp, 4));
-                     config.meta = MetaKind::Selector;
-                     config.selectorEntries = 512;
-                     return std::make_unique<HybridPredictor>(config);
-                 }});
-            columns.push_back(
-                {"swapped", [comp, short_p, long_p]() {
-                     return std::make_unique<HybridPredictor>(
-                         paperHybrid(short_p, long_p,
-                                     TableSpec::setAssoc(comp, 4)));
-                 }});
+            HybridConfig bpst = base;
+            bpst.meta = MetaKind::Selector;
+            columns.push_back(specColumn("bpst", bpst));
+            bpst.selectorEntries = 512;
+            columns.push_back(specColumn("bpst-512", bpst));
+            columns.push_back(specColumn(
+                "swapped", paperHybrid(short_p, long_p, spec)));
 
             const GridResult grid =
                 runner.run(columns, context.session());
@@ -82,6 +62,7 @@ ablMetapredictionExperiment()
                 "Paper anchors: 2-bit confidence best (small "
                 "margins); per-pattern confidence beats the "
                 "per-branch BPST; component order barely matters.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
