@@ -14,10 +14,9 @@
  *    two-bit-counter rule (worse nearly everywhere, section 3.1).
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -37,65 +36,33 @@ ablVariationsExperiment()
 
             const unsigned p = context.quick() ? 4 : 8;
 
-            const auto baseline = [p]() {
-                return std::make_unique<TwoLevelPredictor>(
-                    unconstrainedTwoLevel(p));
-            };
+            // Each variant changes one field of the baseline; the
+            // two compressor variants change one field of plain bit
+            // selection.
+            const TwoLevelConfig baseline = unconstrainedTwoLevel(p);
+            const TwoLevelConfig bit_select =
+                paperTwoLevel(p, TableSpec::unconstrained());
+            TwoLevelConfig addr_in_hist = baseline;
+            addr_in_hist.historyElement = HistoryElement::TargetAndAddress;
+            TwoLevelConfig cond_in_hist = baseline;
+            cond_in_hist.includeConditionalTargets = true;
+            TwoLevelConfig no_addr = baseline;
+            no_addr.pattern.includeBranchAddress = false;
+            TwoLevelConfig fold_xor = bit_select;
+            fold_xor.pattern.compressor = CompressorKind::FoldXor;
+            TwoLevelConfig shift_xor = bit_select;
+            shift_xor.pattern.compressor = CompressorKind::ShiftXor;
+            TwoLevelConfig no_2bc = baseline;
+            no_2bc.hysteresis = false;
             const std::vector<SweepColumn> columns = {
-                {"baseline", baseline},
-                {"addr-in-hist",
-                 [p]() {
-                     TwoLevelConfig config = unconstrainedTwoLevel(p);
-                     config.historyElement =
-                         HistoryElement::TargetAndAddress;
-                     return std::make_unique<TwoLevelPredictor>(
-                         config);
-                 }},
-                {"cond-in-hist",
-                 [p]() {
-                     TwoLevelConfig config = unconstrainedTwoLevel(p);
-                     config.includeConditionalTargets = true;
-                     return std::make_unique<TwoLevelPredictor>(
-                         config);
-                 }},
-                {"no-addr",
-                 [p]() {
-                     TwoLevelConfig config = unconstrainedTwoLevel(p);
-                     config.pattern.includeBranchAddress = false;
-                     return std::make_unique<TwoLevelPredictor>(
-                         config);
-                 }},
-                {"fold-xor",
-                 [p]() {
-                     TwoLevelConfig config = paperTwoLevel(
-                         p, TableSpec::unconstrained());
-                     config.pattern.compressor =
-                         CompressorKind::FoldXor;
-                     return std::make_unique<TwoLevelPredictor>(
-                         config);
-                 }},
-                {"shift-xor",
-                 [p]() {
-                     TwoLevelConfig config = paperTwoLevel(
-                         p, TableSpec::unconstrained());
-                     config.pattern.compressor =
-                         CompressorKind::ShiftXor;
-                     return std::make_unique<TwoLevelPredictor>(
-                         config);
-                 }},
-                {"bit-select",
-                 [p]() {
-                     return std::make_unique<TwoLevelPredictor>(
-                         paperTwoLevel(p,
-                                       TableSpec::unconstrained()));
-                 }},
-                {"no-2bc",
-                 [p]() {
-                     TwoLevelConfig config = unconstrainedTwoLevel(p);
-                     config.hysteresis = false;
-                     return std::make_unique<TwoLevelPredictor>(
-                         config);
-                 }},
+                specColumn("baseline", baseline),
+                specColumn("addr-in-hist", addr_in_hist),
+                specColumn("cond-in-hist", cond_in_hist),
+                specColumn("no-addr", no_addr),
+                specColumn("fold-xor", fold_xor),
+                specColumn("shift-xor", shift_xor),
+                specColumn("bit-select", bit_select),
+                specColumn("no-2bc", no_2bc),
             };
 
             const GridResult grid =
@@ -110,6 +77,7 @@ ablVariationsExperiment()
                 "at p=8; conditional targets crowd out indirect "
                 "history; fold/shift-xor do not beat bit selection; "
                 "updating on every miss is worse.");
-        }});
+        },
+        /*shardable=*/true});
     return def;
 }
