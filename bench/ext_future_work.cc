@@ -11,12 +11,10 @@
  *     indirect branch along with the target.
  */
 
-#include <memory>
-
 #include "core/factory.hh"
 #include "core/next_branch.hh"
-#include "core/shared_hybrid.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -32,56 +30,32 @@ extFutureWorkExperiment()
             SuiteRunner runner = SuiteRunner::avgSuite();
             const std::uint64_t total = context.quick() ? 1024 : 4096;
 
+            HybridConfig three;
+            const TableSpec quarter =
+                TableSpec::setAssoc((total / 4) & ~std::uint64_t{3}, 4);
+            three.components = {
+                paperTwoLevel(5, quarter), paperTwoLevel(2, quarter),
+                paperTwoLevel(0, TableSpec::setAssoc(total / 2, 4))};
+            // Differently-sized components: a small quick component
+            // plus a large long-path one (3-way keeps the set count a
+            // power of two).
+            const HybridConfig asym = HybridConfig::twoComponent(
+                paperTwoLevel(6, TableSpec::setAssoc(total * 3 / 4, 3)),
+                paperTwoLevel(1, TableSpec::setAssoc(total / 4, 4)));
+            SharedHybridConfig shared;
+            shared.pathLengths = {3, 1};
+            shared.entries = total;
+            shared.ways = 4;
+            SharedHybridConfig shared3 = shared;
+            shared3.pathLengths = {6, 3, 1};
             const std::vector<SweepColumn> columns = {
-                {"2comp",
-                 [total]() {
-                     return std::make_unique<HybridPredictor>(
-                         paperHybrid(3, 1,
-                                     TableSpec::setAssoc(total / 2,
-                                                         4)));
-                 }},
-                {"3comp",
-                 [total]() {
-                     HybridConfig config;
-                     const TableSpec spec = TableSpec::setAssoc(
-                         (total / 4) & ~std::uint64_t{3}, 4);
-                     config.components = {
-                         paperTwoLevel(5, spec),
-                         paperTwoLevel(2, spec),
-                         paperTwoLevel(0, TableSpec::setAssoc(
-                                              total / 2, 4))};
-                     return std::make_unique<HybridPredictor>(config);
-                 }},
-                {"asym",
-                 [total]() {
-                     // Differently-sized components: a small quick
-                     // component plus a large long-path one (3-way
-                     // keeps the set count a power of two).
-                     return std::make_unique<HybridPredictor>(
-                         HybridConfig::twoComponent(
-                             paperTwoLevel(6, TableSpec::setAssoc(
-                                                  total * 3 / 4, 3)),
-                             paperTwoLevel(1, TableSpec::setAssoc(
-                                                  total / 4, 4))));
-                 }},
-                {"shared",
-                 [total]() {
-                     SharedHybridConfig config;
-                     config.pathLengths = {3, 1};
-                     config.entries = total;
-                     config.ways = 4;
-                     return std::make_unique<SharedHybridPredictor>(
-                         config);
-                 }},
-                {"shared-3p",
-                 [total]() {
-                     SharedHybridConfig config;
-                     config.pathLengths = {6, 3, 1};
-                     config.entries = total;
-                     config.ways = 4;
-                     return std::make_unique<SharedHybridPredictor>(
-                         config);
-                 }},
+                specColumn("2comp",
+                           paperHybrid(3, 1,
+                                       TableSpec::setAssoc(total / 2, 4))),
+                specColumn("3comp", three),
+                specColumn("asym", asym),
+                specColumn("shared", shared),
+                specColumn("shared-3p", shared3),
             };
 
             const GridResult grid =
