@@ -17,12 +17,10 @@
 
 #include <memory>
 
-#include "core/btb.hh"
-#include "core/cascaded.hh"
 #include "core/factory.hh"
-#include "core/ittage.hh"
 #include "core/target_cache.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -41,12 +39,19 @@ extRelatedWorkExperiment()
             const std::uint64_t budget =
                 context.quick() ? 512 : 2048;
 
+            IttageConfig ittage;
+            ittage.baseEntries = budget / 4;
+            ittage.componentEntries = (budget * 3 / 4) / 4;
+            // Round component tables to a power of two.
+            std::uint64_t rounded = 1;
+            while (rounded * 2 <= ittage.componentEntries)
+                rounded *= 2;
+            ittage.componentEntries = rounded;
             const std::vector<SweepColumn> columns = {
-                {"btb-2bc",
-                 [budget]() {
-                     return std::make_unique<BtbPredictor>(
-                         TableSpec::fullyAssoc(budget), true);
-                 }},
+                btbColumn("btb-2bc", TableSpec::fullyAssoc(budget),
+                          true),
+                // TargetCacheConfig has no spec codec: the one column
+                // left opaque (unkeyed, so it always simulates).
                 {"target-cache",
                  [budget]() {
                      TargetCacheConfig config;
@@ -55,37 +60,15 @@ extRelatedWorkExperiment()
                      return std::make_unique<TargetCachePredictor>(
                          config);
                  }},
-                {"2lev-4way",
-                 [budget]() {
-                     return std::make_unique<TwoLevelPredictor>(
-                         paperTwoLevel(3,
-                                       TableSpec::setAssoc(budget,
-                                                           4)));
-                 }},
-                {"hybrid",
-                 [budget]() {
-                     return std::make_unique<HybridPredictor>(
-                         paperHybrid(3, 1,
-                                     TableSpec::setAssoc(budget / 2,
-                                                         4)));
-                 }},
-                {"cascaded",
-                 [budget]() {
-                     return std::make_unique<CascadedPredictor>(
-                         CascadedConfig::classic(budget));
-                 }},
-                {"ittage",
-                 [budget]() {
-                     IttageConfig config;
-                     config.baseEntries = budget / 4;
-                     config.componentEntries = (budget * 3 / 4) / 4;
-                     // Round component tables to a power of two.
-                     std::uint64_t rounded = 1;
-                     while (rounded * 2 <= config.componentEntries)
-                         rounded *= 2;
-                     config.componentEntries = rounded;
-                     return std::make_unique<IttagePredictor>(config);
-                 }},
+                specColumn("2lev-4way",
+                           paperTwoLevel(3,
+                                         TableSpec::setAssoc(budget, 4))),
+                specColumn("hybrid",
+                           paperHybrid(3, 1,
+                                       TableSpec::setAssoc(budget / 2,
+                                                           4))),
+                specColumn("cascaded", CascadedConfig::classic(budget)),
+                specColumn("ittage", ittage),
             };
 
             const GridResult grid =
