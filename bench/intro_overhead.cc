@@ -17,12 +17,10 @@
  * the share of branch misses caused by indirect branches.
  */
 
-#include <memory>
-
-#include "core/btb.hh"
 #include "core/cond_predictor.hh"
 #include "core/factory.hh"
 #include "sim/experiment.hh"
+#include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 
 #include "suites.hh"
@@ -65,24 +63,13 @@ introOverheadExperiment()
             constexpr double cond_miss = 0.03; // [YP93]-era 97% hit
 
             const std::vector<SweepColumn> columns = {
-                {"btb",
-                 []() {
-                     return std::make_unique<BtbPredictor>(
-                         TableSpec::unconstrained(), true);
-                 }},
-                {"2lev-1K",
-                 []() {
-                     return std::make_unique<TwoLevelPredictor>(
-                         paperTwoLevel(3,
-                                       TableSpec::setAssoc(1024,
-                                                           4)));
-                 }},
-                {"hyb-8K",
-                 []() {
-                     return std::make_unique<HybridPredictor>(
-                         paperHybrid(6, 2,
-                                     TableSpec::setAssoc(4096, 4)));
-                 }},
+                btbColumn("btb", TableSpec::unconstrained(), true),
+                specColumn("2lev-1K",
+                           paperTwoLevel(3,
+                                         TableSpec::setAssoc(1024, 4))),
+                specColumn("hyb-8K",
+                           paperHybrid(6, 2,
+                                       TableSpec::setAssoc(4096, 4))),
             };
             const GridResult grid =
                 runner.run(columns, context.session());
