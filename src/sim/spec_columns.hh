@@ -2,17 +2,16 @@
  * @file
  * Spec-keyed sweep-column constructors.
  *
- * Before the result store, every bench hand-rolled its SweepColumns
- * as (label, factory-lambda) pairs, so the configuration a column
- * simulated existed only inside an opaque closure. These helpers
- * deduplicate that plumbing: one config value produces BOTH the
- * predictor factory and the canonical content hash
+ * The one way bench code declares a SweepColumn: one config value
+ * produces BOTH the predictor factory and the canonical content hash
  * (core/spec_codec.hh) that keys the column's cells in the
  * content-addressed result store (sim/result_store.hh). The config
  * is captured by value, so the factory provably constructs exactly
  * what the hash describes. Two-level and hybrid columns also carry
  * their state machines in spec form (SweepColumn::machines), which is
- * what SuiteRunner::runBatch() plans its fused chunks from.
+ * what SuiteRunner::runBatch() plans its fused chunks from. A
+ * configuration with no spec codec (the Target Cache) has no helper
+ * and stays an opaque, unkeyed column.
  */
 
 #ifndef IBP_SIM_SPEC_COLUMNS_HH
@@ -50,12 +49,16 @@ SweepColumn specColumn(std::string label, const IttageConfig &config);
 
 /**
  * A keyed column simulating a BTB (@p hysteresis selects the
- * 2-bit-counter update rule, i.e. the paper's BTB-2BC). A bounded
- * table runs as the p=0 two-level machine with the same hysteresis
- * flag - counter-identical to a BtbPredictor on that table, so it
- * folds onto an equal p=0 column in the lane engine; an unconstrained
- * one runs a BtbPredictor. Either way the column keeps the BTB's
- * store key (btbSpecHash()).
+ * 2-bit-counter update rule, i.e. the paper's BTB-2BC). The table
+ * kind picks the engine. A bounded table runs as the p=0 two-level
+ * machine with the same hysteresis flag - counter-identical to a
+ * BtbPredictor on that table, so it folds onto an equal p=0 column
+ * or LRU stack in the lane engine. An unconstrained table runs a
+ * BtbPredictor: the p=0 machine is counter-identical there too
+ * (both pinned by BtbColumnEqualsBtbPredictor), but with nothing to
+ * fold onto it ran full fig02 about 1.5x slower (0.15 s against
+ * 0.10 s run_seconds at the default trace scale, 4 threads). Either
+ * way the column keeps the BTB's store key (btbSpecHash()).
  */
 SweepColumn btbColumn(std::string label, const TableSpec &table,
                       bool hysteresis);

@@ -583,6 +583,24 @@ TEST_F(FusedKernelTest, BtbColumnEqualsBtbPredictor)
             }
         }
     }
+    // An unconstrained BTB column keeps its BtbPredictor, yet the p=0
+    // two-level machine on an unconstrained table is counter-identical
+    // to it too: both are checked against a solo BtbPredictor.
+    for (const bool hysteresis : {true, false}) {
+        const TableSpec table = TableSpec::unconstrained();
+        const std::string label = std::string("unconstrained") +
+                                  (hysteresis ? "-2bc" : "");
+        TwoLevelConfig p0 = paperTwoLevel(0, table);
+        p0.hysteresis = hysteresis;
+        columns.push_back(btbColumn(label, table, hysteresis));
+        columns.push_back(specColumn("p0-" + label, p0));
+        for (int copy = 0; copy < 2; ++copy) {
+            btbs.push_back({label, [table, hysteresis]() {
+                                return std::make_unique<BtbPredictor>(
+                                    table, hysteresis);
+                            }});
+        }
+    }
     columns.push_back(
         specColumn("p0", paperTwoLevel(0, TableSpec::setAssoc(1024, 4))));
 
@@ -592,10 +610,12 @@ TEST_F(FusedKernelTest, BtbColumnEqualsBtbPredictor)
         TraversalStats traversal;
         std::vector<SimResult> fused =
             runFused(columns, trace, 0, traversal);
-        // Every BTB is a lane column; the 2bc 4-way 1K BTB folds onto
-        // the p0 column, and each hysteresis flag's fully-associative
-        // BTBs form one LRU stack.
-        EXPECT_EQ(traversal.genericColumns, 0u);
+        // Every bounded BTB is a lane column; the 2bc 4-way 1K BTB
+        // folds onto the p0 column, and each hysteresis flag's
+        // fully-associative BTBs form one LRU stack. The two
+        // unconstrained BTBs run their BtbPredictor on the generic
+        // path.
+        EXPECT_EQ(traversal.genericColumns, 2u);
         EXPECT_EQ(traversal.foldedMembers, 1u);
         EXPECT_EQ(traversal.lruStacks, 2u);
 
