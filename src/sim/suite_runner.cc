@@ -123,9 +123,12 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
     // their grid's one unpackable chunk, a unit each. Neither of the
     // unsized kinds sets the packing cap. A set stack is as deep as
     // its largest member, so it counts that member's table bytes and
-    // raises the cap no higher than the member alone would.
+    // raises the cap no higher than the member alone would. A
+    // one-grid batch has nothing to batch: all of it is its grid's
+    // one chunk, as a one-grid run always fused it.
     enum class Place { Packed, OwnChunk, GridChunk };
-    std::vector<Place> place(count, Place::Packed);
+    std::vector<Place> place(count, grids.size() == 1 ? Place::GridChunk
+                                                      : Place::Packed);
     for (std::size_t c = 0; c < count; ++c) {
         if (columns[c]->machines.empty())
             place[c] = Place::GridChunk;

@@ -225,11 +225,13 @@ struct RunSession
  * with an unbounded table, or an opaque column (no machine list) -
  * join their grid's one unpackable chunk, a unit each, exactly as a
  * one-grid run fused them: one traversal per grid, not one per
- * component. Neither kind sets the packing cap.
+ * component. Neither kind sets the packing cap. A one-grid batch has
+ * nothing to batch: all of it is its grid's one chunk, a unit per
+ * component or opaque column.
  *
- * A chunk is a list of units - its components, or for an opaque chunk
- * its single columns - and split-on-idle only divides a chunk between
- * units, so a split never duplicates a machine.
+ * A chunk is a list of units - its components and opaque columns -
+ * and split-on-idle only divides a chunk between units, so a split
+ * never duplicates a machine.
  */
 struct ChunkPlan
 {

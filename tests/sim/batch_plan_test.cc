@@ -657,6 +657,41 @@ TEST_F(BatchPlanTest, UnboundedComponentsJoinTheirGridsChunk)
     EXPECT_FALSE(plan.chunks[2].packable);
 }
 
+TEST_F(BatchPlanTest, OneGridBatchIsOneChunk)
+{
+    // Three equal-size components and an LRU stack: batched as two
+    // grids, the packing cap (the largest component) keeps each
+    // component in a chunk of its own and the stack gets one too; a
+    // one-grid batch has nothing to batch and is one chunk, a unit per
+    // component, as a one-grid run always fused it.
+    const auto column = [](unsigned p, const TableSpec &table) {
+        return specColumn("p" + std::to_string(p) + "-" + table.describe(),
+                          paperTwoLevel(p, table));
+    };
+    const std::vector<SweepColumn> row = {
+        column(1, TableSpec::setAssoc(4096, 4)),
+        column(2, TableSpec::tagless(4096)),
+        column(3, TableSpec::fullyAssoc(256)),
+        column(4, TableSpec::setAssoc(4096, 1)),
+        column(3, TableSpec::fullyAssoc(1024)),
+    };
+    const std::vector<std::string> names = {"sa1", "tl2", "fa3-256",
+                                            "dm4", "fa3-1024"};
+    const ChunkPlan one = planChunks({row});
+    ASSERT_EQ(one.chunks.size(), 1u);
+    EXPECT_EQ(describeChunk(one.chunks[0], names),
+              "{ sa1 } { tl2 } { fa3-256 fa3-1024 } { dm4 }");
+    EXPECT_FALSE(one.chunks[0].packable);
+
+    const ChunkPlan two = planChunks(
+        {{row[0], row[1], row[2]}, {row[3], row[4]}});
+    ASSERT_EQ(two.chunks.size(), 4u);
+    EXPECT_EQ(describeChunk(two.chunks[0], names), "{ sa1 }");
+    EXPECT_EQ(describeChunk(two.chunks[1], names), "{ tl2 }");
+    EXPECT_EQ(describeChunk(two.chunks[2], names), "{ fa3-256 fa3-1024 }");
+    EXPECT_EQ(describeChunk(two.chunks[3], names), "{ dm4 }");
+}
+
 TEST_F(BatchPlanTest, ShardsCoverEveryCellExactlyOnce)
 {
     const auto grids = miniFig17();
