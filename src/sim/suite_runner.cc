@@ -114,24 +114,24 @@ planChunks(const std::vector<std::vector<SweepColumn>> &grids)
         }
     }
 
-    // Per-component table bytes and placement, at the root. A
-    // component whose tables are all bounded and in no LRU stack is
-    // sized: it is packed first-fit. One holding an LRU stack gets a
-    // chunk of its own. The planner cannot size the rest by bytes - a
-    // component with an unbounded table, or an opaque column (no
-    // machine list, never joined, so its own root) - and those join
-    // their grid's one unpackable chunk, a unit each. Neither of the
-    // unsized kinds sets the packing cap. A set stack is as deep as
-    // its largest member, so it counts that member's table bytes and
-    // raises the cap no higher than the member alone would. A
-    // one-grid batch has nothing to batch: all of it is its grid's
-    // one chunk, as a one-grid run always fused it.
+    // Per-component table bytes and placement, at the root. Sized
+    // components (every table bounded, none in an LRU stack) pack
+    // first-fit under the cap; one holding an LRU stack gets a chunk
+    // of its own. Components the planner cannot size by bytes - one
+    // with an unbounded table, or an opaque column (no machines, so
+    // never joined: its own root) - join their grid's one chunk, a
+    // unit each, so a grid of them stays one traversal. So does all
+    // of a one-grid batch: packed under the cap, its equal-size
+    // components would each take a traversal. Neither unsized kind
+    // sets the cap. A set stack is as deep as its largest member, so
+    // it counts that member's table bytes and raises the cap no
+    // higher than the member alone would.
     enum class Place { Packed, OwnChunk, GridChunk };
-    std::vector<Place> place(count, grids.size() == 1 ? Place::GridChunk
-                                                      : Place::Packed);
+    std::vector<Place> place(count);
     for (std::size_t c = 0; c < count; ++c) {
-        if (columns[c]->machines.empty())
-            place[c] = Place::GridChunk;
+        place[c] = grids.size() == 1 || columns[c]->machines.empty()
+                       ? Place::GridChunk
+                       : Place::Packed;
     }
     std::vector<std::uint64_t> bytes(count, 0);
     std::vector<std::uint64_t> stack_entries(machines.size(), 0);
