@@ -6,9 +6,10 @@
  * thread count and on both table implementations, while simulating
  * each distinct state machine once per benchmark; folded lane members own
  * no table storage; the spec-level chunk plan is deterministic and
- * keeps every shared machine inside one chunk; LRU stack-mates share
- * one chunk of their own, own no tables, and form only from two or
- * more flat-table machines; the full Figure 18 batch forms its set
+ * keeps every shared machine inside one chunk; unbounded components
+ * join their grid's one chunk, and a one-grid batch is one chunk;
+ * LRU stack-mates share one chunk of their own, own no tables, and
+ * form only from two or more flat-table machines; the full Figure 18 batch forms its set
  * stacks and folds its BTBs, with the reference tables' cells;
  * sharded ownership covers every cell exactly once; a lone shard
  * steals every foreign cell nobody holds; a batch drained mid-run
