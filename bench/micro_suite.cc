@@ -32,11 +32,13 @@
 #include "core/factory.hh"
 #include "core/simd.hh"
 #include "core/sweep_kernel.hh"
+#include "report/artifact.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "sim/simulator.hh"
 #include "synth/benchmark_suite.hh"
 #include "util/format.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 
 #include "suites.hh"
@@ -645,12 +647,22 @@ microThroughputExperiment()
                 claim_table.set("claim-roundtrip", "kops/s",
                                 kops(claim_ops, since(t0)));
 
+                // A cell shaped like a real one: its wall times and
+                // miss rate are not integers, so store-put and
+                // load-hit pay for writing and re-reading them.
                 const std::size_t store_ops = 128;
                 StoredResult cell;
                 cell.benchmark = "porky-100k";
                 cell.predictor = "bench";
                 cell.branches = 100000;
                 cell.misses = 12345;
+                cell.noPrediction = 678;
+                cell.tableOccupancy = 1000;
+                cell.tableCapacity = 1024;
+                cell.seconds = 0.0004217 / 3.0;
+                cell.groupSeconds = 0.0004217;
+                cell.sharedTraversal = true;
+                cell.missPercent = 100.0 * 12345 / 100000.0;
                 t0 = std::chrono::steady_clock::now();
                 for (std::size_t i = 0; i < store_ops; ++i) {
                     (void)store.store(
@@ -682,6 +694,54 @@ microThroughputExperiment()
                                 kops(claim_ops, since(t0)));
                 held.release();
 
+                // Artifact serialisation: a quick fig17-sized
+                // artifact (7 grids of 13 benchmarks x 7 columns, 637
+                // cells, each also in the cell telemetry) through
+                // toJson(), a pretty dump and a parse.
+                RunArtifact artifact;
+                const std::vector<std::string> &names =
+                    benchmarkGroups().avg;
+                for (unsigned grid = 0; grid < 7; ++grid) {
+                    ResultTable table("grid " + std::to_string(grid),
+                                      "benchmark");
+                    for (unsigned col = 0; col < 7; ++col)
+                        table.addColumn("column " + std::to_string(col));
+                    for (const std::string &name : names) {
+                        for (unsigned col = 0; col < 7; ++col) {
+                            const std::string label =
+                                "column " + std::to_string(col);
+                            const std::uint64_t misses =
+                                (artifact.metrics.cellCount() * 7919) %
+                                    99991 +
+                                1;
+                            table.set(name, label,
+                                      100.0 * misses / 100003.0);
+                            CellMetrics metrics;
+                            metrics.column = label;
+                            metrics.benchmark = name;
+                            metrics.branches = 100003;
+                            metrics.seconds = misses * 1.7e-9;
+                            metrics.groupSeconds = misses * 1.19e-8;
+                            metrics.secondsSynthetic = true;
+                            metrics.tableOccupancy = misses % 1024;
+                            metrics.tableCapacity = 1024;
+                            artifact.metrics.recordCell(metrics);
+                        }
+                    }
+                    artifact.tables.push_back(std::move(table));
+                }
+                const std::size_t artifact_ops = 16;
+                std::size_t parsed_tables = 0;
+                t0 = std::chrono::steady_clock::now();
+                for (std::size_t i = 0; i < artifact_ops; ++i) {
+                    parsed_tables +=
+                        Json::parse(artifact.toJson().dump(2))
+                            .at("tables")
+                            .size();
+                }
+                claim_table.set("artifact-json", "kops/s",
+                                kops(artifact_ops, since(t0)));
+
                 context.emit(claim_table);
                 context.note(
                     "Cell-claim coordination: " +
@@ -690,7 +750,12 @@ microThroughputExperiment()
                     " warm loads hit; claim round-trip and busy "
                     "probe open the store's lock file and take a "
                     "byte-range lock, store-put pays the durable "
-                    "tmp+fsync+rename path.");
+                    "tmp+fsync+rename path; artifact-json "
+                    "serialises and re-parses a " +
+                    std::to_string(artifact.metrics.cellCount()) +
+                    "-cell artifact (" +
+                    std::to_string(parsed_tables / artifact_ops) +
+                    " tables).");
                 std::error_code ec;
                 std::filesystem::remove_all(claim_dir, ec);
             }

@@ -6,9 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -42,6 +40,32 @@ globalSlot()
                              : nullptr;
     }();
     return store;
+}
+
+/**
+ * Read @p path into @p text: one open, and one read for an entry
+ * smaller than the buffer (all of them) plus the read that sees EOF.
+ * False when the file cannot be opened; a read error keeps what was
+ * read, which then fails validation like any truncated entry.
+ */
+bool
+readWholeFile(const std::string &path, std::string &text)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    char buf[4096];
+    ssize_t got;
+    while ((got = ::read(fd, buf, sizeof(buf))) != 0) {
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            break;
+        }
+        text.append(buf, static_cast<std::size_t>(got));
+    }
+    ::close(fd);
+    return true;
 }
 
 Json
@@ -258,14 +282,8 @@ ResultStore::load(const std::string &key) const
     const std::string path = pathFor(key);
 
     std::string text;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in.is_open())
-            return LoadOutcome{LoadStatus::Miss, {}};
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        text = buffer.str();
-    }
+    if (!readWholeFile(path, text))
+        return LoadOutcome{LoadStatus::Miss, {}};
 
     // Validate BEFORE trusting anything: parse, entry format,
     // checksum over the re-dumped payload, key echo. Any failure

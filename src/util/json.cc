@@ -1,6 +1,7 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -95,45 +96,49 @@ Json::push(Json value)
     _array.push_back(std::move(value));
 }
 
-bool
-Json::contains(const std::string &key) const
+const Json *
+Json::find(const std::string &key) const
 {
     if (_type != Type::Object)
         throw JsonError("json value is not an object");
     for (const auto &[name, value] : _object) {
         if (name == key)
-            return true;
+            return &value;
     }
-    return false;
+    return nullptr;
+}
+
+bool
+Json::contains(const std::string &key) const
+{
+    return find(key) != nullptr;
 }
 
 const Json &
 Json::at(const std::string &key) const
 {
-    if (_type != Type::Object)
-        throw JsonError("json value is not an object");
-    for (const auto &[name, value] : _object) {
-        if (name == key)
-            return value;
-    }
+    if (const Json *value = find(key))
+        return *value;
     throw JsonError("json object has no key '" + key + "'");
 }
 
 double
 Json::numberOr(const std::string &key, double fallback) const
 {
-    if (!contains(key) || at(key).isNull())
+    const Json *value = find(key);
+    if (!value || value->isNull())
         return fallback;
-    return at(key).asNumber();
+    return value->asNumber();
 }
 
 std::string
 Json::stringOr(const std::string &key,
                const std::string &fallback) const
 {
-    if (!contains(key) || at(key).isNull())
+    const Json *value = find(key);
+    if (!value || value->isNull())
         return fallback;
-    return at(key).asString();
+    return value->asString();
 }
 
 void
@@ -200,29 +205,56 @@ jsonEscape(const std::string &text)
 
 namespace {
 
-/** Shortest representation that round-trips through a double. */
-std::string
-formatNumber(double value)
+/**
+ * Append @p value as "%.{p}g" at the smallest p in 1..16 whose text
+ * strtod reads back exactly, else "%.17g" (integers below 1e15 as
+ * "%.0f"). That text is a format: store entries, journals and their
+ * checksums compare it byte for byte.
+ *
+ * p is the digit count of to_chars' shortest form, p*. No shorter
+ * text round-trips, and the correctly rounded p*-digit text, which
+ * to_chars prints in general form at precision p*, is the nearest
+ * p*-digit decimal, so it round-trips whenever any p*-digit decimal
+ * does. An exact power of two is the exception: its round-trip
+ * interval is half as wide below the value as above, so the nearest
+ * p*-digit decimal can fall outside it while a farther one is
+ * inside. Those are read back with from_chars and widened until
+ * they round-trip.
+ */
+void
+appendNumber(std::string &out, double value)
 {
     IBP_ASSERT(std::isfinite(value),
                "json cannot represent non-finite number");
+    char buf[32];
+    char *const last = buf + sizeof(buf);
     // Integers (the common case: branch counts, row indices) print
-    // without a fractional part or exponent.
+    // without a fractional part or exponent, as "%.0f" does.
     if (value == std::floor(value) && std::fabs(value) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", value);
-        return buf;
+        const auto end =
+            std::to_chars(buf, last, value, std::chars_format::fixed, 0);
+        out.append(buf, end.ptr);
+        return;
     }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    // Trim to the shortest precision that still round-trips.
-    for (int precision = 1; precision < 17; ++precision) {
-        char probe[40];
-        std::snprintf(probe, sizeof(probe), "%.*g", precision, value);
-        if (std::strtod(probe, nullptr) == value)
-            return probe;
+    const auto shortest =
+        std::to_chars(buf, last, value, std::chars_format::scientific);
+    int precision = 0;
+    for (const char *c = buf; c != shortest.ptr && *c != 'e'; ++c)
+        precision += std::isdigit(static_cast<unsigned char>(*c)) != 0;
+    int exponent = 0;
+    const bool powerOfTwo =
+        std::fabs(std::frexp(value, &exponent)) == 0.5;
+    for (;; ++precision) {
+        const auto end = std::to_chars(
+            buf, last, value, std::chars_format::general, precision);
+        double parsed = 0.0;
+        if (!powerOfTwo || precision >= 17 ||
+            (std::from_chars(buf, end.ptr, parsed).ptr == end.ptr &&
+             parsed == value)) {
+            out.append(buf, end.ptr);
+            return;
+        }
     }
-    return buf;
 }
 
 } // namespace
@@ -245,7 +277,7 @@ Json::dumpTo(std::string &out, unsigned indent, unsigned depth) const
         out += _bool ? "true" : "false";
         break;
       case Type::Number:
-        out += formatNumber(_number);
+        appendNumber(out, _number);
         break;
       case Type::String:
         out += '"';

@@ -117,6 +117,9 @@ class Json
     static Json parse(const std::string &text);
 
   private:
+    /** The member named @p key, or nullptr; throws JsonError when
+     *  this is not an object. */
+    const Json *find(const std::string &key) const;
     void dumpTo(std::string &out, unsigned indent,
                 unsigned depth) const;
 

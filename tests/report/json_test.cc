@@ -6,10 +6,43 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <string>
+
 #include "util/json.hh"
 
 namespace ibp {
 namespace {
+
+/**
+ * The number text the writer has always produced, by its original
+ * method: integers below 1e15 as "%.0f", anything else at the first
+ * "%.{p}g" (p = 1..16) that strtod reads back exactly, else "%.17g".
+ * Stored entries and journal lines are checksummed and compared as
+ * text, so Json::dump() must keep matching it byte for byte.
+ */
+std::string
+referenceNumberText(double value)
+{
+    char buf[40];
+    if (value == std::floor(value) && std::fabs(value) < 1e15) {
+        std::snprintf(buf, sizeof(buf), "%.0f", value);
+        return buf;
+    }
+    for (int precision = 1; precision < 17; ++precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+        if (std::strtod(buf, nullptr) == value)
+            return buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
 
 TEST(JsonTest, ScalarsRoundTrip)
 {
@@ -34,6 +67,57 @@ TEST(JsonTest, NumbersSurviveDumpParse)
         const Json parsed = Json::parse(Json(value).dump());
         EXPECT_EQ(parsed.asNumber(), value) << value;
     }
+}
+
+TEST(JsonTest, NumberTextMatchesTheSnprintfLoopByteForByte)
+{
+    unsigned compared = 0;
+    unsigned mismatched = 0;
+    std::string firstMismatch;
+    const auto expectSame = [&](double value) {
+        ++compared;
+        const std::string written = Json(value).dump();
+        const std::string reference = referenceNumberText(value);
+        if (written != reference && mismatched++ == 0)
+            firstMismatch = written + " where the loop wrote " + reference;
+    };
+
+    for (const double value :
+         {0.0, -0.0, 1e15, 1e15 - 1, 1e15 + 1, 999999999999999.0,
+          -1e15, 0.1, -0.1, 1.0 / 3.0, 0.1 + 0.2, 5e-324, -5e-324,
+          DBL_MIN, DBL_MAX, -DBL_MAX, 1e21, 1e-7, 123456789.125,
+          100.0 * 678 / 12345}) {
+        expectSame(value);
+    }
+    for (int exp10 = -12; exp10 <= 18; ++exp10) {
+        expectSame(std::pow(10.0, exp10));
+        expectSame(std::strtod(("1e" + std::to_string(exp10)).c_str(),
+                               nullptr));
+    }
+    // Exact powers of two have a round-trip interval half as wide
+    // below the value as above it - the one place where the nearest
+    // shortest-length decimal may not read back.
+    for (int exp2 = -1074; exp2 <= 1023; ++exp2) {
+        expectSame(std::ldexp(1.0, exp2));
+        expectSame(-std::ldexp(1.0, exp2));
+    }
+    // Fixed-seed samples: arbitrary finite bit patterns (every
+    // exponent, subnormals included) and values shaped like the
+    // percentages and seconds the artifacts carry. The reference
+    // costs ~20 us a value, so the samples stay small enough for a
+    // sub-second test.
+    std::mt19937_64 rng(20261018);
+    std::uniform_real_distribution<double> percent(0.0, 100.0);
+    for (unsigned i = 0; i < 16384; ++i) {
+        const std::uint64_t bits = rng();
+        double value;
+        std::memcpy(&value, &bits, sizeof(value));
+        if (std::isfinite(value))
+            expectSame(value);
+        expectSame(percent(rng));
+    }
+    EXPECT_GT(compared, 36000u);
+    EXPECT_EQ(mismatched, 0u) << "first: " << firstMismatch;
 }
 
 TEST(JsonTest, LargeCountsKeepIntegerPrecision)

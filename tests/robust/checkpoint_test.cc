@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "robust/checkpoint.hh"
@@ -70,6 +71,51 @@ TEST(CheckpointTest, AppendThenReopenRestoresBitExactRates)
     const auto b = journal.value()->lookup(1, "col", "idl");
     ASSERT_TRUE(a && b);
     EXPECT_EQ(*a, rate_a); // exact, not NEAR
+    EXPECT_EQ(*b, rate_b);
+}
+
+TEST(CheckpointTest, JournalTextIsPinnedByteForByte)
+{
+    // Lines as the journal wrote them before the number writer moved
+    // from an snprintf/strtod loop to std::to_chars. A resumed run
+    // must read them back bit-exact, and a fresh journal must write
+    // the same bytes.
+    const std::string pinned =
+        "{\"schema\":\"ibp-checkpoint\",\"version\":1,\"slug\":"
+        "\"fig11\",\"git_sha\":\"abc123def456\",\"event_scale\":0.25,"
+        "\"quick\":true}\n"
+        "{\"grid\":2,\"column\":\"p=3\",\"benchmark\":\"idl\","
+        "\"miss\":5.492102065613609}\n"
+        "{\"grid\":0,\"column\":\"col\",\"benchmark\":\"idl\","
+        "\"miss\":33.333333333333336}\n";
+    const double rate_a = 100.0 * 678 / 12345;
+    const double rate_b = 100.0 / 3.0;
+
+    const std::string path = tempJournal("pinned");
+    {
+        const auto journal = CheckpointJournal::open(path, sampleMeta());
+        ASSERT_TRUE(journal.ok());
+        ASSERT_TRUE(journal.value()->append({2, "p=3", "idl", rate_a}).ok());
+        ASSERT_TRUE(journal.value()->append({0, "col", "idl", rate_b}).ok());
+    }
+    {
+        std::ifstream in(path);
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        EXPECT_EQ(text, pinned);
+    }
+
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << pinned;
+    }
+    const auto journal = CheckpointJournal::open(path, sampleMeta());
+    ASSERT_TRUE(journal.ok());
+    EXPECT_EQ(journal.value()->restoredCells(), 2u);
+    const auto a = journal.value()->lookup(2, "p=3", "idl");
+    const auto b = journal.value()->lookup(0, "col", "idl");
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(*a, rate_a);
     EXPECT_EQ(*b, rate_b);
 }
 

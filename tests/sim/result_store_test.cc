@@ -102,6 +102,60 @@ TEST_F(ResultStoreTest, StoreLoadRoundTrip)
     EXPECT_EQ(read.missPercent, written.missPercent);
 }
 
+/** An entry as the store wrote it before the number writer moved
+ *  from an snprintf/strtod loop to std::to_chars: 17-, 16- and
+ *  16-digit doubles in seconds, group_seconds and miss_percent. */
+constexpr const char *kPinnedEntryText = R"({
+  "checksum": "3a4b505c8d538718",
+  "payload": {
+    "format": 1,
+    "key": "pinned-entry",
+    "benchmark": "idl",
+    "predictor": "twolevel-p3",
+    "counters": true,
+    "branches": 12345,
+    "misses": 678,
+    "no_prediction": 9,
+    "table_occupancy": 512,
+    "table_capacity": 1024,
+    "seconds": 0.30000000000000004,
+    "group_seconds": 0.3333333333333333,
+    "shared_traversal": true,
+    "miss_percent": 5.492102065613609
+  }
+}
+)";
+
+TEST_F(ResultStoreTest, EntryTextIsPinnedByteForByte)
+{
+    // Any drift in the number writer would change entry text and
+    // checksums, and quarantine every cell an existing store holds.
+    StoredResult pinned = sampleResult();
+    pinned.seconds = 0.1 + 0.2;
+    pinned.groupSeconds = 1.0 / 3.0;
+    ResultStore store(_dir);
+    ASSERT_TRUE(store.store("pinned-entry", pinned).ok());
+    std::string text;
+    {
+        std::ifstream in(store.pathFor("pinned-entry"));
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        text = buffer.str();
+    }
+    EXPECT_EQ(text, kPinnedEntryText);
+
+    {
+        std::ofstream out(store.pathFor("pinned-entry"));
+        out << kPinnedEntryText;
+    }
+    const auto loaded = store.load("pinned-entry");
+    ASSERT_EQ(loaded.status, ResultStore::LoadStatus::Hit);
+    EXPECT_EQ(loaded.result.seconds, pinned.seconds);
+    EXPECT_EQ(loaded.result.groupSeconds, pinned.groupSeconds);
+    EXPECT_EQ(loaded.result.missPercent, pinned.missPercent);
+    EXPECT_EQ(loaded.result.misses, pinned.misses);
+}
+
 TEST_F(ResultStoreTest, AbsentKeyIsAMiss)
 {
     ResultStore store(_dir);
