@@ -513,9 +513,11 @@ RunMetrics::toJson() const
         served.set("warm", stats.warm);
         served.set("queue_seconds", stats.queueSeconds);
         served.set("job_seconds", stats.jobSeconds);
-        // The shard sub-block only exists for sharded jobs, so
-        // unsharded served artifacts keep their schema.
-        if (stats.shard.planned > 0) {
+        // The shard sub-block only exists for shardable jobs: sharded
+        // ones, and ones a store-only merge served with no fan-out
+        // (shards_planned 0, merge_seconds set). Whole-job served
+        // artifacts keep their schema.
+        if (stats.shard.planned > 0 || stats.shard.mergeSeconds > 0.0) {
             Json shard = Json::object();
             shard.set("shards_planned", stats.shard.planned);
             shard.set("shards_requeued", stats.shard.requeued);

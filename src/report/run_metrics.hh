@@ -94,8 +94,10 @@ struct SweepKernelStats
  * split one job's cells across worker lanes, what the steal/requeue
  * machinery did, and how much of the grid overlapping concurrent
  * requests shared through the cell-claim layer. Recorded by the
- * server onto the artifacts of sharded jobs only; lanes that run a
- * whole job leave it empty (planned == 0 means absent).
+ * server onto the artifacts of shardable jobs: sharded ones, and
+ * ones the store-only merge served alone (planned == 0, merge time
+ * set); lanes that run a whole job leave it empty (both zero means
+ * absent).
  */
 struct ShardServeStats
 {
@@ -115,7 +117,8 @@ struct ShardServeStats
     std::vector<std::uint64_t> laneCells;
     /** Wall time of the parallel shard fan-out. */
     double fanoutSeconds = 0.0;
-    /** Wall time of the single-lane merge pass. */
+    /** Wall time of the single-lane merge runs: the store-only
+     *  pass, plus the final merge when that pass missed. */
     double mergeSeconds = 0.0;
 };
 

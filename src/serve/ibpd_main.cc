@@ -121,9 +121,10 @@ runStatsClient(const std::string &socket_override)
                 count("lanes"), count("lanes_forked"),
                 count("lane_crashes"), count("lane_kills"),
                 count("jobs_retried"));
-    std::printf("shards:    jobs sharded %llu, planned %llu, "
-                "requeued %llu, abandoned %llu\n",
-                count("jobs_sharded"), count("shards_planned"),
+    std::printf("shards:    jobs sharded %llu, store-served %llu, "
+                "planned %llu, requeued %llu, abandoned %llu\n",
+                count("jobs_sharded"), count("jobs_store_served"),
+                count("shards_planned"),
                 count("shards_requeued"),
                 count("shards_abandoned"));
     std::printf("overlap:   cells stolen %llu, "

@@ -240,6 +240,7 @@ SweepServer::handleStats(int fd)
     reply.set("lane_crashes", counters.laneCrashes);
     reply.set("lane_kills", counters.laneKills);
     reply.set("jobs_retried", counters.jobsRetried);
+    reply.set("jobs_store_served", counters.jobsStoreServed);
     reply.set("jobs_sharded", counters.jobsSharded);
     reply.set("shards_planned", counters.shardsPlanned);
     reply.set("shards_requeued", counters.shardsRequeued);
@@ -631,17 +632,27 @@ SweepServer::enqueueJobLocked(const std::shared_ptr<Job> &job)
                        def->shardable &&
                        ResultStore::global() != nullptr &&
                        !FaultInjector::global().armed();
-    if (!shard) {
-        Task task;
-        task.job = job;
-        _queue.push_back(task);
-        _queueCv.notify_one();
-        return;
+    // A shardable job starts as its merge pass, store-only: a repeat
+    // the store holds in full costs that one lane run, and a miss
+    // plans the fan-out (runMergeTask).
+    Task task;
+    task.job = job;
+    task.kind = shard ? TaskKind::Merge : TaskKind::Whole;
+    _queue.push_back(task);
+    _queueCv.notify_one();
+}
+
+void
+SweepServer::enqueueShardsLocked(const std::shared_ptr<Job> &job)
+{
+    {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        job->shardCount = _config.lanes;
+        job->shardCells.assign(job->shardCount, 0);
+        job->shardDispatches.assign(job->shardCount, 0);
+        job->fanoutStartedAt = std::chrono::steady_clock::now();
     }
-    job->shardCount = _config.lanes;
-    job->shardCells.assign(job->shardCount, 0);
-    job->shardDispatches.assign(job->shardCount, 0);
-    for (unsigned k = 0; k < job->shardCount; ++k) {
+    for (unsigned k = 0; k < _config.lanes; ++k) {
         Task task;
         task.job = job;
         task.kind = TaskKind::Shard;
@@ -651,7 +662,7 @@ SweepServer::enqueueJobLocked(const std::shared_ptr<Job> &job)
     {
         std::lock_guard<std::mutex> stats_lock(_statsMutex);
         ++_stats.jobsSharded;
-        _stats.shardsPlanned += job->shardCount;
+        _stats.shardsPlanned += _config.lanes;
     }
     _queueCv.notify_all();
 }
@@ -738,7 +749,7 @@ SweepServer::runShardTask(const Task &task, unsigned lane_index)
             job->shardsTerminal == job->shardCount) {
             enqueue_merge = true;
             job->shardServe.fanoutSeconds =
-                secondsSince(job->startedAt);
+                secondsSince(job->fanoutStartedAt);
         }
     }
     if (requeue || outcome.result.exitCode == 1) {
@@ -754,23 +765,8 @@ SweepServer::runShardTask(const Task &task, unsigned lane_index)
                 shard_count);
     }
 
-    const auto markDrained = [&] {
-        bool counted = false;
-        {
-            std::lock_guard<std::mutex> lock(job->mutex);
-            if (job->state != JobState::Drained) {
-                job->state = JobState::Drained;
-                job->cv.notify_all();
-                counted = true;
-            }
-        }
-        if (counted) {
-            std::lock_guard<std::mutex> stats_lock(_statsMutex);
-            ++_stats.jobsDrained;
-        }
-    };
     if (drained) {
-        markDrained();
+        markJobDrained(job);
         return;
     }
     if (requeue || enqueue_merge) {
@@ -791,7 +787,7 @@ SweepServer::runShardTask(const Task &task, unsigned lane_index)
             // Drain won the race for the queue: the job was already
             // persisted (this lane still holds its running slot), so
             // it resumes after restart instead of running on.
-            markDrained();
+            markJobDrained(job);
             return;
         }
         if (requeue) {
@@ -803,23 +799,51 @@ SweepServer::runShardTask(const Task &task, unsigned lane_index)
 }
 
 void
+SweepServer::markJobDrained(const std::shared_ptr<Job> &job)
+{
+    {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        if (job->state == JobState::Drained)
+            return;
+        job->state = JobState::Drained;
+        job->cv.notify_all();
+    }
+    std::lock_guard<std::mutex> stats_lock(_statsMutex);
+    ++_stats.jobsDrained;
+}
+
+void
 SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
                           unsigned lane_index)
 {
-    logLine("merging job %llu: %s",
+    markJobStarted(job);
+    bool store_only;
+    {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        store_only = job->shardCount == 0;
+    }
+    logLine("%s job %llu: %s",
+            store_only ? "serving from the store" : "merging",
             static_cast<unsigned long long>(job->id),
             job->request.slug.c_str());
     // The merge IS the job, run unsharded on one lane against the
-    // store the fan-out just warmed: every cell the shards finished
-    // is served bit-identically from the store, and any straggler
-    // cells of drained, abandoned or failed shards are simulated
-    // here - shard failures degrade to slowness, never to a wrong
-    // or partial artifact. Claims stay on so a concurrent
-    // overlapping job still shares cells with the merge.
+    // store: every stored cell is served bit-identically. Before any
+    // fan-out it runs store-only, so a job the store holds in full
+    // costs this one lane run, and the first missing cell stops it
+    // before it simulates anything. That pass keeps no journal: it
+    // has nothing to resume, and its records would carry no counters
+    // into the final merge. After the fan-out the merge runs
+    // plainly: any straggler cells of drained, abandoned or failed
+    // shards are simulated here - shard failures degrade to
+    // slowness, never to a wrong or partial artifact. Claims stay on
+    // so a concurrent overlapping job still shares cells with the
+    // merge.
     LaneShard merge;
     merge.cellClaims = true;
+    merge.storeOnly = store_only;
     const LaneJobOutcome outcome = _supervisor->runJob(
-        lane_index, job->request, checkpointPathFor(job->request),
+        lane_index, job->request,
+        store_only ? std::string() : checkpointPathFor(job->request),
         [job](std::size_t cells) {
             std::lock_guard<std::mutex> lock(job->mutex);
             if (cells > job->cellsDone) {
@@ -828,6 +852,29 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
             }
         },
         merge);
+    if (outcome.result.storeMissed && !outcome.drained &&
+        !_drainFlag.load(std::memory_order_acquire)) {
+        {
+            std::lock_guard<std::mutex> lock(job->mutex);
+            job->shardServe.mergeSeconds += outcome.result.seconds;
+        }
+        bool queued = false;
+        {
+            std::lock_guard<std::mutex> lock(_queueMutex);
+            if (!_draining) {
+                enqueueShardsLocked(job);
+                queued = true;
+            }
+        }
+        if (queued) {
+            logLine("job %llu missed the store; sharding x%u",
+                    static_cast<unsigned long long>(job->id),
+                    _config.lanes);
+        } else {
+            markJobDrained(job);
+        }
+        return;
+    }
     ExperimentRunResult result = outcome.result;
 
     bool drained = false;
@@ -850,7 +897,7 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
                          metrics.tracesGenerated() == 0 &&
                          metrics.traceCacheHits() > 0;
             job->shardServe.planned = job->shardCount;
-            job->shardServe.mergeSeconds = result.seconds;
+            job->shardServe.mergeSeconds += result.seconds;
             job->shardServe.laneCells.assign(job->shardCells.begin(),
                                              job->shardCells.end());
             serve.shard = job->shardServe;
@@ -879,14 +926,19 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
                 ++_stats.jobsDrained;
         } else {
             ++_stats.jobsCompleted;
+            if (store_only && result.artifact)
+                ++_stats.jobsStoreServed;
             _stats.shardCellsStolen += stolen;
             _stats.overlapCellsCoalesced += overlap;
         }
     }
-    logLine("job %llu %s (%zu cells, sharded x%u)",
+    const std::string how =
+        store_only ? "from the store"
+                   : "sharded x" + std::to_string(job->shardCount);
+    logLine("job %llu %s (%zu cells, %s)",
             static_cast<unsigned long long>(job->id),
             drained ? "drained" : "finished", job->cellsDone,
-            job->shardCount);
+            how.c_str());
 }
 
 void

@@ -87,11 +87,13 @@ struct ServerConfig
     unsigned laneMaxRetries = 3;
     /** Pause before re-dispatching a crashed job to a fresh lane. */
     double laneRetryBackoffSeconds = 0.1;
-    /** Shard shardable jobs across the lane pool (lanes >= 2): each
-     *  lane simulates one benchmark partition of the grid into the
-     *  result store, then a single-lane merge pass assembles the
-     *  artifact (bit-identical to an unsharded run). Requires an
-     *  armed result store; off, every job owns one whole lane. */
+    /** Shard shardable jobs across the lane pool (lanes >= 2): a
+     *  store-only merge pass runs first and serves a job the store
+     *  holds in full; on a miss each lane simulates one benchmark
+     *  partition of the grid into the result store, then a
+     *  single-lane merge pass assembles the artifact (bit-identical
+     *  to an unsharded run). Requires an armed result store; off,
+     *  every job owns one whole lane. */
     bool shardJobs = true;
     /** Re-dispatches allowed per shard after its lane pool gives up,
      *  before the shard is abandoned (the merge pass then simulates
@@ -116,6 +118,9 @@ struct ServerStats
     std::uint64_t laneCrashes = 0;
     std::uint64_t laneKills = 0;
     std::uint64_t jobsRetried = 0;
+    /** Shardable jobs the store held in full: one store-only lane
+     *  run served them, with no fan-out. */
+    std::uint64_t jobsStoreServed = 0;
     /** Grid-sharder counters (all zero unless jobs were sharded). */
     std::uint64_t jobsSharded = 0;
     std::uint64_t shardsPlanned = 0;
@@ -194,8 +199,12 @@ class SweepServer
 
         // ---- grid-sharder bookkeeping (zero for unsharded jobs;
         // guarded by mutex like everything above) ----
-        /** Shards planned for this job; 0 = runs as one whole job. */
+        /** Shards planned for this job; 0 = none (yet): a shardable
+         *  job starts as a store-only merge and is planned only when
+         *  that misses. */
         unsigned shardCount = 0;
+        /** Stamped when the shards are planned. */
+        std::chrono::steady_clock::time_point fanoutStartedAt;
         /** Shards that reached a terminal state (finished, drained
          *  or abandoned); the merge pass is enqueued when this hits
          *  shardCount with no drain in flight. */
@@ -214,7 +223,8 @@ class SweepServer
     };
 
     /** What a runner thread dequeues: a whole job, one shard of a
-     *  sharded job's fan-out, or the final single-lane merge pass. */
+     *  sharded job's fan-out, or a single-lane merge pass (store-only
+     *  before any fan-out, the final merge after it). */
     enum class TaskKind { Whole, Shard, Merge };
     struct Task
     {
@@ -242,9 +252,15 @@ class SweepServer
     void runShardTask(const Task &task, unsigned laneIndex);
     void runMergeTask(const std::shared_ptr<Job> &job,
                       unsigned laneIndex);
-    /** Plan the job (shard fan-out or whole) and push its task(s);
-     *  caller holds _queueMutex. */
+    /** Move the job to Drained once, counting it. */
+    void markJobDrained(const std::shared_ptr<Job> &job);
+    /** Push the job's first task: a store-only merge for a
+     *  shardable job, else the whole job; caller holds
+     *  _queueMutex. */
     void enqueueJobLocked(const std::shared_ptr<Job> &job);
+    /** Plan the job's shard fan-out and push its shard tasks; caller
+     *  holds _queueMutex. */
+    void enqueueShardsLocked(const std::shared_ptr<Job> &job);
     /** Distinct jobs with tasks in the queue (admission bound);
      *  caller holds _queueMutex. */
     std::size_t queuedJobCountLocked() const;

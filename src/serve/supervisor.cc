@@ -189,6 +189,8 @@ LaneSupervisor::runJob(
         }
         if (shard.cellClaims)
             job.set("cell_claims", true);
+        if (shard.storeOnly)
+            job.set("store_only", true);
         bool dispatched;
         {
             std::lock_guard<std::mutex> guard(lane.writeMutex);
@@ -320,6 +322,9 @@ LaneSupervisor::runJob(
                 result_frame.numberOr("seconds", 0.0);
             outcome.result.error =
                 result_frame.stringOr("error", "");
+            outcome.result.storeMissed =
+                result_frame.contains("store_missed") &&
+                result_frame.at("store_missed").asBool();
             if (result_frame.contains("artifact")) {
                 try {
                     outcome.result.artifact =

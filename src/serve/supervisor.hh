@@ -108,6 +108,10 @@ struct LaneShard
     bool steal = false;
     /** Claim store cells before simulating them. */
     bool cellClaims = false;
+    /** Serve every cell from the store or stop at the first miss
+     *  (ExperimentOptions::storeOnly); the outcome then reports
+     *  storeMissed. */
+    bool storeOnly = false;
 };
 
 /** What one supervised job run came to. */
@@ -147,8 +151,8 @@ class LaneSupervisor
     /**
      * Run @p request on lane @p laneIndex, blocking until the job
      * completes, drains, or is failed after bounded retries. The
-     * monitor loop streams per-cell progress through @p onProgress
-     * (cumulative count, from this thread) and enforces every
+     * monitor loop streams the lane's progress through @p onProgress
+     * (cumulative cell count, from this thread) and enforces every
      * deadline in SupervisorConfig. Must be called by the single
      * runner thread owning @p laneIndex.
      */

@@ -26,14 +26,13 @@ namespace ibp {
 
 namespace {
 
-/** Everything a lane's three threads share. Frame writes from the
- *  main thread (result), sim worker threads (progress) and the
- *  heartbeat thread interleave on one socket, so they serialise on
- *  writeMutex; the reader thread is the socket's only reader. */
+/** Everything a lane's threads share. The reader thread is the
+ *  socket's only reader. Its writers take turns: a job's reporter
+ *  thread sends progress and heartbeats, and the main thread sends
+ *  the result only after the reporter has ended. */
 struct LaneState
 {
     int fd = -1;
-    std::mutex writeMutex;
 
     std::mutex mutex;
     std::condition_variable cv;
@@ -48,7 +47,6 @@ struct LaneState
 void
 sendLaneFrame(LaneState &state, const Json &frame)
 {
-    std::lock_guard<std::mutex> lock(state.writeMutex);
     // A failed write means the supervisor is gone; PDEATHSIG will
     // reap this process, so the error itself needs no handling.
     (void)writeFrame(state.fd, frame);
@@ -160,40 +158,65 @@ runLaneJob(LaneState &state, const Json &frame)
                          frame.at("shard_steal").asBool();
     options.cellClaims = frame.contains("cell_claims") &&
                          frame.at("cell_claims").asBool();
+    options.storeOnly = frame.contains("store_only") &&
+                        frame.at("store_only").asBool();
     std::atomic<std::size_t> cells{0};
-    options.onCellFinished = [&state, &cells] {
-        const std::size_t done =
-            cells.fetch_add(1, std::memory_order_relaxed) + 1;
-        Json progress = Json::object();
-        progress.set("type", "progress");
-        progress.set("cells", static_cast<double>(done));
-        sendLaneFrame(state, progress);
+    options.onCellFinished = [&cells] {
+        cells.fetch_add(1, std::memory_order_relaxed);
     };
 
-    // Heartbeats run only while a job does: an idle lane writing
-    // unread frames would eventually fill the socket buffer, since
-    // the supervisor only reads during its per-job monitor loop.
-    std::atomic<bool> done{false};
-    std::thread heartbeat([&state, &done] {
+    // One thread reports for the job: each 25 ms tick it sends one
+    // progress frame when the cell count moved, and a heartbeat
+    // after 250 ms without any frame. Heartbeats run only while a
+    // job does: an idle lane writing unread frames would eventually
+    // fill the socket buffer, since the supervisor only reads during
+    // its per-job monitor loop. The end of the job wakes the thread
+    // at once, and it sends the final count before the result frame
+    // (the supervisor's per-lane cell counts read it).
+    std::mutex tick_mutex;
+    std::condition_variable tick_cv;
+    bool done = false;
+    std::thread reporter([&] {
+        std::size_t sent = 0;
         auto last = std::chrono::steady_clock::now();
-        while (!done.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(25));
+        std::unique_lock<std::mutex> lock(tick_mutex);
+        for (;;) {
+            const bool finished = tick_cv.wait_for(
+                lock, std::chrono::milliseconds(25),
+                [&done] { return done; });
+            lock.unlock();
+            const std::size_t count =
+                cells.load(std::memory_order_relaxed);
             const auto now = std::chrono::steady_clock::now();
-            if (now - last < std::chrono::milliseconds(250))
-                continue;
-            last = now;
-            Json beat = Json::object();
-            beat.set("type", "heartbeat");
-            sendLaneFrame(state, beat);
+            if (count != sent) {
+                Json progress = Json::object();
+                progress.set("type", "progress");
+                progress.set("cells", static_cast<double>(count));
+                sendLaneFrame(state, progress);
+                sent = count;
+                last = now;
+            } else if (!finished &&
+                       now - last >= std::chrono::milliseconds(250)) {
+                Json beat = Json::object();
+                beat.set("type", "heartbeat");
+                sendLaneFrame(state, beat);
+                last = now;
+            }
+            if (finished)
+                return;
+            lock.lock();
         }
     });
 
     const ExperimentRunResult result =
         runExperimentInProcess(*def, options);
 
-    done.store(true, std::memory_order_release);
-    heartbeat.join();
+    {
+        std::lock_guard<std::mutex> lock(tick_mutex);
+        done = true;
+    }
+    tick_cv.notify_one();
+    reporter.join();
 
     reply.set("exit_code", result.exitCode);
     reply.set("restored_cells",
@@ -203,6 +226,8 @@ runLaneJob(LaneState &state, const Json &frame)
               Json(state.abort.load(std::memory_order_acquire)));
     if (!result.error.empty())
         reply.set("error", result.error);
+    if (result.storeMissed)
+        reply.set("store_missed", true);
     if (result.artifact)
         reply.set("artifact", result.artifact->toJson());
     sendLaneFrame(state, reply);

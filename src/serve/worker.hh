@@ -10,15 +10,20 @@
  * length-prefixed frame protocol (serve/protocol.hh) over a
  * socketpair:
  *
- *   supervisor -> lane   "job"    checkpoint path + RunRequest
+ *   supervisor -> lane   "job"    checkpoint path + RunRequest,
+ *                                 shard assignment, cell_claims,
+ *                                 store_only
  *                        "drain"  finish the current cell, stop
  *                        "exit"   quit when idle (EOF means the same)
- *   lane -> supervisor   "progress"   cumulative resolved cells
+ *   lane -> supervisor   "progress"   cumulative resolved cells, at
+ *                                     most one per 25 ms tick, and
+ *                                     the final count before "result"
  *                        "heartbeat"  liveness while a job runs
  *                        "result"     terminal frame of one job:
  *                                     exit code, restored cells,
- *                                     seconds, drained flag, error
- *                                     or full artifact JSON
+ *                                     seconds, drained flag,
+ *                                     store_missed, error or full
+ *                                     artifact JSON
  *
  * The lane never outlives the daemon: it asks the kernel for SIGKILL
  * on parent death (PR_SET_PDEATHSIG) and treats EOF on its socket as

@@ -142,6 +142,7 @@ ExperimentContext::ExperimentContext(std::string slug,
         std::max(1u, _options.shardCount);
     _session.shardSteal = _options.shardSteal;
     _session.cellClaims = _options.cellClaims;
+    _session.storeOnly = _options.storeOnly;
 
     _metrics.recordThreads(simulationThreads());
     _metrics.recordTableImpl(tableImplName());
@@ -279,6 +280,10 @@ runExperimentInProcess(const ExperimentDef &def,
         // Exit 3 = completed but partial; distinguishable from both
         // a clean run (0) and a fatal failure (1) in scripts and CI.
         out.exitCode = failed_cells > 0 ? 3 : 0;
+    } catch (const StoreOnlyMiss &miss) {
+        out.error = miss.what();
+        out.exitCode = 1;
+        out.storeMissed = true;
     } catch (const std::exception &error) {
         out.error = error.what();
         out.exitCode = 1;

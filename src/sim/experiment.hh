@@ -80,6 +80,10 @@ struct ExperimentOptions
      *  concurrent shards and overlapping requests compute each cell
      *  exactly once (see RunSession::cellClaims). */
     bool cellClaims = false;
+    /** Serve every cell from the result store or stop at the first
+     *  that is missing (see RunSession::storeOnly); the run then
+     *  reports storeMissed. */
+    bool storeOnly = false;
 };
 
 /** Parsed experiment state plus table sink, handed to the body. */
@@ -184,6 +188,10 @@ struct ExperimentRunResult
     double seconds = 0.0;
     /** Failure text when exitCode == 1. */
     std::string error;
+    /** A store-only run (ExperimentOptions::storeOnly) stopped at a
+     *  cell the result store does not hold; exitCode is 1 and there
+     *  is no artifact. */
+    bool storeMissed = false;
 };
 
 /**

@@ -303,42 +303,49 @@ ResultStore::load(const std::string &key) const
     } catch (const JsonParseError &) {
         return quarantine("is not valid JSON");
     }
-    if (!entry.contains("payload") || !entry.contains("checksum"))
-        return quarantine("is missing payload/checksum");
-    const Json &payload = entry.at("payload");
-    if (entry.at("checksum").asString() !=
-        specHashHex(specBytesHash(payload.dump()))) {
-        return quarantine("failed its checksum");
-    }
-    if (static_cast<unsigned>(payload.numberOr("format", 0)) !=
-        kEntryFormatVersion) {
-        return quarantine("has a foreign entry format");
-    }
-    if (payload.stringOr("key", "") != key)
-        return quarantine("echoes a foreign key");
+    // Well-formed JSON of the wrong shape (a top-level array, a
+    // numeric checksum, counters with a field missing) makes a typed
+    // accessor throw mid-check; that entry is quarantined too.
+    try {
+        if (!entry.contains("payload") || !entry.contains("checksum"))
+            return quarantine("is missing payload/checksum");
+        const Json &payload = entry.at("payload");
+        if (entry.at("checksum").asString() !=
+            specHashHex(specBytesHash(payload.dump()))) {
+            return quarantine("failed its checksum");
+        }
+        if (static_cast<unsigned>(payload.numberOr("format", 0)) !=
+            kEntryFormatVersion) {
+            return quarantine("has a foreign entry format");
+        }
+        if (payload.stringOr("key", "") != key)
+            return quarantine("echoes a foreign key");
 
-    StoredResult result;
-    result.benchmark = payload.stringOr("benchmark", "");
-    result.predictor = payload.stringOr("predictor", "");
-    result.hasCounters = payload.contains("counters") &&
-                         payload.at("counters").asBool();
-    if (result.hasCounters) {
-        if (!payload.contains("branches"))
-            return quarantine("claims counters it does not carry");
-        result.branches = payload.at("branches").asUint();
-        result.misses = payload.at("misses").asUint();
-        result.noPrediction = payload.at("no_prediction").asUint();
-        result.tableOccupancy =
-            payload.at("table_occupancy").asUint();
-        result.tableCapacity = payload.at("table_capacity").asUint();
-        result.seconds = payload.numberOr("seconds", 0.0);
-        result.groupSeconds = payload.numberOr("group_seconds", 0.0);
-        result.sharedTraversal =
-            payload.contains("shared_traversal") &&
-            payload.at("shared_traversal").asBool();
+        StoredResult result;
+        result.benchmark = payload.stringOr("benchmark", "");
+        result.predictor = payload.stringOr("predictor", "");
+        result.hasCounters = payload.contains("counters") &&
+                             payload.at("counters").asBool();
+        if (result.hasCounters) {
+            if (!payload.contains("branches"))
+                return quarantine("claims counters it does not carry");
+            result.branches = payload.at("branches").asUint();
+            result.misses = payload.at("misses").asUint();
+            result.noPrediction = payload.at("no_prediction").asUint();
+            result.tableOccupancy =
+                payload.at("table_occupancy").asUint();
+            result.tableCapacity = payload.at("table_capacity").asUint();
+            result.seconds = payload.numberOr("seconds", 0.0);
+            result.groupSeconds = payload.numberOr("group_seconds", 0.0);
+            result.sharedTraversal =
+                payload.contains("shared_traversal") &&
+                payload.at("shared_traversal").asBool();
+        }
+        result.missPercent = payload.numberOr("miss_percent", 0.0);
+        return LoadOutcome{LoadStatus::Hit, std::move(result)};
+    } catch (const JsonError &) {
+        return quarantine("has the wrong shape");
     }
-    result.missPercent = payload.numberOr("miss_percent", 0.0);
-    return LoadOutcome{LoadStatus::Hit, std::move(result)};
 }
 
 Result<void>

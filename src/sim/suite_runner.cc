@@ -782,6 +782,8 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                     ++store_stats.misses;
                 }
             }
+            if (session.storeOnly)
+                throw StoreOnlyMiss();
             jobs.push_back(makeJob(name, std::move(store_key)));
         }
     }

@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,26 @@ struct RunSession
      * exactly once. Ignored when no store is armed.
      */
     bool cellClaims = false;
+    /**
+     * Serve from the result store or not at all: runBatch() probes
+     * every cell as usual, and the first cell that would need
+     * simulating - a store miss, an unkeyed column, no armed store -
+     * throws StoreOnlyMiss before the batch journals or simulates
+     * anything. The ibpd daemon runs a shardable job this way first
+     * and fans it out only on a miss (docs/SERVICE.md).
+     */
+    bool storeOnly = false;
+};
+
+/** Thrown by SuiteRunner::runBatch() under RunSession::storeOnly
+ *  when a cell is not in the result store. It ends the experiment
+ *  body; runExperimentInProcess() reports it as storeMissed. */
+class StoreOnlyMiss : public std::runtime_error
+{
+  public:
+    StoreOnlyMiss() : std::runtime_error("store-only run missed a cell")
+    {
+    }
 };
 
 /**

@@ -37,10 +37,12 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "serve/supervisor.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
+#include "synth/benchmark_suite.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define IBP_TSAN 1
@@ -116,6 +118,14 @@ countedShardColumns(unsigned entries)
     return {keyed};
 }
 
+/** The columns of twoGridShardExperiment(), one per grid. */
+std::vector<std::vector<SweepColumn>>
+twoGridColumns()
+{
+    return {{btbColumn("btb256", TableSpec::setAssoc(256, 4), true)},
+            {btbColumn("btb512", TableSpec::setAssoc(512, 4), true)}};
+}
+
 /** A pure store-keyed sweep: the shardable differential target. */
 const ExperimentDef &
 shardDiffExperiment()
@@ -163,6 +173,41 @@ gatedShardExperiment()
                                                 second, after));
          },
          /*shardable=*/true});
+    return def;
+}
+
+/** Two store-keyed grids run one after the other: a store-only pass
+ *  serves all of grid 1, a whole batch, before it reaches grid 2. */
+const ExperimentDef &
+twoGridShardExperiment()
+{
+    static const ExperimentDef &def = registerExperiment(
+        {"TEST_shard_two_grids", "shard test: two grids",
+         [](ExperimentContext &context) {
+             SuiteRunner runner({"idl", "gcc", "perl"});
+             const auto first = twoGridColumns().front();
+             const auto second = twoGridColumns().back();
+             const GridResult grid_one =
+                 runner.run(first, context.session());
+             const GridResult grid_two =
+                 runner.run(second, context.session());
+             context.emit(runner.benchmarkTable("two grids 1",
+                                                grid_one, first));
+             context.emit(runner.benchmarkTable("two grids 2",
+                                                grid_two, second));
+         },
+         /*shardable=*/true});
+    return def;
+}
+
+/** An experiment with no cells: a lane job that costs next to
+ *  nothing, so dispatch overhead is all a run of it measures. */
+const ExperimentDef &
+trivialExperiment()
+{
+    static const ExperimentDef &def = registerExperiment(
+        {"TEST_shard_trivial", "shard test: trivial job",
+         [](ExperimentContext &context) { context.note("trivial"); }});
     return def;
 }
 
@@ -428,6 +473,149 @@ TEST_F(ShardServeTest, MidShardSigkillNeverResimulatesFinishedCells)
     EXPECT_GE(stats.lanesForked, 3u);
     EXPECT_EQ(stats.jobsCompleted, 1u);
     EXPECT_EQ(stats.shardsAbandoned, 0u);
+}
+
+TEST_F(ShardServeTest, WarmRepeatIsServedByOneStoreOnlyLaneRun)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = shardDiffExperiment();
+    ResultStore::configureGlobal("");
+    const ExperimentRunResult local =
+        runExperimentInProcess(def, quietOptions());
+    ASSERT_EQ(local.exitCode, 0);
+    ASSERT_NE(local.artifact, nullptr);
+
+    ResultStore::configureGlobal(_state + "/store");
+    auto server = makeServer(4);
+
+    // Cold: the store-only pass misses and the job fans out. Every
+    // lane's final progress count arrives before its result, so the
+    // per-lane counts cover every cell.
+    const ExperimentRunResult cold = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions());
+    ASSERT_EQ(cold.exitCode, 0);
+    ASSERT_NE(cold.artifact, nullptr);
+    const ShardServeStats fanout = cold.artifact->metrics.serve().shard;
+    EXPECT_EQ(fanout.planned, 4u);
+    std::uint64_t lane_cells = 0;
+    for (const std::uint64_t cells : fanout.laneCells)
+        lane_cells += cells;
+    EXPECT_GE(lane_cells, cold.artifact->metrics.cellCount());
+    EXPECT_EQ(cold.artifact->metrics.cellCount(), 6u);
+
+    // Warm repeat on the same daemon: the store-only pass serves it.
+    ServedOutcome outcome;
+    const ExperimentRunResult warm = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions(), &outcome);
+    ASSERT_TRUE(outcome.served) << outcome.fallbackReason;
+    ASSERT_EQ(warm.exitCode, 0);
+    ASSERT_NE(warm.artifact, nullptr);
+    expectBitIdentical(*warm.artifact, *local.artifact);
+    const RunMetrics &metrics = warm.artifact->metrics;
+    EXPECT_EQ(metrics.resultStore().hits, metrics.cellCount());
+    EXPECT_EQ(metrics.resultStore().misses, 0u);
+    EXPECT_EQ(metrics.cellCount(), 6u);
+    const ShardServeStats alone = metrics.serve().shard;
+    EXPECT_EQ(alone.planned, 0u);
+    EXPECT_TRUE(alone.laneCells.empty());
+    EXPECT_EQ(alone.fanoutSeconds, 0.0);
+    EXPECT_GT(alone.mergeSeconds, 0.0);
+
+    server->requestDrain();
+    server->waitStopped();
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.jobsCompleted, 2u);
+    EXPECT_EQ(stats.jobsSharded, 1u);
+    EXPECT_EQ(stats.shardsPlanned, 4u);
+    EXPECT_EQ(stats.jobsStoreServed, 1u);
+    EXPECT_EQ(stats.jobsRetried, 0u);
+}
+
+TEST_F(ShardServeTest, RepeatMissingOneEntryFansOutAndRestoresNothing)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = twoGridShardExperiment();
+    ResultStore::configureGlobal("");
+    const ExperimentRunResult local =
+        runExperimentInProcess(def, quietOptions());
+    ASSERT_EQ(local.exitCode, 0);
+    ASSERT_NE(local.artifact, nullptr);
+
+    ResultStore::configureGlobal(_state + "/store");
+    auto server = makeServer(2);
+    const ExperimentRunResult cold = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions());
+    ASSERT_EQ(cold.exitCode, 0);
+
+    // Drop grid 2's last cell: the store-only pass serves grid 1,
+    // then misses. Had it journalled grid 1, the final merge would
+    // restore those cells without their counters.
+    const ResultStore *store = ResultStore::global();
+    ASSERT_NE(store, nullptr);
+    const std::string key = ResultStore::cellKey(
+        benchmarkTraceCacheKey("perl", false),
+        twoGridColumns().back().front().specHash);
+    ASSERT_TRUE(store->contains(key));
+    ASSERT_TRUE(std::filesystem::remove(store->pathFor(key)));
+
+    ServedOutcome outcome;
+    const ExperimentRunResult repeat = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions(), &outcome);
+    ASSERT_TRUE(outcome.served) << outcome.fallbackReason;
+    ASSERT_EQ(repeat.exitCode, 0);
+    ASSERT_NE(repeat.artifact, nullptr);
+    expectBitIdentical(*repeat.artifact, *local.artifact);
+    EXPECT_EQ(repeat.restoredCells, 0u);
+    const RunMetrics &metrics = repeat.artifact->metrics;
+    EXPECT_EQ(metrics.serve().shard.planned, 2u);
+    EXPECT_EQ(metrics.resultStore().hits, 6u);
+    ASSERT_EQ(metrics.cellCount(), 6u);
+    for (const CellMetrics &cell : metrics.cells())
+        EXPECT_GT(cell.branches, 0u) << cell.column << "/"
+                                     << cell.benchmark;
+
+    server->requestDrain();
+    server->waitStopped();
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.jobsCompleted, 2u);
+    EXPECT_EQ(stats.jobsSharded, 2u);
+    EXPECT_EQ(stats.jobsStoreServed, 0u);
+}
+
+TEST_F(ShardServeTest, LaneJobsEndWithoutWaitingOutAHeartbeatTick)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = trivialExperiment();
+    SupervisorConfig config;
+    config.lanes = 1;
+    config.echo = false;
+    LaneSupervisor supervisor(config);
+    ASSERT_TRUE(supervisor.start().ok());
+    const RunRequest request = makeRunRequest(def.slug, false);
+    // One job first, so the lane is warm when the clock starts.
+    ASSERT_EQ(supervisor.runJob(0, request, "", nullptr).result.exitCode,
+              0);
+
+    // A lane that slept out its 25 ms reporter tick after each job
+    // would take at least kJobs x 25 ms here. A job costs about
+    // 1.5 ms in a Release build and 8 ms under ASan, so the bound
+    // leaves room for slow builds and hosts.
+    constexpr unsigned kJobs = 20;
+    const auto start = std::chrono::steady_clock::now();
+    for (unsigned i = 0; i < kJobs; ++i) {
+        const LaneJobOutcome outcome =
+            supervisor.runJob(0, request, "", nullptr);
+        ASSERT_EQ(outcome.result.exitCode, 0);
+        ASSERT_NE(outcome.result.artifact, nullptr);
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, kJobs * 0.015);
+    supervisor.shutdown();
 }
 
 TEST_F(ShardServeTest, OverlappingConcurrentRunsSimulateSharedCellsOnce)

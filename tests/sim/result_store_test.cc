@@ -28,6 +28,7 @@
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 #include "suites.hh"
+#include "util/json.hh"
 
 namespace ibp {
 namespace {
@@ -217,6 +218,68 @@ TEST_F(ResultStoreTest, ForeignKeyEchoIsQuarantined)
               ResultStore::LoadStatus::Invalidated);
     EXPECT_EQ(store.load("cell-a").status,
               ResultStore::LoadStatus::Hit);
+}
+
+/** Well-formed JSON of the wrong shape must quarantine, not throw:
+ *  the typed accessors the checks use throw JsonError on it. */
+class WrongShapeEntryTest : public ResultStoreTest
+{
+  protected:
+    void
+    expectQuarantined(const ResultStore &store, const std::string &key)
+    {
+        ResultStore::LoadOutcome outcome;
+        EXPECT_NO_THROW(outcome = store.load(key));
+        EXPECT_EQ(outcome.status, ResultStore::LoadStatus::Invalidated);
+        EXPECT_TRUE(fs::exists(store.pathFor(key) + ".corrupt"));
+        EXPECT_EQ(store.load(key).status,
+                  ResultStore::LoadStatus::Miss);
+    }
+};
+
+TEST_F(WrongShapeEntryTest, TopLevelArrayIsQuarantined)
+{
+    ResultStore store(_dir);
+    fs::create_directories(_dir);
+    std::ofstream(store.pathFor("cell")) << "[1, 2, 3]";
+    expectQuarantined(store, "cell");
+}
+
+TEST_F(WrongShapeEntryTest, NumericChecksumIsQuarantined)
+{
+    ResultStore store(_dir);
+    fs::create_directories(_dir);
+    std::ofstream(store.pathFor("cell"))
+        << "{\"payload\": {\"format\": 1}, \"checksum\": 5}";
+    expectQuarantined(store, "cell");
+}
+
+TEST_F(WrongShapeEntryTest, CountersWithoutMissesAreQuarantined)
+{
+    ResultStore store(_dir);
+    ASSERT_TRUE(store.store("cell", sampleResult()).ok());
+    std::string text;
+    {
+        std::ifstream in(store.pathFor("cell"));
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        text = buffer.str();
+    }
+    // Drop "misses" and re-seal the checksum, so the entry passes
+    // every check before the counters are read.
+    const Json entry = Json::parse(text);
+    Json payload = Json::object();
+    for (const auto &[name, value] : entry.at("payload").members()) {
+        if (name != "misses")
+            payload.set(name, value);
+    }
+    ASSERT_TRUE(payload.at("counters").asBool());
+    Json resealed = Json::object();
+    resealed.set("checksum",
+                 specHashHex(specBytesHash(payload.dump())));
+    resealed.set("payload", std::move(payload));
+    std::ofstream(store.pathFor("cell")) << resealed.dump();
+    expectQuarantined(store, "cell");
 }
 
 TEST_F(ResultStoreTest, CellKeySeparatesSpecsAndVersions)
