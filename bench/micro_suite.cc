@@ -232,18 +232,19 @@ bestFusedSeconds(const std::vector<MixCell> &cells, unsigned reps,
 
 /**
  * Best-of-@p reps nanoseconds per column-record of the lane engine's
- * phase-2 pair reduction: @p pairs columns over random member pairs
- * of 52 machines (one fig17 benchmark's distinct machines), scored
- * against 4096 records of random outcome words with ranks 0..3.
- * @p avx2 takes simd::scorePairsAvx2(), else the inlined scalar loop.
+ * score pass: @p pairs columns over random member pairs of 52
+ * machines (one fig17 benchmark's distinct machines), each reduced by
+ * simd::scorePairStream() from its members' word streams over one
+ * lane block (kLaneBlockRecords records) of random outcome words
+ * with ranks 0..3.
  */
 double
-pairScoringNs(std::size_t pairs, bool avx2, unsigned reps)
+pairScoringNs(std::size_t pairs, unsigned reps)
 {
     using namespace ibp;
     constexpr std::size_t kMachines = 52;
-    constexpr std::size_t kRecords = 4096;
-    constexpr unsigned kPasses = 8;
+    constexpr std::size_t kRecords = kLaneBlockRecords;
+    constexpr unsigned kPasses = 64;
     Rng rng(0x5c0de + pairs);
     std::vector<std::uint32_t> words(kMachines * kRecords);
     for (std::uint32_t &word : words) {
@@ -252,30 +253,22 @@ pairScoringNs(std::size_t pairs, bool avx2, unsigned reps)
                          : rank << kOutcomeRankShift | kOutcomeValid |
                                (rng.nextBool(0.5) ? kOutcomeCorrect : 0);
     }
-    std::vector<std::uint32_t> first(pairs);
-    std::vector<std::uint32_t> second(pairs);
+    std::vector<const std::uint32_t *> first(pairs);
+    std::vector<const std::uint32_t *> second(pairs);
     for (std::size_t i = 0; i < pairs; ++i) {
-        first[i] = static_cast<std::uint32_t>(rng.nextBelow(kMachines));
-        second[i] = static_cast<std::uint32_t>(rng.nextBelow(kMachines));
+        first[i] = &words[rng.nextBelow(kMachines) * kRecords];
+        second[i] = &words[rng.nextBelow(kMachines) * kRecords];
     }
-    std::vector<std::uint32_t> misses(pairs, 0);
-    std::vector<std::uint32_t> no_prediction(pairs, 0);
+    std::vector<std::uint64_t> misses(pairs, 0);
+    std::vector<std::uint64_t> no_prediction(pairs, 0);
 
     double best = 0.0;
     for (unsigned rep = 0; rep < reps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
         for (unsigned pass = 0; pass < kPasses; ++pass) {
-            for (std::size_t r = 0; r < kRecords; ++r) {
-                const std::uint32_t *record = words.data() + r * kMachines;
-                if (avx2) {
-                    simd::scorePairsAvx2(record, first.data(),
-                                         second.data(), misses.data(),
-                                         no_prediction.data(), pairs);
-                } else {
-                    simd::scorePairsScalar(record, first.data(),
-                                           second.data(), misses.data(),
-                                           no_prediction.data(), pairs);
-                }
+            for (std::size_t i = 0; i < pairs; ++i) {
+                simd::scorePairStream(first[i], second[i], kRecords,
+                                      misses[i], no_prediction[i]);
             }
         }
         const double seconds =
@@ -286,7 +279,7 @@ pairScoringNs(std::size_t pairs, bool avx2, unsigned reps)
             best = seconds;
     }
     // Consume the counters so the reduction cannot be elided.
-    volatile std::uint32_t sink = 0;
+    volatile std::uint64_t sink = 0;
     for (std::size_t i = 0; i < pairs; ++i)
         sink = sink + misses[i] + no_prediction[i];
     return best * 1e9 / static_cast<double>(kPasses * kRecords * pairs);
@@ -576,37 +569,18 @@ microThroughputExperiment()
                 " lone tables).");
 
             // ---------------------------------------------------
-            // The lane engine's phase 2: pair columns scored by the
-            // inlined scalar loop vs the AVX2 gather reduction, at a
-            // fig17 row (13 columns), one component size's grid (169)
-            // and the full grid of one benchmark (338). Without AVX2
-            // both columns run the scalar loop.
-            const bool have_avx2 = simdLevel() == SimdLevel::Avx2;
+            // The lane engine's score pass: pair columns reduced from
+            // their members' word streams, at a fig17 row (13
+            // columns), one component size's grid (169) and the full
+            // grid of one benchmark (338).
             ResultTable scoring_table(
                 "Lane column scoring (ns per column-record)", "columns");
-            scoring_table.addColumn("scalar");
-            scoring_table.addColumn("avx2");
-            scoring_table.addColumn("speedup");
-            double widest_speedup = 0.0;
+            scoring_table.addColumn("stream");
             for (const std::size_t pairs : {13u, 169u, 338u}) {
-                const std::string row = std::to_string(pairs) + " pairs";
-                const double scalar_ns = pairScoringNs(pairs, false, reps);
-                const double avx2_ns = pairScoringNs(pairs, have_avx2, reps);
-                widest_speedup = scalar_ns / std::max(avx2_ns, 1e-12);
-                scoring_table.set(row, "scalar", scalar_ns);
-                scoring_table.set(row, "avx2", avx2_ns);
-                scoring_table.set(row, "speedup", widest_speedup);
+                scoring_table.set(std::to_string(pairs) + " pairs",
+                                  "stream", pairScoringNs(pairs, reps));
             }
             context.emit(scoring_table);
-            context.note(
-                "Pair-column scoring at 338 columns: AVX2 " +
-                formatFixed(widest_speedup, 2) + "x the scalar loop" +
-                (have_avx2 ? std::string(".")
-                           : std::string(" (AVX2 unavailable at "
-                                         "dispatch level ") +
-                                 simdLevelName(simdLevel()) +
-                                 ": both columns ran the scalar "
-                                 "loop)."));
 
             // ---------------------------------------------------
             // The grid sharder's cell-claim layer (docs/SERVICE.md):

@@ -7,26 +7,27 @@
  * LRU has the inclusion property (Mattson et al., 1970): a key is
  * resident in an LRU table of size k exactly when its stack depth -
  * the number of distinct keys accessed since its own last access -
- * is below k. So one depth computation per access answers every size
- * at once, and the stack needs only one index and one recency order,
- * sized for the largest member. Each live key still carries one
+ * is below k. So one recency order, sized for the largest member,
+ * answers every size at once. Each live key still carries one
  * TableEntry per member, because the members' entries differ: a
  * member the key fell out of lost its entry and starts over on the
  * next access.
  *
- * Recency is a stamp per key from a counter that every access
- * advances. A Fenwick tree over the stamp window counts the live
- * stamps, so a key's depth is the number of live stamps above its
- * own: live - prefix(stamp). When the window (2 * largest + 2
- * stamps) runs out, the live stamps are renumbered in order, so the
- * memory is O(largest size x members) whatever the trace length, and
- * the renumbering is amortised O(1) per access. The oldest live
- * stamp - the largest member's LRU victim - is found by a cursor
- * that only moves forward within a window.
+ * Recency is a doubly linked list over slots, most recent first. The
+ * stack never computes a depth. Instead it keeps, per member, a
+ * *boundary*: the member's least recent resident key once the member
+ * is full. And each key keeps its *level*, the first member that
+ * holds it, so probe() answers every member in O(1). Accessing a key
+ * of level L moves it to the front: the boundary keys of members
+ * 0..L-1 each fall one place, out of their member, and each of those
+ * boundaries steps back one key, so an access costs O(L). A new key
+ * demotes one key per full member, and once the largest member is
+ * full it evicts the list's tail (that member's boundary).
  *
  * Counters are bit-identical to one FullyAssocTable per member: the
- * differential tests in tests/sim pin the lane engine's stacks
- * against solo simulate() runs on the reference tables.
+ * unit tests in tests/core pin every access against one table per
+ * size, and the differential tests in tests/sim pin the lane engine's
+ * stacks against solo simulate() runs on the reference tables.
  */
 
 #ifndef IBP_CORE_LRU_STACK_HH
@@ -49,20 +50,20 @@ class LruStack
     /** @p sizes: the member tables' entry counts, strictly
      *  ascending, each >= 1. */
     LruStack(std::vector<std::uint64_t> sizes, EntryCounterSpec counters)
-        : _sizes(std::move(sizes)), _counters(counters)
+        : _sizes(std::move(sizes)), _counters(counters),
+          _boundary(_sizes.size(), kNil)
     {
         IBP_ASSERT(!_sizes.empty() && _sizes.front() >= 1,
                    "LRU stack needs members of >= 1 entry");
+        IBP_ASSERT(_sizes.size() <= 255, "LRU stack of %zu members",
+                   _sizes.size());
         for (std::size_t k = 1; k < _sizes.size(); ++k) {
             IBP_ASSERT(_sizes[k - 1] < _sizes[k],
                        "LRU stack sizes must ascend strictly");
         }
-        IBP_ASSERT(_sizes.back() < (1ull << 30),
-                   "LRU stack size %llu exceeds the stamp space",
+        IBP_ASSERT(_sizes.back() < kNil,
+                   "LRU stack size %llu exceeds the slot space",
                    static_cast<unsigned long long>(_sizes.back()));
-        _window = static_cast<std::uint32_t>(2 * _sizes.back() + 2);
-        _stampSlot.assign(_window, kNil);
-        _tree.assign(_window + 1, 0);
     }
 
     std::size_t members() const { return _sizes.size(); }
@@ -90,19 +91,13 @@ class LruStack
     {
         const std::uint32_t *slot = _index.find(key);
         _memoKey = key;
-        if (slot == nullptr) {
-            _memoSlot = kNil;
-            _memoResident = static_cast<std::uint32_t>(_sizes.size());
-        } else {
-            _memoSlot = *slot;
-            const std::uint64_t depth = depthOf(_stamps[*slot]);
-            std::uint32_t k = 0;
-            while (_sizes[k] <= depth)
-                ++k; // depth < live <= the largest size
-            _memoResident = k;
+        _memoSlot = slot == nullptr ? kNil : *slot;
+        if (_memoSlot == kNil) {
+            resident = static_cast<std::uint32_t>(_sizes.size());
+            return nullptr;
         }
-        resident = _memoResident;
-        return _memoSlot == kNil ? nullptr : row(_memoSlot);
+        resident = _nodes[_memoSlot].level;
+        return row(_memoSlot);
     }
 
     /**
@@ -116,15 +111,16 @@ class LruStack
     {
         IBP_ASSERT(_memoKey == key, "LRU stack access without probe");
         std::uint32_t slot = _memoSlot;
+        std::uint32_t resident = 0;
         if (slot == kNil) {
-            slot = allocate(key);
-        } else if (_stamps[slot] + 1 != _next) {
-            // (The most recent key keeps its stamp.)
-            retire(_stamps[slot]);
-            stamp(slot);
+            slot = insert(key);
+            resident = static_cast<std::uint32_t>(_sizes.size());
+        } else {
+            resident = _nodes[slot].level;
+            promote(slot);
         }
         TableEntry *entries = row(slot);
-        for (std::uint32_t k = 0; k < _memoResident; ++k)
+        for (std::uint32_t k = 0; k < resident; ++k)
             entries[k].resetFor(_counters.confidenceBits,
                                 _counters.chosenBits);
         return entries;
@@ -133,122 +129,118 @@ class LruStack
   private:
     static constexpr std::uint32_t kNil = 0xffffffffu;
 
-    static std::uint32_t lowBit(std::uint32_t i) { return i & (~i + 1); }
+    struct Node
+    {
+        Key key{};
+        std::uint32_t prev = kNil; ///< the next more recent slot
+        std::uint32_t next = kNil; ///< the next less recent slot
+        std::uint8_t level = 0;    ///< the first member holding key
+    };
 
     TableEntry *row(std::uint32_t slot)
     {
         return &_entries[static_cast<std::size_t>(slot) * _sizes.size()];
     }
 
-    std::uint64_t
-    depthOf(std::uint32_t stamp) const
+    void
+    unlink(std::uint32_t slot)
     {
-        std::uint32_t older = 0; // live stamps <= stamp
-        for (std::uint32_t i = stamp + 1; i > 0; i -= lowBit(i))
-            older += _tree[i];
-        return _keys.size() - older;
+        const Node &node = _nodes[slot];
+        (node.prev != kNil ? _nodes[node.prev].next : _head) = node.next;
+        (node.next != kNil ? _nodes[node.next].prev : _tail) = node.prev;
     }
 
     void
-    count(std::uint32_t stamp, std::int32_t delta)
+    linkFront(std::uint32_t slot)
     {
-        for (std::uint32_t i = stamp + 1; i <= _window; i += lowBit(i))
-            _tree[i] += static_cast<std::uint32_t>(delta);
+        Node &node = _nodes[slot];
+        node.prev = kNil;
+        node.next = _head;
+        (_head != kNil ? _nodes[_head].prev : _tail) = slot;
+        _head = slot;
+        node.level = 0;
     }
 
+    /** Member @p k's boundary key fell one place, out of the member:
+     *  it now first lives in member k + 1, and the key just above it
+     *  is the new boundary. */
     void
-    retire(std::uint32_t stamp)
+    demote(std::size_t k)
     {
-        count(stamp, -1);
-        _stampSlot[stamp] = kNil;
+        Node &fallen = _nodes[_boundary[k]];
+        fallen.level = static_cast<std::uint8_t>(k + 1);
+        _boundary[k] = fallen.prev;
     }
 
-    /** Give @p slot the next stamp, renumbering first if the window
-     *  is used up. */
+    /** Move the live key in @p slot to the front. */
     void
-    stamp(std::uint32_t slot)
+    promote(std::uint32_t slot)
     {
-        if (_next == _window)
-            compact();
-        _stamps[slot] = _next;
-        _stampSlot[_next] = slot;
-        count(_next, 1);
-        ++_next;
+        if (slot == _head)
+            return;
+        const std::size_t level = _nodes[slot].level;
+        // Only the key's own member can have it as its boundary; the
+        // key above it takes that place.
+        if (_boundary[level] == slot)
+            _boundary[level] = _nodes[slot].prev;
+        unlink(slot);
+        linkFront(slot);
+        for (std::size_t k = 0; k < level; ++k)
+            demote(k);
     }
 
-    /** A slot for a key outside the stack: the largest member's LRU
-     *  victim when the stack is full, else a fresh one. */
+    /** A slot for a key outside the stack, at the front: the largest
+     *  member's LRU victim when the stack is full, else a fresh one. */
     std::uint32_t
-    allocate(const Key &key)
+    insert(const Key &key)
     {
         ++_inserted;
+        // Slots are never freed, so they count the live keys.
+        const std::uint64_t before = _nodes.size();
         std::uint32_t slot;
-        if (_keys.size() == _sizes.back()) {
-            while (_stampSlot[_oldest] == kNil)
-                ++_oldest;
-            slot = _stampSlot[_oldest];
-            retire(_oldest);
-            _index.erase(_keys[slot]);
-            _keys[slot] = key;
+        if (before == _sizes.back()) {
+            slot = _tail;
+            unlink(slot);
+            _index.erase(_nodes[slot].key);
         } else {
-            slot = static_cast<std::uint32_t>(_keys.size());
-            _keys.push_back(key);
-            _stamps.push_back(0);
+            slot = static_cast<std::uint32_t>(_nodes.size());
+            _nodes.emplace_back();
             _entries.resize(_entries.size() + _sizes.size());
         }
+        _nodes[slot].key = key;
         bool inserted = false;
         _index.findOrInsert(key, inserted) = slot;
-        stamp(slot);
+        linkFront(slot);
+        const std::size_t last = _sizes.size() - 1;
+        for (std::size_t k = 0; k <= last && before + 1 >= _sizes[k]; ++k) {
+            if (before < _sizes[k])
+                _boundary[k] = _tail; // the member just filled up
+            else if (k == last)
+                _boundary[k] = _tail; // past the evicted key
+            else
+                demote(k);
+        }
         return slot;
-    }
-
-    /** Renumber the live stamps 0..live-1 in recency order and
-     *  rebuild the tree over them. */
-    void
-    compact()
-    {
-        std::uint32_t live = 0;
-        for (std::uint32_t t = 0; t < _window; ++t) {
-            const std::uint32_t slot = _stampSlot[t];
-            if (slot == kNil)
-                continue;
-            _stampSlot[t] = kNil;
-            _stampSlot[live] = slot;
-            _stamps[slot] = live++;
-        }
-        // Tree node i counts stamps [i - lowBit(i), i - 1].
-        for (std::uint32_t i = 1; i <= _window; ++i) {
-            const std::uint32_t low = i - lowBit(i);
-            const std::uint32_t high = std::min(i, live);
-            _tree[i] = high > low ? high - low : 0;
-        }
-        _next = live;
-        _oldest = 0;
     }
 
     std::vector<std::uint64_t> _sizes;
     EntryCounterSpec _counters;
-    std::uint32_t _window = 0;
 
     FlatMap<Key, std::uint32_t, KeyHash> _index;
-    /** Per slot: the key, its stamp, and members() entries. */
-    std::vector<Key> _keys;
-    std::vector<std::uint32_t> _stamps;
+    /** Per slot: the key, its recency links and level, and
+     *  members() entries. */
+    std::vector<Node> _nodes;
     std::vector<TableEntry> _entries;
-
-    /** Per stamp in the window: the slot holding it, or kNil. */
-    std::vector<std::uint32_t> _stampSlot;
-    /** Fenwick tree (1-based) of live stamps over the window. */
-    std::vector<std::uint32_t> _tree;
-    std::uint32_t _next = 0;
-    /** No live stamp is below this one. */
-    std::uint32_t _oldest = 0;
+    std::uint32_t _head = kNil; ///< most recent slot
+    std::uint32_t _tail = kNil; ///< least recent slot
+    /** Per member: its least recent resident slot once full, else
+     *  kNil. */
+    std::vector<std::uint32_t> _boundary;
     /** Keys ever inserted (new to the stack). */
     std::uint64_t _inserted = 0;
 
     Key _memoKey{};
     std::uint32_t _memoSlot = kNil;
-    std::uint32_t _memoResident = 0;
 };
 
 } // namespace ibp

@@ -128,48 +128,6 @@ scanTags32(const std::uint8_t *tags, std::uint8_t tag)
     return group;
 }
 
-[[gnu::target("avx2")]] void
-scorePairsAvx2(const std::uint32_t *words, const std::uint32_t *first,
-               const std::uint32_t *second, std::uint32_t *misses,
-               std::uint32_t *noPrediction, std::size_t count)
-{
-    // Ranks are below 2^29, so the signed compare is exact; blendv
-    // picks the second word exactly where its rank is higher.
-    const int *base = reinterpret_cast<const int *>(words);
-    const __m256i correct_bit = _mm256_set1_epi32(kOutcomeCorrect);
-    const __m256i valid_bit = _mm256_set1_epi32(kOutcomeValid);
-    std::size_t i = 0;
-    for (; i + kPairsPerAvx2Step <= count; i += kPairsPerAvx2Step) {
-        const __m256i a = _mm256_i32gather_epi32(
-            base,
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(first + i)),
-            4);
-        const __m256i b = _mm256_i32gather_epi32(
-            base,
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(second + i)),
-            4);
-        const __m256i take_second =
-            _mm256_cmpgt_epi32(_mm256_srli_epi32(b, kOutcomeRankShift),
-                               _mm256_srli_epi32(a, kOutcomeRankShift));
-        const __m256i chosen = _mm256_blendv_epi8(a, b, take_second);
-        auto *miss = reinterpret_cast<__m256i *>(misses + i);
-        auto *none = reinterpret_cast<__m256i *>(noPrediction + i);
-        // A clear bit counts 1: (~chosen & bit) >> position.
-        _mm256_storeu_si256(
-            miss, _mm256_add_epi32(_mm256_loadu_si256(miss),
-                                   _mm256_andnot_si256(chosen, correct_bit)));
-        _mm256_storeu_si256(
-            none, _mm256_add_epi32(
-                      _mm256_loadu_si256(none),
-                      _mm256_srli_epi32(
-                          _mm256_andnot_si256(chosen, valid_bit), 1)));
-    }
-    scorePairsScalar(words, first + i, second + i, misses + i,
-                     noPrediction + i, count - i);
-}
-
 #else // !IBP_X86_SIMD
 
 TagGroup
@@ -181,14 +139,6 @@ scanTags32(const std::uint8_t *tags, std::uint8_t tag)
         group.empties |= (tags[i] == 0 ? 1u : 0u) << i;
     }
     return group;
-}
-
-void
-scorePairsAvx2(const std::uint32_t *words, const std::uint32_t *first,
-               const std::uint32_t *second, std::uint32_t *misses,
-               std::uint32_t *noPrediction, std::size_t count)
-{
-    scorePairsScalar(words, first, second, misses, noPrediction, count);
 }
 
 #endif // IBP_X86_SIMD

@@ -3,8 +3,7 @@
  * Runtime SIMD dispatch for the simulation hot path.
  *
  * Every vectorized primitive in the engine — the FlatMap group tag
- * probe, the trace-block kind classifier, the lane engine's pair
- * column scoring, the PDEP pattern scatter —
+ * probe, the trace-block kind classifier, the PDEP pattern scatter —
  * routes its level selection through this one module so the whole
  * process answers a single question the same way: how wide may the
  * hot loops go on this machine, under this configuration?
@@ -144,43 +143,38 @@ std::size_t classifyMeta(const std::uint8_t *meta, std::size_t count,
                          std::uint32_t *out);
 
 /**
- * Score @p count *pair columns* against one record's outcome words
- * (core/outcome.hh): column i's answer is words[first[i]] unless
- * words[second[i]] has a strictly higher rank, so the first member
- * wins ties; a plain column has second[i] == first[i]. misses[i]
- * gains 1 unless the answer is correct, noPrediction[i] gains 1
- * unless it is valid. Branch-free and inlined into the lane loop;
- * scorePairsAvx2() is the same reduction eight columns at a time.
+ * Reduce one *pair column* over @p count records (core/outcome.hh):
+ * record r's answer is first[r] unless second[r] has a strictly
+ * higher rank, so the first member wins ties; a plain column passes
+ * one stream as both. @p misses gains 1 per answer that is not
+ * correct, @p noPrediction 1 per answer that is not valid. The lane
+ * engine keeps each machine's words contiguous per block, so this is
+ * a dense, branch-free loop over two streams that the compiler
+ * vectorises at the baseline width; @p count must be below 2^32.
  */
 inline void
-scorePairsScalar(const std::uint32_t *words, const std::uint32_t *first,
-                 const std::uint32_t *second, std::uint32_t *misses,
-                 std::uint32_t *noPrediction, std::size_t count)
+scorePairStream(const std::uint32_t *first, const std::uint32_t *second,
+                std::size_t count, std::uint64_t &misses,
+                std::uint64_t &noPrediction)
 {
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t a = words[first[i]];
-        const std::uint32_t b = words[second[i]];
-        // A mask select, not `? :`, which compilers may turn into a
-        // branch that mispredicts on every rank flip.
+    std::uint32_t miss = 0;
+    std::uint32_t none = 0;
+    for (std::size_t r = 0; r < count; ++r) {
+        const std::uint32_t a = first[r];
+        const std::uint32_t b = second[r];
+        // Ranks are below 2^30, so the signed compare is exact; a mask
+        // select, not `? :`, keeps the loop free of branches.
         const std::uint32_t second_wins =
-            0u - static_cast<std::uint32_t>(outcomeRank(b) > outcomeRank(a));
+            0u - static_cast<std::uint32_t>(
+                     static_cast<std::int32_t>(outcomeRank(b)) >
+                     static_cast<std::int32_t>(outcomeRank(a)));
         const std::uint32_t chosen = a ^ ((a ^ b) & second_wins);
-        misses[i] += outcomeCorrect(chosen) ? 0 : 1;
-        noPrediction[i] += outcomeValid(chosen) ? 0 : 1;
+        miss += ~chosen & kOutcomeCorrect;
+        none += (~chosen & kOutcomeValid) >> 1;
     }
+    misses += miss;
+    noPrediction += none;
 }
-
-/** Columns scorePairsAvx2() scores per step; with fewer pairs the
- *  out-of-line call costs more than it saves. */
-inline constexpr std::size_t kPairsPerAvx2Step = 8;
-
-/** scorePairsScalar() with AVX2 gathers, eight columns per step and
- *  a scalar tail (defined out of line so the target attribute never
- *  leaks). Call only when simdLevel() == Avx2; outcome words and
- *  machine indices must be below 2^31. */
-void scorePairsAvx2(const std::uint32_t *words, const std::uint32_t *first,
-                    const std::uint32_t *second, std::uint32_t *misses,
-                    std::uint32_t *noPrediction, std::size_t count);
 
 } // namespace simd
 

@@ -17,12 +17,13 @@
 
 #include <vector>
 
+#include "core/simd.hh"
 #include "core/table.hh"
 #include "util/logging.hh"
 
 namespace ibp {
 
-class TaglessTable : public TargetTable
+class TaglessTable final : public TargetTable
 {
   public:
     explicit TaglessTable(std::uint64_t entries,
@@ -46,6 +47,12 @@ class TaglessTable : public TargetTable
     {
         const TableEntry &entry = _storage[indexOf(key)];
         return entry.valid ? &entry : nullptr;
+    }
+
+    void
+    prefetch(const Key &key) const override
+    {
+        IBP_PREFETCH(&_storage[indexOf(key)]);
     }
 
     TableEntry &

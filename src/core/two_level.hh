@@ -127,7 +127,8 @@ twoLevelPrediction(const TableEntry *entry)
 
 /** The outcome word (core/outcome.hh) of a probed entry for the
  *  resolved target @p actual; 0 for a missing or invalid entry.
- *  Written by the lane engine's phase 1 for every machine. */
+ *  Written by the lane engine's machine pass for every machine
+ *  and record. */
 inline std::uint32_t
 twoLevelOutcome(const TableEntry *entry, Addr actual)
 {

@@ -879,6 +879,7 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
 
     bool drained = false;
     bool counted_drained = false;
+    bool warm = false;
     std::uint64_t stolen = 0;
     std::uint64_t overlap = 0;
     {
@@ -896,6 +897,7 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
             serve.warm = metrics.hasTraceSource() &&
                          metrics.tracesGenerated() == 0 &&
                          metrics.traceCacheHits() > 0;
+            warm = serve.warm;
             job->shardServe.planned = job->shardCount;
             job->shardServe.mergeSeconds += result.seconds;
             job->shardServe.laneCells.assign(job->shardCells.begin(),
@@ -926,6 +928,8 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
                 ++_stats.jobsDrained;
         } else {
             ++_stats.jobsCompleted;
+            if (warm)
+                ++_stats.warmHits;
             if (store_only && result.artifact)
                 ++_stats.jobsStoreServed;
             _stats.shardCellsStolen += stolen;

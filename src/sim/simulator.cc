@@ -11,6 +11,7 @@
 #include "core/set_stack.hh"
 #include "core/simd.hh"
 #include "core/sweep_kernel.hh"
+#include "core/tagless_table.hh"
 #include "core/two_level.hh"
 #include "robust/error.hh"
 #include "trace/trace_block.hh"
@@ -47,18 +48,17 @@ throwCancelled(const Trace &trace)
         "simulation of '" + trace.name() + "' cancelled by watchdog"));
 }
 
+/** Records ahead whose table storage a machine pass prefetches. */
+constexpr std::size_t kMachinePrefetch = 4;
+
 /**
  * The lane engine's execution plan for a fused traversal.
  *
  * Columns whose per-record work is a function of bound two-level
  * component predictions - plain bound TwoLevelPredictor columns and
  * hybrids (confidence or selector metaprediction) with every
- * component bound - are executed in *phases* across the whole column
- * set: first every distinct state machine is probed and scored into an
- * outcome word (twoLevelOutcome()), then each column reduces its
- * members' words into counters, then every machine trains, and only
- * then do the remaining (generic) columns run their usual
- * predict/update pairs.
+ * component bound - are *lane columns*; the rest are *generic*
+ * columns that run their own predict/update pairs.
  *
  * A *machine* is one distinct TwoLevelConfig among the lane columns'
  * two-level members, found by the same linear equality search
@@ -68,38 +68,51 @@ throwCancelled(const Trace &trace)
  * is *folded* onto it: it never probes, trains or even allocates a
  * table (TwoLevelPredictor allocates on first use). A fig17 row's
  * dozen hybrids sharing a p1 component thus probe that component once
- * per record. The phase split is bit-identical to the interleaved
- * order because columns are state-disjoint apart from the machines,
- * which are all probed before any trains, and the shared history,
- * which only the kernel commit after all phases advances. Generic
- * columns hold no bound machine and run independently.
+ * per record.
  *
  * Machines that are stack-mates (stackMates(): equal but for the
  * table, both fully associative or both set-associative with equal
  * set counts) run as one structure instead of one table each: an
  * LruStack (core/lru_stack.hh) for fully-associative mates, a
  * SetStack (core/set_stack.hh) for set-associative ones. One lookup
- * and one recency depth per record answer every member. A stack forms
- * only from two or more machines (a lone machine drives its own
- * table: a one-member LruStack measured slower than its
- * FullyAssocTable) whose owners all pinned the flat table
- * implementation, so a run on the
- * reference tables - the tests' oracle and the benchmark's reference
- * check - still drives the node-based tables. Table machines keep
- * ids 0..T-1 in plan order and stack members follow, each stack's
- * members contiguous and ascending in size; stack members never
- * allocate a table of their own. A stack shares no state with any
- * other machine, so it probes and trains in one step during phase 1
- * (stepStacks()).
+ * answers every member. A stack forms only from two or more machines
+ * (a lone machine drives its own table: a one-member LruStack
+ * measured slower than its FullyAssocTable) whose owners all pinned
+ * the flat table implementation, so a run on the reference tables -
+ * the tests' oracle and the benchmark's reference check - still
+ * drives the node-based tables. Table machines keep ids 0..T-1 in
+ * plan order and stack members follow, each stack's members
+ * contiguous and ascending in size; stack members never allocate a
+ * table of their own.
  *
- * Phase 2 reads only the outcome words. A column of one or two members
- * (a plain column or a two-component confidence hybrid) is a *pair*:
- * the plan keeps the pairs' member machines and 32-bit miss and
- * no-prediction counters in dense arrays, scored by one branch-free
- * reduction per record (simd::scorePairsScalar() / scorePairsAvx2())
- * and flushed into the columns' 64-bit totals once per trace block.
- * Wider confidence hybrids take the highest-ranked word in a scalar
- * loop; selector hybrids read the words' valid and correct bits.
+ * The traversal runs machine-major, one block of up to
+ * kLaneBlockRecords indirect records at a time, in three passes:
+ *
+ *  1. The record pass walks the trace. For each indirect record it
+ *     resolves every key slot's laneKey() into that slot's key
+ *     column, keeps the pc and target, runs the generic columns'
+ *     predict/update, and commits the shared histories.
+ *  2. The machine pass runs each table machine, then each stack,
+ *     over the whole block in one loop: probe, outcome word
+ *     (twoLevelOutcome()), access and the two-level update rule. A
+ *     machine writes its words contiguously (words[m *
+ *     kLaneBlockRecords + r]; a stack one stream per member).
+ *  3. The score pass reduces the words into the columns' 64-bit
+ *     totals over the block's counted records, which are a suffix of
+ *     the block (the warm-up is a prefix of the trace). A column of
+ *     one or two members (a plain column or a two-component
+ *     confidence hybrid) is a *pair*, reduced from its members' two
+ *     streams by simd::scorePairStream(). Wider confidence hybrids
+ *     take the highest-ranked word per record; selector hybrids read
+ *     the words' valid and correct bits and train their selection
+ *     tables on every record, warm-up included.
+ *
+ * The order is bit-identical to running every column record by
+ * record. Machines, stacks, selectors and generic columns share no
+ * state; keys depend only on the shared histories, which the record
+ * pass advances in trace order after resolving each record's keys;
+ * and each table still sees its probe and access of one record back
+ * to back, so SetAssocTable's way memo and the stacks' memos hold.
  */
 struct LanePlan
 {
@@ -130,22 +143,22 @@ struct LanePlan
     };
 
     /**
-     * One machine's flattened per-record execution recipe: the lane
-     * engine drives the owner's table directly (prefetch, probe,
-     * access plus the two-level update rule) with the key of the
-     * machine's shared variant, resolved once per record per *slot*
-     * (distinct variant). This removes the whole
-     * predict()/update()/currentKey() call stack from the hot loop.
+     * One machine's flattened execution recipe: the lane engine
+     * drives the owner's table directly (probe, access plus the
+     * two-level update rule) with the keys of the machine's slot.
+     * This removes the whole predict()/update()/currentKey() call
+     * stack from the machine pass.
      */
     struct Machine
     {
         TargetTable *table;        ///< the owner's second-level table
-        /** table when it is a SetAssocTable (the sweep workhorse),
-         *  else nullptr: SetAssocTable is final with inline
-         *  probe/access, so this pointer devirtualizes the per-record
-         *  table work and lets it inline into the lane loops. */
+        /** table when it is a SetAssocTable (the sweep workhorse) or
+         *  a TaglessTable, else nullptr: both are final with inline
+         *  probe/access/prefetch, so these pointers devirtualize the
+         *  machine pass. */
         SetAssocTable *setAssoc;
-        std::uint32_t keySlot;     ///< index into keySlots/laneKeys
+        TaglessTable *tagless;
+        std::uint32_t keySlot;     ///< index into keySlots
         bool hysteresis;           ///< the 2bc update rule flag
     };
 
@@ -174,37 +187,22 @@ struct LanePlan
     std::vector<Stack<LruStack>> lruStacks;
     std::vector<Stack<SetStack>> setStacks;
     std::vector<KeySlot> keySlots;
-    std::vector<Key> laneKeys;                 ///< per-slot scratch
     std::vector<std::uint16_t> memberPool;     ///< column members
     /** Confidence and plain columns: the pairs first, then wider. */
     std::vector<Column> columns;
+    std::size_t pairCount = 0;
     std::vector<SelectorColumn> selectors;
     std::vector<IndirectPredictor *> generic;  ///< record-at-a-time
     std::vector<std::size_t> genericResult;
-    /** One record's outcome word per machine (twoLevelOutcome()). */
-    std::vector<std::uint32_t> outcome;
-    /** Pair column p = columns[p]: its first and second member
-     *  machine and its counters since the last flush. */
-    std::vector<std::uint32_t> pairFirst;
-    std::vector<std::uint32_t> pairSecond;
-    std::vector<std::uint32_t> pairMisses;
-    std::vector<std::uint32_t> pairNoPrediction;
     /** Members folded onto an earlier equal machine. */
     std::uint32_t folded = 0;
 
-    /** Add the pair counters into their columns' totals and restart
-     *  them; called once per trace block, at most kTraceBlockRecords
-     *  counts, so the 32-bit counters never overflow. */
-    void
-    flushPairs()
-    {
-        for (std::size_t p = 0; p < pairFirst.size(); ++p) {
-            columns[p].misses += pairMisses[p];
-            columns[p].noPrediction += pairNoPrediction[p];
-        }
-        std::fill(pairMisses.begin(), pairMisses.end(), 0);
-        std::fill(pairNoPrediction.begin(), pairNoPrediction.end(), 0);
-    }
+    /** The block: per key slot a key column, the records' pcs and
+     *  targets, and per machine an outcome word stream. */
+    std::vector<Key> keys;
+    std::vector<Addr> pcs;
+    std::vector<Addr> targets;
+    std::vector<std::uint32_t> words;
 
     /**
      * Write a lane column's totals into @p result: its miss counters,
@@ -395,21 +393,15 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         plan.generic.push_back(predictor);
         plan.genericResult.push_back(i);
     }
-    plan.outcome.resize(plan.owners.size());
     const std::vector<std::size_t> stack_sizes = formStacks(plan);
 
-    // Pairs first, with their members (as renumbered for the stacks)
-    // in the dense arrays; a plain column pairs its member with itself.
-    const auto wide = std::stable_partition(
-        plan.columns.begin(), plan.columns.end(),
-        [](const LanePlan::Column &column) { return column.count <= 2; });
-    for (auto column = plan.columns.begin(); column != wide; ++column) {
-        const std::uint16_t *member = &plan.memberPool[column->first];
-        plan.pairFirst.push_back(member[0]);
-        plan.pairSecond.push_back(member[column->count - 1]);
-    }
-    plan.pairMisses.assign(plan.pairFirst.size(), 0);
-    plan.pairNoPrediction.assign(plan.pairFirst.size(), 0);
+    // Pairs first: the score pass reduces them as two dense streams.
+    plan.pairCount = static_cast<std::size_t>(
+        std::stable_partition(plan.columns.begin(), plan.columns.end(),
+                              [](const LanePlan::Column &column) {
+                                  return column.count <= 2;
+                              }) -
+        plan.columns.begin());
 
     // Resolve the flattened execution recipes. Machines sharing a
     // PatternSpec share a key slot, so a fig17 row resolves each
@@ -436,7 +428,8 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         TargetTable &table = owner.table();
         plan.machines.push_back(
             {&table, dynamic_cast<SetAssocTable *>(&table),
-             keySlotOf(owner), owner.config().hysteresis});
+             dynamic_cast<TaglessTable *>(&table), keySlotOf(owner),
+             owner.config().hysteresis});
     }
     for (const std::size_t members : stack_sizes) {
         const TwoLevelConfig &config = plan.owners[m]->config();
@@ -461,42 +454,144 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         }
         m += members;
     }
-    plan.laneKeys.resize(plan.keySlots.size());
+    plan.keys.resize(plan.keySlots.size() * kLaneBlockRecords);
+    plan.pcs.resize(kLaneBlockRecords);
+    plan.targets.resize(kLaneBlockRecords);
+    plan.words.resize(plan.owners.size() * kLaneBlockRecords);
     return plan;
 }
 
 /**
- * One record's work for every stack of @p stacks: probe, record each
- * member's pre-update outcome word in @p outcome, and train. A stack
- * shares no state with the table machines, so it can train before
- * they are probed; what phase 2 reads is the recorded words. Set
- * stacks first start pulling every stack's set toward the cache. Kept
- * out of line: inlined into the lane loop it slowed grids without a
- * stack (fig17).
+ * The machine pass of one table machine over a block's @p count
+ * records: probe, outcome word into @p words, access and train, one
+ * record at a time, pulling the table storage of the record
+ * kMachinePrefetch ahead toward the cache. @p Table is the machine's
+ * final table class, whose table work inlines, or TargetTable for the
+ * other tables, which run through virtual calls and no prefetch.
  */
-template <typename Structure>
-[[gnu::noinline]] void
-stepStacks(std::vector<LanePlan::Stack<Structure>> &stacks,
-           const Key *lane_keys, std::uint32_t *outcome, Addr target)
+template <typename Table>
+void
+runMachine(Table &table, const Key *keys, const Addr *targets,
+           std::uint32_t *words, std::size_t count, bool hysteresis)
 {
-    if constexpr (std::is_same_v<Structure, SetStack>) {
-        for (const LanePlan::Stack<Structure> &stack : stacks)
-            stack.structure.prefetch(lane_keys[stack.keySlot]);
-    }
-    for (LanePlan::Stack<Structure> &stack : stacks) {
-        const Key &key = lane_keys[stack.keySlot];
-        std::uint32_t resident = 0;
-        const TableEntry *row = stack.structure.probe(key, resident);
-        std::uint32_t *words = outcome + stack.firstMachine;
-        const std::size_t members = stack.structure.members();
-        for (std::size_t k = 0; k < members; ++k) {
-            words[k] =
-                twoLevelOutcome(k < resident ? nullptr : row + k, target);
+    for (std::size_t r = 0; r < count; ++r) {
+        if constexpr (!std::is_same_v<Table, TargetTable>) {
+            if (r + kMachinePrefetch < count)
+                table.prefetch(keys[r + kMachinePrefetch]);
         }
-        TableEntry *entries = stack.structure.access(key);
+        words[r] = twoLevelOutcome(table.probe(keys[r]), targets[r]);
+        bool replaced = false;
+        TableEntry &entry = table.access(keys[r], replaced);
+        trainTwoLevelEntry(entry, replaced, targets[r], hysteresis);
+    }
+}
+
+/** runMachine() for a stack: member k's words go to
+ *  words[k * kLaneBlockRecords + r]. */
+template <typename Structure>
+void
+runStack(LanePlan::Stack<Structure> &stack, const Key *keys,
+         const Addr *targets, std::uint32_t *words, std::size_t count)
+{
+    Structure &structure = stack.structure;
+    const std::size_t members = structure.members();
+    for (std::size_t r = 0; r < count; ++r) {
+        if constexpr (std::is_same_v<Structure, SetStack>) {
+            if (r + kMachinePrefetch < count)
+                structure.prefetch(keys[r + kMachinePrefetch]);
+        }
+        std::uint32_t resident = 0;
+        const TableEntry *row = structure.probe(keys[r], resident);
         for (std::size_t k = 0; k < members; ++k) {
-            trainTwoLevelEntry(entries[k], k < resident, target,
+            words[k * kLaneBlockRecords + r] = twoLevelOutcome(
+                k < resident ? nullptr : row + k, targets[r]);
+        }
+        TableEntry *entries = structure.access(keys[r]);
+        for (std::size_t k = 0; k < members; ++k) {
+            trainTwoLevelEntry(entries[k], k < resident, targets[r],
                                stack.hysteresis);
+        }
+    }
+}
+
+/**
+ * The machine and score passes (see LanePlan) over a block of
+ * @p count records whose key columns, pcs and targets the record pass
+ * filled; records [@p firstCounted, @p count) are past the warm-up.
+ */
+void
+runLaneBlock(LanePlan &plan, std::size_t count, std::size_t firstCounted)
+{
+    const Key *const keys = plan.keys.data();
+    const Addr *const targets = plan.targets.data();
+    std::uint32_t *const words = plan.words.data();
+    const auto stream = [words](std::uint32_t machine) {
+        return words +
+               static_cast<std::size_t>(machine) * kLaneBlockRecords;
+    };
+
+    for (std::uint32_t m = 0; m < plan.machines.size(); ++m) {
+        const LanePlan::Machine &machine = plan.machines[m];
+        const Key *slot_keys = keys + machine.keySlot * kLaneBlockRecords;
+        if (machine.setAssoc != nullptr) {
+            runMachine(*machine.setAssoc, slot_keys, targets, stream(m),
+                       count, machine.hysteresis);
+        } else if (machine.tagless != nullptr) {
+            runMachine(*machine.tagless, slot_keys, targets, stream(m),
+                       count, machine.hysteresis);
+        } else {
+            runMachine(*machine.table, slot_keys, targets, stream(m),
+                       count, machine.hysteresis);
+        }
+    }
+    for (LanePlan::Stack<LruStack> &stack : plan.lruStacks) {
+        runStack(stack, keys + stack.keySlot * kLaneBlockRecords, targets,
+                 stream(stack.firstMachine), count);
+    }
+    for (LanePlan::Stack<SetStack> &stack : plan.setStacks) {
+        runStack(stack, keys + stack.keySlot * kLaneBlockRecords, targets,
+                 stream(stack.firstMachine), count);
+    }
+
+    const std::uint16_t *const members = plan.memberPool.data();
+    for (std::size_t c = 0; c < plan.pairCount; ++c) {
+        LanePlan::Column &column = plan.columns[c];
+        const std::uint16_t *member = members + column.first;
+        simd::scorePairStream(stream(member[0]) + firstCounted,
+                              stream(member[column.count - 1]) + firstCounted,
+                              count - firstCounted, column.misses,
+                              column.noPrediction);
+    }
+    for (std::size_t c = plan.pairCount; c < plan.columns.size(); ++c) {
+        LanePlan::Column &column = plan.columns[c];
+        const std::uint16_t *member = members + column.first;
+        for (std::size_t r = firstCounted; r < count; ++r) {
+            std::uint32_t best = stream(member[0])[r];
+            for (std::uint32_t k = 1; k < column.count; ++k) {
+                const std::uint32_t word = stream(member[k])[r];
+                if (outcomeRank(word) > outcomeRank(best))
+                    best = word;
+            }
+            column.score(best);
+        }
+    }
+    // Selector hybrids choose (when counted) and train their
+    // selection tables on every record, warm-up included.
+    const Addr *const pcs = plan.pcs.data();
+    for (LanePlan::SelectorColumn &selector : plan.selectors) {
+        const std::uint16_t *member = members + selector.column.first;
+        const std::uint32_t *first = stream(member[0]);
+        const std::uint32_t *second = stream(member[1]);
+        for (std::size_t r = 0; r < count; ++r) {
+            if (r >= firstCounted) {
+                const int chosen = selector.hybrid->selectorChoice(
+                    pcs[r], outcomeValid(first[r]),
+                    outcomeValid(second[r]));
+                selector.column.score(
+                    chosen < 0 ? 0 : (chosen == 0 ? first[r] : second[r]));
+            }
+            selector.hybrid->trainSelector(pcs[r], outcomeCorrect(first[r]),
+                                           outcomeCorrect(second[r]));
         }
     }
 }
@@ -611,25 +706,11 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     for (IndirectPredictor *predictor : predictors)
         need_conditionals |= predictor->consumesConditionals();
 
-    const std::size_t machine_count = plan.machines.size();
-    const LanePlan::Machine *const machines = plan.machines.data();
     const std::size_t key_slot_count = plan.keySlots.size();
     const LanePlan::KeySlot *const key_slots = plan.keySlots.data();
-    Key *const lane_keys = plan.laneKeys.data();
-    std::uint32_t *const outcome = plan.outcome.data();
-    const std::uint16_t *const members = plan.memberPool.data();
-    const bool lru_stacks = !plan.lruStacks.empty();
-    const bool set_stacks = !plan.setStacks.empty();
-    const std::size_t pair_count = plan.pairFirst.size();
-    const std::uint32_t *const pair_first = plan.pairFirst.data();
-    const std::uint32_t *const pair_second = plan.pairSecond.data();
-    std::uint32_t *const pair_misses = plan.pairMisses.data();
-    std::uint32_t *const pair_no_prediction = plan.pairNoPrediction.data();
-    // The dispatch level is read once per traversal, and the
-    // out-of-line AVX2 reduction runs only when it has a full step of
-    // pairs to score; fewer pairs run the inlined scalar loop.
-    const bool avx2_pairs = pair_count >= simd::kPairsPerAvx2Step &&
-                            simdLevel() == SimdLevel::Avx2;
+    Key *const keys = plan.keys.data();
+    Addr *const pcs = plan.pcs.data();
+    Addr *const targets = plan.targets.data();
 
     if (options.traversal != nullptr) {
         options.traversal->laneColumns = static_cast<std::uint32_t>(
@@ -655,11 +736,23 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
     // still sees exactly the sequence simulate() would have fed it,
     // so the counters must match it bit for bit.
     TraceBlockCursor cursor(trace);
-    static_assert(kTraceBlockRecords <= 0xffffffffu,
-                  "a block's pair counts must fit 32 bits");
     std::vector<std::uint32_t> selected(kTraceBlockRecords);
     std::uint64_t seen = 0;
     std::uint64_t polled = 0;
+    // Indirect records in the lane block; its first is record
+    // seen - filled + 1 of the trace's indirect records.
+    std::size_t filled = 0;
+    const auto run_lane_block = [&]() {
+        const std::uint64_t before = seen - filled;
+        const std::uint64_t warmup = options.warmupBranches;
+        const std::size_t first_counted =
+            warmup > before
+                ? static_cast<std::size_t>(
+                      std::min<std::uint64_t>(filled, warmup - before))
+                : 0;
+        runLaneBlock(plan, filled, first_counted);
+        filled = 0;
+    };
     TraceBlock block;
     while (cursor.next(block)) {
         if (cancel && cancel->cancelled())
@@ -701,104 +794,17 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             ++seen;
             const bool counted = seen > options.warmupBranches;
 
-            // Phase 0: resolve each distinct key once (incremental
-            // variants collapse this to an address mix), then start
-            // pulling every machine's table set toward the cache -
-            // the dozen-plus tables of a sweep row do not fit L2 and
-            // their probe misses would otherwise stall back to back.
+            // The record pass: resolve each distinct key once
+            // (incremental variants collapse this to an address mix)
+            // into its slot's key column.
+            pcs[filled] = pc;
+            targets[filled] = target;
             for (std::size_t v = 0; v < key_slot_count; ++v) {
-                lane_keys[v] = key_slots[v].variant->laneKey(
-                    pc, *key_slots[v].group);
-            }
-            for (std::size_t m = 0; m < machine_count; ++m) {
-                const LanePlan::Machine &machine = machines[m];
-                if (machine.setAssoc != nullptr)
-                    machine.setAssoc->prefetch(
-                        lane_keys[machine.keySlot]);
+                keys[v * kLaneBlockRecords + filled] =
+                    key_slots[v].variant->laneKey(pc, *key_slots[v].group);
             }
 
-            // Phase 1: probe every distinct state machine once,
-            // directly on its table, reproducing
-            // TwoLevelPredictor::predict(), and score the answer into
-            // the machine's outcome word. The probes are pre-update
-            // by construction.
-            for (std::size_t m = 0; m < machine_count; ++m) {
-                const LanePlan::Machine &machine = machines[m];
-                outcome[m] = twoLevelOutcome(
-                    machine.setAssoc != nullptr
-                        ? machine.setAssoc->probe(
-                              lane_keys[machine.keySlot])
-                        : machine.table->probe(
-                              lane_keys[machine.keySlot]),
-                    target);
-            }
-            // ... and every stack once for all of its members.
-            if (lru_stacks)
-                stepStacks(plan.lruStacks, lane_keys, outcome, target);
-            if (set_stacks)
-                stepStacks(plan.setStacks, lane_keys, outcome, target);
-
-            // Phase 2: reduce the outcome words into column counters
-            // (pure arithmetic - skipped wholesale during warm-up).
-            if (counted) {
-                if (avx2_pairs) {
-                    simd::scorePairsAvx2(outcome, pair_first, pair_second,
-                                         pair_misses, pair_no_prediction,
-                                         pair_count);
-                } else {
-                    simd::scorePairsScalar(
-                        outcome, pair_first, pair_second, pair_misses,
-                        pair_no_prediction, pair_count);
-                }
-                for (std::size_t c = pair_count; c < plan.columns.size();
-                     ++c) {
-                    LanePlan::Column &column = plan.columns[c];
-                    const std::uint16_t *member = members + column.first;
-                    std::uint32_t best = outcome[member[0]];
-                    for (std::uint32_t k = 1; k < column.count; ++k) {
-                        const std::uint32_t word = outcome[member[k]];
-                        if (outcomeRank(word) > outcomeRank(best))
-                            best = word;
-                    }
-                    column.score(best);
-                }
-            }
-            // Selector hybrids choose (when counted) and train their
-            // selection tables on every record, warm-up included,
-            // from their members' pre-update outcome words.
-            for (LanePlan::SelectorColumn &selector : plan.selectors) {
-                const std::uint16_t *member =
-                    members + selector.column.first;
-                const std::uint32_t first = outcome[member[0]];
-                const std::uint32_t second = outcome[member[1]];
-                if (counted) {
-                    const int chosen = selector.hybrid->selectorChoice(
-                        pc, outcomeValid(first), outcomeValid(second));
-                    selector.column.score(
-                        chosen < 0 ? 0 : (chosen == 0 ? first : second));
-                }
-                selector.hybrid->trainSelector(
-                    pc, outcomeCorrect(first), outcomeCorrect(second));
-            }
-
-            // Phase 3: train every machine exactly once with the
-            // two-level update rule; the access consumes the probe's
-            // way memo, and bound owners push no history (the
-            // kernel commit below advances the shared groups).
-            for (std::size_t m = 0; m < machine_count; ++m) {
-                const LanePlan::Machine &machine = machines[m];
-                bool replaced = false;
-                TableEntry &entry =
-                    machine.setAssoc != nullptr
-                        ? machine.setAssoc->access(
-                              lane_keys[machine.keySlot], replaced)
-                        : machine.table->access(
-                              lane_keys[machine.keySlot], replaced);
-                trainTwoLevelEntry(entry, replaced, target,
-                                   machine.hysteresis);
-            }
-
-            // Phase 4: generic columns run their usual interleaved
+            // Generic columns run their usual interleaved
             // predict/update.
             for (std::size_t g = 0; g < plan.generic.size(); ++g) {
                 IndirectPredictor *predictor = plan.generic[g];
@@ -812,13 +818,17 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
 
             // Solo predictors push history inside update() *after*
             // consuming the key they cached pre-push; committing the
-            // shared histories once, after every bound predictor
-            // trained, reproduces exactly that order.
+            // shared histories once, after every key of the record is
+            // resolved, reproduces exactly that order.
             if (kernel != nullptr)
                 kernel->commit(pc, target);
+
+            if (++filled == kLaneBlockRecords)
+                run_lane_block();
         }
-        plan.flushPairs();
     }
+    if (filled != 0)
+        run_lane_block();
 
     // One traversal produced all results, so the wall time is shared
     // state: record the real group time and split it evenly so

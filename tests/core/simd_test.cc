@@ -173,103 +173,104 @@ TEST(SimdClassifyMeta, MatchesScalarOracleAcrossLevels)
     }
 }
 
-/** Per-column counters of one pair-scoring run. */
-struct PairCounts
+/** One member's outcome word for a drawn entry. */
+std::uint32_t
+drawnWord(Rng &rng, bool canBeValid, Addr actual, TableEntry &entry)
 {
-    std::vector<std::uint32_t> misses;
-    std::vector<std::uint32_t> noPrediction;
+    entry.valid = canBeValid && rng.nextBool(0.8);
+    entry.target = rng.nextBool(0.5) ? actual : actual + 4;
+    entry.confidence =
+        SatCounter(2, static_cast<unsigned>(rng.nextBelow(3)));
+    return twoLevelOutcome(&entry, actual);
+}
 
-    explicit PairCounts(std::size_t count)
-        : misses(count, 0), noPrediction(count, 0)
-    {
-    }
-};
-
-TEST(SimdScorePairs, MatchesConfidenceChoiceOracleAcrossCounts)
+TEST(SimdScorePairStream, MatchesConfidenceChoiceOracleOverCountedSuffix)
 {
-    // Machines 0 and 1 never hold a valid entry (all-invalid pairs);
-    // the others draw confidence 0..2, so ranks tie often. Every
-    // column count 0..40 covers each AVX2 tail length, and the last
-    // machine is always referenced so the gathers reach the last
-    // word.
-    constexpr std::size_t kMachines = 37;
+    // Two member streams of every length 0..70 (each vector tail
+    // length), reduced from three offsets: the whole stream, a
+    // counted suffix, and an empty one. Confidences 0..2 make ranks
+    // tie often; every fourth record has no valid member, and every
+    // third length is a plain column (one stream as both members).
     constexpr Addr kActual = 0x4000;
     Rng rng(0x5c0de);
-    const bool have_avx2 = supportedLevels().back() == SimdLevel::Avx2;
     std::uint64_t scored = 0;
     std::uint64_t missed = 0;
     std::uint64_t unpredicted = 0;
-    for (std::size_t count = 0; count <= 40; ++count) {
+    std::uint64_t tie_flips = 0;
+    for (std::size_t count = 0; count <= 70; ++count) {
+        const bool plain = count % 3 == 0;
         std::vector<std::uint32_t> first(count);
         std::vector<std::uint32_t> second(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            first[i] = static_cast<std::uint32_t>(rng.nextBelow(kMachines));
-            second[i] =
-                static_cast<std::uint32_t>(rng.nextBelow(kMachines));
-            if (i % 5 == 0) {
-                second[i] = first[i]; // a plain column
-            } else if (i % 7 == 3) {
-                first[i] = 0; // both members invalid
-                second[i] = 1;
-            }
+        std::vector<Prediction> answers(count);
+        for (std::size_t r = 0; r < count; ++r) {
+            TableEntry entries[2];
+            const bool any_valid = r % 4 != 1;
+            first[r] = drawnWord(rng, any_valid, kActual, entries[0]);
+            second[r] = first[r];
+            entries[1] = entries[0];
+            if (!plain)
+                second[r] = drawnWord(rng, any_valid, kActual, entries[1]);
+            const Prediction members[2] = {twoLevelPrediction(&entries[0]),
+                                           twoLevelPrediction(&entries[1])};
+            const int chosen = confidenceChoice(
+                2, [&members](unsigned k) -> const Prediction & {
+                    return members[k];
+                });
+            answers[r] = chosen < 0 ? Prediction{} : members[chosen];
+            // A tie the earlier member must win to be scored right.
+            tie_flips += outcomeRank(first[r]) == outcomeRank(second[r]) &&
+                         outcomeValid(first[r]) &&
+                         outcomeCorrect(first[r]) != outcomeCorrect(second[r]);
         }
-        if (count != 0)
-            second[count - 1] = kMachines - 1;
-
-        PairCounts oracle(count);
-        PairCounts scalar(count);
-        PairCounts avx2(count);
-        for (unsigned record = 0; record < 24; ++record) {
-            std::vector<TableEntry> entries(kMachines);
-            for (std::size_t m = 2; m < kMachines; ++m) {
-                TableEntry &entry = entries[m];
-                entry.valid = rng.nextBool(0.8);
-                entry.target = rng.nextBool(0.5) ? kActual : kActual + 4;
-                entry.confidence = SatCounter(
-                    2, static_cast<unsigned>(rng.nextBelow(3)));
+        for (const std::size_t start : {std::size_t{0}, count / 3, count}) {
+            std::uint64_t oracle_misses = 0;
+            std::uint64_t oracle_none = 0;
+            for (std::size_t r = start; r < count; ++r) {
+                oracle_misses += answers[r].correctFor(kActual) ? 0 : 1;
+                oracle_none += answers[r].valid ? 0 : 1;
             }
-            std::vector<std::uint32_t> words(kMachines);
-            for (std::size_t m = 0; m < kMachines; ++m)
-                words[m] = twoLevelOutcome(&entries[m], kActual);
-
-            for (std::size_t i = 0; i < count; ++i) {
-                const Prediction members[2] = {
-                    twoLevelPrediction(&entries[first[i]]),
-                    twoLevelPrediction(&entries[second[i]])};
-                const int chosen = confidenceChoice(
-                    2, [&members](unsigned k) -> const Prediction & {
-                        return members[k];
-                    });
-                const Prediction answer =
-                    chosen < 0 ? Prediction{} : members[chosen];
-                oracle.misses[i] += answer.correctFor(kActual) ? 0 : 1;
-                oracle.noPrediction[i] += answer.valid ? 0 : 1;
-                ++scored;
-                missed += answer.correctFor(kActual) ? 0 : 1;
-                unpredicted += answer.valid ? 0 : 1;
+            // The totals are added to, not overwritten.
+            std::uint64_t misses = 7;
+            std::uint64_t none = 3;
+            simd::scorePairStream(first.data() + start,
+                                  second.data() + start, count - start,
+                                  misses, none);
+            EXPECT_EQ(misses, 7 + oracle_misses)
+                << "count " << count << " start " << start;
+            EXPECT_EQ(none, 3 + oracle_none)
+                << "count " << count << " start " << start;
+            if (start == 0) {
+                scored += count;
+                missed += oracle_misses;
+                unpredicted += oracle_none;
             }
-            simd::scorePairsScalar(words.data(), first.data(),
-                                   second.data(), scalar.misses.data(),
-                                   scalar.noPrediction.data(), count);
-            if (have_avx2) {
-                simd::scorePairsAvx2(words.data(), first.data(),
-                                     second.data(), avx2.misses.data(),
-                                     avx2.noPrediction.data(), count);
-            }
-        }
-        EXPECT_EQ(scalar.misses, oracle.misses) << "count " << count;
-        EXPECT_EQ(scalar.noPrediction, oracle.noPrediction)
-            << "count " << count;
-        if (have_avx2) {
-            EXPECT_EQ(avx2.misses, oracle.misses) << "count " << count;
-            EXPECT_EQ(avx2.noPrediction, oracle.noPrediction)
-                << "count " << count;
         }
     }
-    // The draws hit every outcome: right, wrong and no prediction.
+    // The draws hit every outcome (right, wrong, no prediction) and
+    // many ties that only the earlier-member rule scores right.
     EXPECT_GT(unpredicted, 0u);
     EXPECT_GT(missed, unpredicted);
     EXPECT_LT(missed, scored);
+    EXPECT_GT(tie_flips, 20u);
+}
+
+TEST(SimdScorePairStream, EarlierMemberWinsTies)
+{
+    const std::uint32_t wrong2 = 2u << kOutcomeRankShift | kOutcomeValid;
+    const std::uint32_t right2 = wrong2 | kOutcomeCorrect;
+    const std::uint32_t right3 =
+        3u << kOutcomeRankShift | kOutcomeValid | kOutcomeCorrect;
+    const std::uint32_t first[] = {wrong2, right2, wrong2, 0};
+    const std::uint32_t second[] = {right2, wrong2, right3, 0};
+    const std::uint64_t expected_misses[] = {1, 0, 0, 1};
+    const std::uint64_t expected_none[] = {0, 0, 0, 1};
+    for (std::size_t r = 0; r < 4; ++r) {
+        std::uint64_t misses = 0;
+        std::uint64_t none = 0;
+        simd::scorePairStream(first + r, second + r, 1, misses, none);
+        EXPECT_EQ(misses, expected_misses[r]) << "record " << r;
+        EXPECT_EQ(none, expected_none[r]) << "record " << r;
+    }
 }
 
 /** One op log entry of the FlatMap fuzz: what happened and to whom. */

@@ -43,6 +43,7 @@
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 #include "synth/benchmark_suite.hh"
+#include "trace/trace_cache.hh"
 
 #if defined(__SANITIZE_THREAD__)
 #define IBP_TSAN 1
@@ -231,9 +232,10 @@ class ShardServeTest : public ::testing::Test
     TearDown() override
     {
         unsetenv("IBP_EVENTS");
-        // The store is process-global; leaving it armed would warm
-        // every later test in this binary.
+        // The store and the trace cache are process-global; leaving
+        // them armed would warm every later test in this binary.
         ResultStore::configureGlobal("");
+        TraceCache::configureGlobal("");
         g_shard_sim_log.clear();
         std::error_code ec;
         std::filesystem::remove_all(_dir, ec);
@@ -530,6 +532,37 @@ TEST_F(ShardServeTest, WarmRepeatIsServedByOneStoreOnlyLaneRun)
     EXPECT_EQ(stats.shardsPlanned, 4u);
     EXPECT_EQ(stats.jobsStoreServed, 1u);
     EXPECT_EQ(stats.jobsRetried, 0u);
+}
+
+TEST_F(ShardServeTest, WarmRepeatOnFourLanesCountsAWarmHit)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = shardDiffExperiment();
+    // The lanes inherit the trace cache when they fork: the cold job
+    // fills it, the repeat reads every trace from it.
+    TraceCache::configureGlobal(_state + "/traces");
+    ResultStore::configureGlobal(_state + "/store");
+    auto server = makeServer(4);
+
+    const ExperimentRunResult cold = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions());
+    ASSERT_EQ(cold.exitCode, 0);
+    ASSERT_NE(cold.artifact, nullptr);
+
+    const ExperimentRunResult warm = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions());
+    ASSERT_EQ(warm.exitCode, 0);
+    ASSERT_NE(warm.artifact, nullptr);
+    EXPECT_TRUE(warm.artifact->metrics.serve().warm);
+    EXPECT_EQ(warm.artifact->metrics.serve().shard.planned, 0u);
+
+    server->requestDrain();
+    server->waitStopped();
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.jobsCompleted, 2u);
+    EXPECT_EQ(stats.jobsStoreServed, 1u);
+    EXPECT_GE(stats.warmHits, 1u);
 }
 
 TEST_F(ShardServeTest, RepeatMissingOneEntryFansOutAndRestoresNothing)

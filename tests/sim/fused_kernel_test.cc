@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -734,6 +735,121 @@ TEST_F(FusedKernelTest, LaneScoringMatchesPerCellOracleAtEveryLevel)
             }
         }
     }
+}
+
+/**
+ * One grid of every lane-engine kind around the block boundaries:
+ * plain set-associative, tagless and unconstrained machines, a
+ * two-component confidence hybrid with ties, a three-component one,
+ * a selector hybrid, a set stack (1/2/4 ways at 64 sets), an LRU
+ * stack (16/64/256 entries), and two generic columns.
+ */
+std::vector<SweepColumn>
+blockBoundaryColumns()
+{
+    const auto spec = [](const std::string &text) {
+        return [text]() { return makePredictorFromSpec(text); };
+    };
+    return {
+        {"plain-p3", spec("twolevel:p=3,table=assoc4:256")},
+        {"tagless-p2", spec("twolevel:p=2,table=tagless:256")},
+        {"uncon-p1", spec("twolevel:p=1,table=unconstrained")},
+        {"tie-1-4", spec("hybrid:p1=1,p2=4,table=assoc4:128,conf=1")},
+        {"3comp",
+         []() {
+             HybridConfig config;
+             config.components = {
+                 paperTwoLevel(5, TableSpec::setAssoc(256, 4)),
+                 paperTwoLevel(2, TableSpec::tagless(128)),
+                 paperTwoLevel(0, TableSpec::setAssoc(512, 4))};
+             config.confidenceBits = 1;
+             return std::make_unique<HybridPredictor>(config);
+         }},
+        {"sel-2-5",
+         spec("hybrid:p1=2,p2=5,table=assoc2:256,meta=selector")},
+        {"set-1way", spec("twolevel:p=3,table=assoc1:64")},
+        {"set-2way", spec("twolevel:p=3,table=assoc2:128")},
+        {"lru-16", spec("twolevel:p=4,table=fullassoc:16")},
+        {"lru-64", spec("twolevel:p=4,table=fullassoc:64")},
+        {"lru-256", spec("twolevel:p=4,table=fullassoc:256")},
+        {"btb", spec("btb")},
+        {"cascaded",
+         []() {
+             return std::make_unique<CascadedPredictor>(
+                 CascadedConfig::classic(256));
+         }},
+    };
+}
+
+/** The records of @p trace up to and including its @p indirect-th
+ *  predicted-indirect record (all of them if it has fewer). */
+Trace
+indirectPrefix(const Trace &trace, std::size_t indirect)
+{
+    Trace prefix(trace.name());
+    std::size_t seen = 0;
+    for (const BranchRecord &record : trace.records()) {
+        if (seen == indirect)
+            break;
+        prefix.append(record);
+        seen += record.isPredictedIndirect() ? 1 : 0;
+    }
+    return prefix;
+}
+
+/** blockBoundaryColumns() fused over the first @p length indirect
+ *  records of @p full (all of them if it has fewer), warm-up
+ *  @p warmup, against the per-cell oracle. */
+void
+expectBlockGridMatchesOracle(const Trace &full, std::size_t length,
+                             std::uint64_t warmup)
+{
+    SCOPED_TRACE("length " + std::to_string(length) + " warm-up " +
+                 std::to_string(warmup));
+    const auto columns = blockBoundaryColumns();
+    const Trace trace = indirectPrefix(full, length);
+    std::size_t indirect = 0;
+    for (const BranchRecord &record : trace.records())
+        indirect += record.isPredictedIndirect() ? 1 : 0;
+    TraversalStats traversal;
+    const std::vector<SimResult> many =
+        runFused(columns, trace, warmup, traversal);
+    EXPECT_EQ(traversal.genericColumns, 2u);
+    EXPECT_EQ(traversal.setStacks, 1u);
+    EXPECT_EQ(traversal.setStackedMembers, 3u);
+    EXPECT_EQ(traversal.lruStacks, 1u);
+    EXPECT_EQ(traversal.stackedMembers, 3u);
+    ASSERT_EQ(many.size(), columns.size());
+    if (length != SIZE_MAX) {
+        EXPECT_EQ(indirect, length); // idl is long enough
+    }
+    EXPECT_EQ(many[0].branches, indirect > warmup ? indirect - warmup : 0);
+    expectSoloReferenceCounters(columns, trace, warmup, many);
+}
+
+TEST_F(FusedKernelTest, TracesAroundBlockBoundariesMatchPerCellOracle)
+{
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    constexpr std::size_t B = kLaneBlockRecords;
+    // Shorter than one block; exactly k blocks; k blocks +- 1 record.
+    for (const std::size_t length :
+         {B / 3, B - 1, B, B + 1, 3 * B - 1, 3 * B, 3 * B + 1})
+        expectBlockGridMatchesOracle(runner.trace("idl"), length, 0);
+}
+
+TEST_F(FusedKernelTest, WarmupEndingInsideABlockMatchesPerCellOracle)
+{
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    constexpr std::size_t B = kLaneBlockRecords;
+    // Ending inside the first block, on its end, inside a later block,
+    // one record before the trace's end, and past it.
+    for (const std::uint64_t warmup : {B / 2, B, B + 77, 3 * B, 4 * B})
+        expectBlockGridMatchesOracle(runner.trace("idl"), 3 * B + 1, warmup);
+    // A trace shorter than one block, warmed up to its middle.
+    expectBlockGridMatchesOracle(runner.trace("idl"), B / 3, B / 6);
+    // The whole trace, with a warm-up long enough that the selectors'
+    // warm-up training shows in their counts.
+    expectBlockGridMatchesOracle(runner.trace("idl"), SIZE_MAX, 2 * B + 77);
 }
 
 TEST_F(FusedKernelTest, FusedGridMatchesPerCellGridSingleThread)
