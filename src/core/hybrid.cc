@@ -163,18 +163,6 @@ HybridPredictor::observeConditional(Addr pc, bool taken, Addr target)
         component->observeConditional(pc, taken, target);
 }
 
-bool
-HybridPredictor::joinSweepKernel(SweepKernel &kernel)
-{
-    // Each component keeps its own history when solo, but every one
-    // of them observes the same branch stream, so sharing a group
-    // register per signature (and one commit per branch) is
-    // observationally identical.
-    for (auto &component : _components)
-        component->joinSweepKernel(kernel);
-    return true;
-}
-
 void
 HybridPredictor::reset()
 {

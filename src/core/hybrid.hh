@@ -113,7 +113,6 @@ class HybridPredictor final : public IndirectPredictor
     Prediction predict(Addr pc) override;
     void update(Addr pc, Addr actual) override;
     void observeConditional(Addr pc, bool taken, Addr target) override;
-    bool joinSweepKernel(SweepKernel &kernel) override;
     void reset() override;
     std::string name() const override;
 

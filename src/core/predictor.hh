@@ -25,8 +25,6 @@
 
 namespace ibp {
 
-class SweepKernel;
-
 /** Outcome of a prediction lookup. */
 struct Prediction
 {
@@ -70,30 +68,13 @@ class IndirectPredictor
     }
 
     /**
-     * True when observeConditional() has any observable effect right
-     * now (Target Cache; the section 3.3 conditional-history variant
-     * while it still owns its history). The block engine skips
-     * conditional records wholesale when no predictor in the
-     * traversal consumes them and no shared history group folds them
-     * in, so the answer must reflect the *current* binding state -
-     * query after joinSweepKernel() offers are done.
+     * True when observeConditional() has any observable effect (the
+     * Target Cache; the section 3.3 conditional-history variant). The
+     * lane engine skips conditional records wholesale when none of
+     * its generic columns consumes them and no sweep kernel group
+     * folds them into a shared history.
      */
     virtual bool consumesConditionals() const { return false; }
-
-    /**
-     * Offer this predictor a fused sweep kernel (sweep_kernel.hh):
-     * a predictor that accepts delegates its first-level history to
-     * the kernel (the simulation loop then calls the kernel's
-     * commit/observeConditional instead of per-predictor pushes) and
-     * must bind its key recipes via SweepKernel::bind(). Default:
-     * decline and keep private history - correct for any family.
-     */
-    virtual bool
-    joinSweepKernel(SweepKernel &kernel)
-    {
-        (void)kernel;
-        return false;
-    }
 
     /** Forget all state (tables, histories, counters). */
     virtual void reset() = 0;

@@ -2,35 +2,11 @@
 
 #include <algorithm>
 
+#include "core/hybrid.hh"
+#include "core/two_level.hh"
 #include "util/logging.hh"
 
 namespace ibp {
-
-Key
-SweepKeyVariant::rebuild(Addr pc, SweepHistoryGroup &group)
-{
-    Key key;
-    if (_incremental) {
-        // Global-history incremental mode: the pattern is maintained
-        // push-by-push (step()), so the per-branch work is just the
-        // address mix.
-        key = _builder.keyFromPattern(pc, _pattern);
-    } else if (_fast) {
-        const std::uint64_t *compressed = group.compressedFor(pc);
-        key = _builder.keyFromPattern(
-            pc, _builder.assembleFromCompressed(compressed));
-    } else {
-        // Fold/shift-xor/full-precision/reference-mode recipes keep
-        // their own assembly, but over the *shared* buffer - columns
-        // with identical specs still collapse onto this one memo.
-        key = _builder.buildKey(pc, group.buffer(pc));
-    }
-    _memoVersion = group._version;
-    _memoPc = pc;
-    _memoValid = true;
-    _memoKey = key;
-    return key;
-}
 
 const std::uint64_t *
 SweepHistoryGroup::compressedFor(Addr pc)
@@ -53,19 +29,36 @@ bool
 SweepKernel::tryJoin(IndirectPredictor &predictor)
 {
     IBP_ASSERT(!_finalized, "tryJoin after finalize");
-    if (predictor.joinSweepKernel(*this)) {
-        ++_joined;
-        return true;
+    Column column;
+    if (auto *two = dynamic_cast<TwoLevelPredictor *>(&predictor)) {
+        column.members.push_back({two, bind(two->config())});
+    } else if (auto *hybrid = dynamic_cast<HybridPredictor *>(&predictor)) {
+        // Each component keeps its own history when solo, but every
+        // one of them observes the same branch stream, so sharing a
+        // group register per signature is observationally identical.
+        column.hybrid = hybrid;
+        for (unsigned c = 0; c < hybrid->numComponents(); ++c) {
+            TwoLevelPredictor &component = hybrid->component(c);
+            column.members.push_back(
+                {&component, bind(component.config())});
+        }
+    } else {
+        ++_declined;
+        return false;
     }
-    ++_declined;
-    return false;
+    _columns.emplace(&predictor, std::move(column));
+    ++_joined;
+    return true;
 }
 
-SweepKernel::Binding
-SweepKernel::bind(const SweepGroupSignature &signature,
-                  const PatternSpec &spec)
+std::uint32_t
+SweepKernel::bind(const TwoLevelConfig &config)
 {
-    IBP_ASSERT(!_finalized, "bind after finalize");
+    const SweepGroupSignature signature{
+        config.historySharing,
+        config.historyElement == HistoryElement::TargetAndAddress,
+        config.includeConditionalTargets};
+    const PatternSpec &spec = config.pattern;
     SweepHistoryGroup *group = nullptr;
     for (const auto &candidate : _groups) {
         if (candidate->_signature == signature) {
@@ -79,12 +72,13 @@ SweepKernel::bind(const SweepGroupSignature &signature,
         group = _groups.back().get();
     }
     group->_maxDepth = std::max(group->_maxDepth, spec.pathLength);
-    for (const auto &variant : group->_variants) {
-        if (variant->spec() == spec)
-            return Binding{group, variant.get()};
+    for (std::size_t v = 0; v < _variants.size(); ++v) {
+        if (_variants[v]->_group == group && _variants[v]->spec() == spec)
+            return static_cast<std::uint32_t>(v);
     }
-    group->_variants.push_back(std::make_unique<SweepKeyVariant>(spec));
-    return Binding{group, group->_variants.back().get()};
+    _variants.push_back(std::make_unique<SweepKeyVariant>(spec, *group));
+    group->_variants.push_back(_variants.back().get());
+    return static_cast<std::uint32_t>(_variants.size() - 1);
 }
 
 void
@@ -104,7 +98,7 @@ SweepKernel::finalize()
         // the width-_cacheBits compression serves every narrower
         // variant without an explicit mask.
         bool anchored = false;
-        for (const auto &variant : group._variants) {
+        for (SweepKeyVariant *variant : group._variants) {
             if (!variant->_builder.fastAssemblyEligible())
                 continue;
             const PatternSpec &spec = variant->spec();
@@ -123,7 +117,7 @@ SweepKernel::finalize()
         if (group._cacheEnabled)
             group._compressed.assign(group._cacheDepth, 0);
 
-        for (const auto &variant : group._variants) {
+        for (SweepKeyVariant *variant : group._variants) {
             const PatternSpec &spec = variant->spec();
             variant->_fast =
                 group._cacheEnabled &&
@@ -139,12 +133,12 @@ SweepKernel::finalize()
         // disturb set B's pattern). Cold history is all zeros, whose
         // assembled pattern is 0 - the running values start correct.
         if (group._signature.sharingBits >= 32) {
-            for (const auto &variant : group._variants) {
+            for (SweepKeyVariant *variant : group._variants) {
                 if (!variant->_builder.incrementalAdvanceEligible())
                     continue;
                 variant->_incremental = true;
                 variant->_pattern = 0;
-                group._incremental.push_back(variant.get());
+                group._incremental.push_back(variant);
             }
         }
     }

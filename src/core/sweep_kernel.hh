@@ -7,22 +7,27 @@
  * resource parameter (table size, associativity, the second path
  * length of a hybrid) but share the history specification: the same
  * sharing mode s, the same element kind, the same conditional-target
- * flag. Under simulateMany() each of those columns used to maintain
- * its own HistoryRegister and rebuild its own pattern key per
- * branch - identical work, repeated per column.
+ * flag. Run one by one, each of those columns maintains its own
+ * HistoryRegister and rebuilds its own pattern key per branch -
+ * identical work, repeated per column.
  *
  * A SweepKernel hoists that shared work out of the column loop:
  *
- *  - columns joining the kernel (IndirectPredictor::joinSweepKernel)
- *    are grouped by history *signature* (s, element kind,
+ *  - predictors joining the kernel (tryJoin(): a two-level predictor
+ *    or a hybrid of two-level components) bind one key recipe per
+ *    member TwoLevelConfig. The kernel records each joined column's
+ *    members and their variants (column()); the predictor objects
+ *    themselves carry no kernel state, so a joined predictor still
+ *    runs unchanged under simulate();
+ *  - members are grouped by history *signature* (s, element kind,
  *    conditional flag); each group keeps ONE HistoryRegister at the
  *    deepest path length any member needs - HistoryBuffer::at(i) is
  *    depth-independent for i < p, so a deeper buffer serves every
  *    shorter path bit-identically;
- *  - within a group, columns with the same full PatternSpec share
- *    one key *variant* (one PatternBuilder plus a per-branch memo),
- *    so the 13 columns of a fig17 row that share path length p1
- *    build that component's key once per branch, not 13 times;
+ *  - within a group, members with the same full PatternSpec share
+ *    one key *variant*, so the 13 columns of a fig17 row that share
+ *    path length p1 build that component's key once per branch, not
+ *    13 times. The variants are the lane engine's key slots;
  *  - bit-select variants additionally share the *compressed targets*:
  *    the group caches bitsRange(target, a, bMax) per branch once,
  *    and each variant derives its own pattern by pushing those
@@ -30,26 +35,25 @@
  *    exactly popcount(mask) low bits, so the width-bMax compression
  *    serves every smaller b implicitly). Fold/shift-xor/full
  *    -precision variants fall back to their own buildKey() over the
- *    shared buffer - still memoized, still bit-identical.
- *  - columns (or hybrid components) whose *entire* TwoLevelConfig is
- *    equal go further: they are identical state machines fed the
- *    identical record stream. The kernel does not track them; the
- *    lane engine's plan (sim/simulator.cc) folds them onto one table
- *    per distinct configuration.
+ *    shared buffer - still bit-identical.
+ *  - members whose *entire* TwoLevelConfig is equal go further: they
+ *    are identical state machines fed the identical record stream.
+ *    The kernel does not track them; the lane engine's plan
+ *    (sim/simulator.cc) folds them onto one table per distinct
+ *    configuration.
  *
- * The simulation loop drives the kernel: commit(pc, target) after
- * the per-record predictor loop performs the history pushes that
- * each bound predictor's update() suppressed, and bumps the version
- * that invalidates the memos. Because a solo predictor builds its
- * key from the *pre-push* history (predict() caches it, update()
- * reuses it before pushing), committing once after the loop is
- * observationally identical - the differential test in tests/sim
- * pins every SimResult counter bit-for-bit.
+ * The lane engine drives the kernel per indirect record: laneKeys()
+ * resolves every variant's key from the pre-push histories, then
+ * commit(pc, target) performs the history pushes once for every
+ * group. A solo predictor builds its key from the pre-push history
+ * too (update() reuses the key predict() cached, then pushes), so
+ * the order is observationally identical - the differential tests in
+ * tests/sim pin every SimResult counter bit-for-bit.
  *
- * Lifetime: bind at construction time, finalize() once, then drive.
- * Bound predictors hold pointers into the kernel, so the kernel must
- * outlive every use of its predictors (SuiteRunner scopes both to
- * one fused chunk). Not thread-safe; one kernel per traversal.
+ * Lifetime: join, finalize() once, then drive. The kernel holds
+ * pointers to the joined predictors, so they must outlive its use
+ * (SuiteRunner scopes both to one fused chunk). Not thread-safe; one
+ * kernel per traversal.
  */
 
 #ifndef IBP_CORE_SWEEP_KERNEL_HH
@@ -57,6 +61,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/history_register.hh"
@@ -66,7 +71,10 @@
 
 namespace ibp {
 
+class HybridPredictor;
 class SweepHistoryGroup;
+class TwoLevelPredictor;
+struct TwoLevelConfig;
 
 /** What makes two columns' first-level histories interchangeable. */
 struct SweepGroupSignature
@@ -89,45 +97,29 @@ struct SweepGroupSignature
 };
 
 /**
- * One deduplicated key recipe within a group: every column whose
- * PatternSpec is identical shares this builder and its per-branch
- * memo. key() is valid only after SweepKernel::finalize().
+ * One deduplicated key recipe within a group: every member whose
+ * PatternSpec is identical shares this builder. laneKey() is valid
+ * only after SweepKernel::finalize().
  */
 class SweepKeyVariant
 {
   public:
-    explicit SweepKeyVariant(const PatternSpec &spec)
-        : _builder(spec)
+    SweepKeyVariant(const PatternSpec &spec, SweepHistoryGroup &group)
+        : _builder(spec), _group(&group)
     {
     }
 
     const PatternSpec &spec() const { return _builder.spec(); }
 
     /** The key this recipe produces for @p pc under the group's
-     *  current history (memoized per (version, pc)). Defined after
-     *  SweepHistoryGroup so the memo-hit path inlines into
-     *  TwoLevelPredictor::currentKey - it runs twice per member per
-     *  record (predict then update). */
-    Key key(Addr pc, SweepHistoryGroup &group);
-
-    /** Lane-engine key: the same value as key(), skipping the
-     *  (version, pc) memo - the lane engine resolves each variant
-     *  exactly once per record, so the memo could never hit there.
-     *  Incremental variants reduce to the inline address mix. */
-    Key
-    laneKey(Addr pc, SweepHistoryGroup &group)
-    {
-        if (_incremental)
-            return _builder.keyFromPattern(pc, _pattern);
-        return key(pc, group);
-    }
+     *  current history. The lane engine resolves each variant once
+     *  per record; incremental variants reduce to the inline address
+     *  mix. Defined after SweepHistoryGroup. */
+    Key laneKey(Addr pc);
 
   private:
     friend class SweepKernel;
     friend class SweepHistoryGroup;
-
-    /** The memo-miss slow path of key(): assemble and store. */
-    Key rebuild(Addr pc, SweepHistoryGroup &group);
 
     /** Fold one pushed history element into the running pattern
      *  (incremental variants only; see _incremental). */
@@ -138,6 +130,8 @@ class SweepKeyVariant
     }
 
     PatternBuilder _builder;
+    /** The group whose shared history this recipe reads. */
+    SweepHistoryGroup *_group;
     /** Derive the pattern from the group's shared compressed-target
      *  cache instead of re-compressing per variant (set by
      *  finalize(); requires flat bit-select with the group's a). */
@@ -148,16 +142,11 @@ class SweepKeyVariant
      * global, so every branch reads the same pattern and each push
      * advances it by one uniform shift
      * (PatternBuilder::advancePattern). The group calls step() once
-     * per pushed element and rebuild() collapses to mixing _pattern
+     * per pushed element and laneKey() collapses to mixing _pattern
      * with the branch address - no per-branch history walk at all.
      */
     bool _incremental = false;
     std::uint64_t _pattern = 0;
-
-    std::uint64_t _memoVersion = 0;
-    Addr _memoPc = 0;
-    bool _memoValid = false;
-    Key _memoKey;
 };
 
 /** One shared first-level history and its key variants. */
@@ -168,9 +157,6 @@ class SweepHistoryGroup
         : _signature(signature)
     {
     }
-
-    const SweepGroupSignature &signature() const { return _signature; }
-    std::uint64_t version() const { return _version; }
 
     /** The shared buffer branch @p pc consults (post-finalize). */
     const HistoryBuffer &
@@ -188,7 +174,6 @@ class SweepHistoryGroup
 
   private:
     friend class SweepKernel;
-    friend class SweepKeyVariant;
 
     /** One resolved element enters @p pc's history: push it into the
      *  shared buffer and advance the incremental patterns. */
@@ -202,9 +187,12 @@ class SweepHistoryGroup
 
     SweepGroupSignature _signature;
     unsigned _maxDepth = 0;
+    /** Bumped once per committed branch; keys the compressed-target
+     *  cache. */
     std::uint64_t _version = 1;
     std::unique_ptr<HistoryRegister> _history;
-    std::vector<std::unique_ptr<SweepKeyVariant>> _variants;
+    /** This group's variants (the kernel owns them). */
+    std::vector<SweepKeyVariant *> _variants;
     /** The subset of _variants in incremental mode (global-history
      *  groups only; filled by finalize()). */
     std::vector<SweepKeyVariant *> _incremental;
@@ -223,11 +211,26 @@ class SweepHistoryGroup
 class SweepKernel
 {
   public:
-    /** What bind() hands a joining predictor. */
-    struct Binding
+    /** One two-level member of a joined predictor. */
+    struct Member
     {
-        SweepHistoryGroup *group = nullptr;
-        SweepKeyVariant *variant = nullptr;
+        /** The member's predictor: the joined two-level predictor
+         *  itself, or one hybrid component. */
+        TwoLevelPredictor *machine = nullptr;
+        /** Index of the member's key variant in laneKeys() order
+         *  (its lane key slot). */
+        std::uint32_t variant = 0;
+    };
+
+    /** A predictor that joined: the lane engine runs it as a column
+     *  over its members' tables. */
+    struct Column
+    {
+        /** The joined predictor when it is a hybrid, else nullptr. */
+        HybridPredictor *hybrid = nullptr;
+        /** A plain column's one member; a hybrid's components in
+         *  tie-break order. */
+        std::vector<Member> members;
     };
 
     SweepKernel() = default;
@@ -235,20 +238,15 @@ class SweepKernel
     SweepKernel &operator=(const SweepKernel &) = delete;
 
     /**
-     * Offer the kernel to @p predictor
-     * (IndirectPredictor::joinSweepKernel); families that cannot
-     * share history simply decline and run unfused inside the same
-     * traversal. Call before finalize().
+     * Offer @p predictor to the kernel. A two-level predictor, or a
+     * hybrid of two-level components, joins: each member's
+     * TwoLevelConfig binds one key variant under its history
+     * signature, and the predictor becomes a lane column (column()).
+     * Every other family declines and runs on its own in the same
+     * traversal. The predictor itself is not changed. Call before
+     * finalize().
      */
     bool tryJoin(IndirectPredictor &predictor);
-
-    /**
-     * Register one column's key recipe under its history signature.
-     * Called by predictors from joinSweepKernel(). Returns the
-     * shared group and the (deduplicated) variant.
-     */
-    Binding bind(const SweepGroupSignature &signature,
-                 const PatternSpec &spec);
 
     /**
      * Build the shared history registers and resolve the fast-path
@@ -256,6 +254,23 @@ class SweepKernel
      * after all joins and before the traversal.
      */
     void finalize();
+
+    /** @p predictor's column when it joined, else nullptr. */
+    const Column *
+    column(const IndirectPredictor &predictor) const
+    {
+        const auto it = _columns.find(&predictor);
+        return it == _columns.end() ? nullptr : &it->second;
+    }
+
+    /** Every variant's key for @p pc under the current histories:
+     *  variant v's goes to keys[v * stride]. */
+    void
+    laneKeys(Addr pc, Key *keys, std::size_t stride)
+    {
+        for (std::size_t v = 0; v < _variants.size(); ++v)
+            keys[v * stride] = _variants[v]->laneKey(pc);
+    }
 
     /** An indirect branch resolved: push into every group. */
     void
@@ -288,7 +303,7 @@ class SweepKernel
     /** True when any group folds taken conditional targets into its
      *  shared history (section 3.3 columns): the traversal must then
      *  feed conditional records to observeConditional() even if no
-     *  individual predictor consumes them directly. */
+     *  generic column consumes them. */
     bool
     hasConditionalGroups() const
     {
@@ -304,29 +319,35 @@ class SweepKernel
     unsigned declinedPredictors() const { return _declined; }
 
     std::size_t groupCount() const { return _groups.size(); }
-
-    std::size_t
-    variantCount() const
-    {
-        std::size_t count = 0;
-        for (const auto &group : _groups)
-            count += group->_variants.size();
-        return count;
-    }
+    std::size_t variantCount() const { return _variants.size(); }
 
   private:
+    /** The index of @p config's key variant, made on first use:
+     *  members with equal history signatures share a group, and
+     *  equal PatternSpecs within it share the variant. */
+    std::uint32_t bind(const TwoLevelConfig &config);
+
     std::vector<std::unique_ptr<SweepHistoryGroup>> _groups;
+    /** Every group's variants, in lane key slot order. */
+    std::vector<std::unique_ptr<SweepKeyVariant>> _variants;
+    std::unordered_map<const IndirectPredictor *, Column> _columns;
     bool _finalized = false;
     unsigned _joined = 0;
     unsigned _declined = 0;
 };
 
 inline Key
-SweepKeyVariant::key(Addr pc, SweepHistoryGroup &group)
+SweepKeyVariant::laneKey(Addr pc)
 {
-    if (_memoValid && _memoVersion == group._version && _memoPc == pc)
-        return _memoKey;
-    return rebuild(pc, group);
+    if (_incremental)
+        return _builder.keyFromPattern(pc, _pattern);
+    if (_fast) {
+        return _builder.keyFromPattern(
+            pc, _builder.assembleFromCompressed(_group->compressedFor(pc)));
+    }
+    // Fold/shift-xor/full-precision/reference-mode recipes keep their
+    // own assembly, but over the *shared* buffer.
+    return _builder.buildKey(pc, _group->buffer(pc));
 }
 
 } // namespace ibp

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/sweep_kernel.hh"
 #include "util/logging.hh"
 
 namespace ibp {
@@ -59,31 +58,12 @@ TwoLevelPredictor::ownTable() const
 Key
 TwoLevelPredictor::currentKey(Addr pc)
 {
-    // Bound mode: the shared variant memoizes per (history version,
-    // pc) - the local cache must not be consulted, pushes no longer
-    // run here to invalidate it.
-    if (_sweepVariant != nullptr)
-        return _sweepVariant->key(pc, *_sweepGroup);
     if (_cacheValid && _cachePc == pc)
         return _cacheKey;
     _cacheKey = _builder.buildKey(pc, _history.buffer(pc));
     _cachePc = pc;
     _cacheValid = true;
     return _cacheKey;
-}
-
-bool
-TwoLevelPredictor::joinSweepKernel(SweepKernel &kernel)
-{
-    const SweepGroupSignature signature{
-        _config.historySharing,
-        _config.historyElement == HistoryElement::TargetAndAddress,
-        _config.includeConditionalTargets};
-    const SweepKernel::Binding binding =
-        kernel.bind(signature, _config.pattern);
-    _sweepGroup = binding.group;
-    _sweepVariant = binding.variant;
-    return true;
 }
 
 Prediction
@@ -106,8 +86,6 @@ TwoLevelPredictor::observeConditional(Addr pc, bool taken, Addr target)
 {
     // The rejected section 3.3 variant: taken conditional targets
     // enter the history and push indirect targets out of the pattern.
-    // (Bound mode suppresses the push: the kernel advances the shared
-    // group once per branch.)
     if (_config.includeConditionalTargets && taken)
         pushHistory(pc, target);
 }
@@ -115,13 +93,6 @@ TwoLevelPredictor::observeConditional(Addr pc, bool taken, Addr target)
 void
 TwoLevelPredictor::pushHistory(Addr pc, Addr target)
 {
-    // Bound mode: the group history advances once per branch via
-    // SweepKernel::commit()/observeConditional(), after every bound
-    // predictor consumed the pre-push key - the same order a solo
-    // predictor sees (update() reuses the key cached by predict()
-    // before pushing).
-    if (_sweepGroup != nullptr)
-        return;
     if (_config.historyElement == HistoryElement::TargetAndAddress)
         _history.push(pc, pc);
     _history.push(pc, target);

@@ -30,9 +30,6 @@
 
 namespace ibp {
 
-class SweepHistoryGroup;
-class SweepKeyVariant;
-
 /** What gets shifted into the history per executed indirect branch. */
 enum class HistoryElement
 {
@@ -173,19 +170,13 @@ class TwoLevelPredictor final : public IndirectPredictor
     Prediction predict(Addr pc) override;
     void update(Addr pc, Addr actual) override;
     void observeConditional(Addr pc, bool taken, Addr target) override;
-    bool joinSweepKernel(SweepKernel &kernel) override;
 
-    /** Conditionals only matter while the 3.3 variant still owns its
-     *  history; bound columns fold them in through the kernel. */
+    /** Conditionals matter to the section 3.3 variant only. */
     bool
     consumesConditionals() const override
     {
-        return _config.includeConditionalTargets &&
-               _sweepGroup == nullptr;
+        return _config.includeConditionalTargets;
     }
-
-    /** Bound to a sweep kernel (joinSweepKernel accepted). */
-    bool sweepBound() const { return _sweepGroup != nullptr; }
 
     void reset() override;
     std::string name() const override;
@@ -201,17 +192,12 @@ class TwoLevelPredictor final : public IndirectPredictor
 
     const TwoLevelConfig &config() const { return _config; }
 
-    /** The key the predictor would use for @p pc right now. */
-    Key currentKey(Addr pc);
-
     /**
-     * Direct state access for the lane engine (sim/simulator.cc),
-     * which drives bound machines table-first: one key per shared
-     * variant per record, then prefetch/probe/access on the table
-     * without re-entering predict()/update().
+     * Direct table access for the lane engine (sim/simulator.cc),
+     * which drives machines table-first with the sweep kernel's keys:
+     * prefetch/probe/access on the table without re-entering
+     * predict()/update().
      */
-    SweepKeyVariant *sweepVariant() const { return _sweepVariant; }
-    SweepHistoryGroup *sweepGroup() const { return _sweepGroup; }
     TargetTable &table() { return ownTable(); }
 
     /** The table implementation pinned at construction. */
@@ -223,6 +209,8 @@ class TwoLevelPredictor final : public IndirectPredictor
     bool ownsTable() const { return _table != nullptr; }
 
   private:
+    /** The key the predictor uses for @p pc right now. */
+    Key currentKey(Addr pc);
     void pushHistory(Addr pc, Addr target);
     void invalidateKeyCache() { _cacheValid = false; }
 
@@ -238,17 +226,6 @@ class TwoLevelPredictor final : public IndirectPredictor
      *  table matches what an eager one would have been. */
     TableImpl _tableImpl;
     mutable std::unique_ptr<TargetTable> _table;
-
-    /**
-     * Bound mode (joinSweepKernel accepted): the first-level history
-     * lives in the shared group, pushHistory() is a no-op (the
-     * simulation loop commits once per branch through the kernel) and
-     * currentKey() delegates to the shared, version-memoized variant.
-     * The local key cache below is bypassed - pushes no longer happen
-     * here, so it would never be invalidated.
-     */
-    SweepHistoryGroup *_sweepGroup = nullptr;
-    SweepKeyVariant *_sweepVariant = nullptr;
 
     // predict()/update() pairs reuse the same key; cache it so the
     // pattern is assembled once per dynamic branch.

@@ -547,20 +547,8 @@ SweepServer::runJob(const std::shared_ptr<Job> &job,
         std::lock_guard<std::mutex> lock(job->mutex);
         drained = lane_drained ||
                   _drainFlag.load(std::memory_order_acquire);
-        if (!drained && result.artifact) {
-            const RunMetrics &metrics = result.artifact->metrics;
-            ServeMetrics serve;
-            serve.requests = job->subscribers;
-            serve.coalesced = job->coalesced;
-            serve.admissionRejects = job->clientRejects;
-            serve.queueSeconds = job->queueSeconds;
-            serve.jobSeconds = secondsSince(job->startedAt);
-            serve.warm = metrics.hasTraceSource() &&
-                         metrics.tracesGenerated() == 0 &&
-                         metrics.traceCacheHits() > 0;
-            warm = serve.warm;
-            result.artifact->metrics.recordServe(serve);
-        }
+        if (!drained && result.artifact)
+            warm = stampServeLocked(*job, *result.artifact);
         job->result = result;
         job->state =
             drained ? JobState::Drained : JobState::Done;
@@ -587,6 +575,31 @@ SweepServer::runJob(const std::shared_ptr<Job> &job,
             static_cast<unsigned long long>(job->id),
             drained ? "drained" : "finished", job->cellsDone,
             warm ? ", warm" : "");
+}
+
+void
+SweepServer::noteLaneRunLocked(Job &job, const ExperimentRunResult &result)
+{
+    if (!result.artifact || result.artifact->metrics.tracesGenerated() > 0)
+        job.tracesGenerated = true;
+}
+
+bool
+SweepServer::stampServeLocked(Job &job, RunArtifact &artifact)
+{
+    const RunMetrics &metrics = artifact.metrics;
+    ServeMetrics serve;
+    serve.requests = job.subscribers;
+    serve.coalesced = job.coalesced;
+    serve.admissionRejects = job.clientRejects;
+    serve.queueSeconds = job.queueSeconds;
+    serve.jobSeconds = secondsSince(job.startedAt);
+    serve.warm = !job.tracesGenerated && metrics.hasTraceSource() &&
+                 metrics.tracesGenerated() == 0 &&
+                 metrics.traceCacheHits() > 0;
+    serve.shard = job.shardServe;
+    artifact.metrics.recordServe(serve);
+    return serve.warm;
 }
 
 void
@@ -719,6 +732,7 @@ SweepServer::runShardTask(const Task &task, unsigned lane_index)
     bool enqueue_merge = false;
     {
         std::lock_guard<std::mutex> lock(job->mutex);
+        noteLaneRunLocked(*job, outcome.result);
         if (drained) {
             job->shardDrained = true;
             ++job->shardsTerminal;
@@ -855,8 +869,10 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
     if (outcome.result.storeMissed && !outcome.drained &&
         !_drainFlag.load(std::memory_order_acquire)) {
         {
+            // The missed pass acquired every trace before it stopped.
             std::lock_guard<std::mutex> lock(job->mutex);
             job->shardServe.mergeSeconds += outcome.result.seconds;
+            noteLaneRunLocked(*job, outcome.result);
         }
         bool queued = false;
         {
@@ -887,25 +903,13 @@ SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
         drained = outcome.drained ||
                   _drainFlag.load(std::memory_order_acquire);
         if (!drained && result.artifact) {
-            ServeMetrics serve;
-            serve.requests = job->subscribers;
-            serve.coalesced = job->coalesced;
-            serve.admissionRejects = job->clientRejects;
-            serve.queueSeconds = job->queueSeconds;
-            serve.jobSeconds = secondsSince(job->startedAt);
-            const RunMetrics &metrics = result.artifact->metrics;
-            serve.warm = metrics.hasTraceSource() &&
-                         metrics.tracesGenerated() == 0 &&
-                         metrics.traceCacheHits() > 0;
-            warm = serve.warm;
             job->shardServe.planned = job->shardCount;
             job->shardServe.mergeSeconds += result.seconds;
             job->shardServe.laneCells.assign(job->shardCells.begin(),
                                              job->shardCells.end());
-            serve.shard = job->shardServe;
             stolen = job->shardServe.stolenCells;
             overlap = job->shardServe.overlapCoalesced;
-            result.artifact->metrics.recordServe(serve);
+            warm = stampServeLocked(*job, *result.artifact);
         }
         job->result = result;
         if (job->state != JobState::Drained) {

@@ -220,6 +220,11 @@ class SweepServer
         /** Aggregated fan-out telemetry, stamped onto the merge
          *  artifact's serve metrics. */
         ShardServeStats shardServe;
+        /** A lane run before the final one (the store-only pass that
+         *  missed, a shard) generated a trace or returned no artifact
+         *  to tell: the job is not warm, whatever the final run found
+         *  in the trace cache those runs filled. */
+        bool tracesGenerated = false;
     };
 
     /** What a runner thread dequeues: a whole job, one shard of a
@@ -252,6 +257,16 @@ class SweepServer
     void runShardTask(const Task &task, unsigned laneIndex);
     void runMergeTask(const std::shared_ptr<Job> &job,
                       unsigned laneIndex);
+    /** Note the trace acquisition of a lane run of @p job that is
+     *  not its final one (Job::tracesGenerated); caller holds
+     *  job.mutex. */
+    static void noteLaneRunLocked(Job &job,
+                                  const ExperimentRunResult &result);
+    /** Stamp the finished @p job's serve telemetry into @p artifact
+     *  and return whether the job was warm: no lane run of it
+     *  generated a trace and its final run hit the trace cache.
+     *  Caller holds job.mutex. */
+    static bool stampServeLocked(Job &job, RunArtifact &artifact);
     /** Move the job to Drained once, counting it. */
     void markJobDrained(const std::shared_ptr<Job> &job);
     /** Push the job's first task: a store-only merge for a

@@ -233,7 +233,15 @@ runExperimentInProcess(const ExperimentDef &def,
     };
     try {
         ExperimentContext context(def.slug, def.title, options);
-        def.body(context);
+        try {
+            def.body(context);
+        } catch (const StoreOnlyMiss &) {
+            // A missed store-only pass still returns its metrics: the
+            // daemon reads its trace acquisition (serve.warm).
+            out.artifact = std::make_shared<RunArtifact>(
+                context.buildArtifact(elapsed()));
+            throw;
+        }
         out.restoredCells = context.restoredCells();
         out.artifact = std::make_shared<RunArtifact>(
             context.buildArtifact(elapsed()));

@@ -180,7 +180,8 @@ struct ExperimentRunResult
 {
     /** 0 clean, 1 fatal error, 3 completed but with failed cells. */
     int exitCode = 0;
-    /** The run artifact; null only on a fatal error (exitCode 1). */
+    /** The run artifact; null only on a fatal error (exitCode 1)
+     *  other than a store miss. */
     std::shared_ptr<RunArtifact> artifact;
     /** Cells restored from the checkpoint journal at startup. */
     std::size_t restoredCells = 0;
@@ -189,8 +190,9 @@ struct ExperimentRunResult
     /** Failure text when exitCode == 1. */
     std::string error;
     /** A store-only run (ExperimentOptions::storeOnly) stopped at a
-     *  cell the result store does not hold; exitCode is 1 and there
-     *  is no artifact. */
+     *  cell the result store does not hold; exitCode is 1 and the
+     *  artifact holds only the metrics gathered so far (the trace
+     *  acquisition among them). */
     bool storeMissed = false;
 };
 

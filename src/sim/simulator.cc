@@ -54,11 +54,13 @@ constexpr std::size_t kMachinePrefetch = 4;
 /**
  * The lane engine's execution plan for a fused traversal.
  *
- * Columns whose per-record work is a function of bound two-level
- * component predictions - plain bound TwoLevelPredictor columns and
- * hybrids (confidence or selector metaprediction) with every
- * component bound - are *lane columns*; the rest are *generic*
- * columns that run their own predict/update pairs.
+ * The predictors that joined the traversal's sweep kernel - plain
+ * TwoLevelPredictor columns and hybrids (confidence or selector
+ * metaprediction) of two-level components - are *lane columns*: the
+ * plan reads each one's members and key variants from the kernel
+ * (SweepKernel::column()), and the kernel's variants are the plan's
+ * key slots. The rest are *generic* columns that run their own
+ * predict/update pairs.
  *
  * A *machine* is one distinct TwoLevelConfig among the lane columns'
  * two-level members, found by the same linear equality search
@@ -89,9 +91,10 @@ constexpr std::size_t kMachinePrefetch = 4;
  * kLaneBlockRecords indirect records at a time, in three passes:
  *
  *  1. The record pass walks the trace. For each indirect record it
- *     resolves every key slot's laneKey() into that slot's key
- *     column, keeps the pc and target, runs the generic columns'
- *     predict/update, and commits the shared histories.
+ *     resolves every kernel variant's key into that slot's key
+ *     column (SweepKernel::laneKeys()), keeps the pc and target, runs
+ *     the generic columns' predict/update, and commits the shared
+ *     histories.
  *  2. The machine pass runs each table machine, then each stack,
  *     over the whole block in one loop: probe, outcome word
  *     (twoLevelOutcome()), access and the two-level update rule. A
@@ -146,8 +149,8 @@ struct LanePlan
      * One machine's flattened execution recipe: the lane engine
      * drives the owner's table directly (probe, access plus the
      * two-level update rule) with the keys of the machine's slot.
-     * This removes the whole predict()/update()/currentKey() call
-     * stack from the machine pass.
+     * This removes the whole predict()/update() call stack from the
+     * machine pass.
      */
     struct Machine
     {
@@ -173,20 +176,13 @@ struct LanePlan
         bool hysteresis;
     };
 
-    /** One distinct (variant, group) key source among the machines. */
-    struct KeySlot
-    {
-        SweepKeyVariant *variant;
-        SweepHistoryGroup *group;
-    };
-
-    std::vector<TwoLevelPredictor *> owners;   ///< one per machine
+    /** One per machine: the member that owns it, and its key slot. */
+    std::vector<SweepKernel::Member> owners;
     /** Table machines' recipes, parallel to owners' first T. */
     std::vector<Machine> machines;
     /** The other owners: fully-associative stacks, set stacks. */
     std::vector<Stack<LruStack>> lruStacks;
     std::vector<Stack<SetStack>> setStacks;
-    std::vector<KeySlot> keySlots;
     std::vector<std::uint16_t> memberPool;     ///< column members
     /** Confidence and plain columns: the pairs first, then wider. */
     std::vector<Column> columns;
@@ -270,29 +266,26 @@ struct LanePlan
 
 /**
  * Reorder @p plan's machines for stacks (see LanePlan): group the
- * flat-table stack-mates sharing a key source, keep groups of two or
- * more as stacks, renumber the remaining table machines 0..T-1 and
- * every stack's members after them, and return each stack's member
- * count in that order.
+ * flat-table stack-mates (equal but for the table, so they share a
+ * key variant too), keep groups of two or more as stacks, renumber
+ * the remaining table machines 0..T-1 and every stack's members after
+ * them, and return each stack's member count in that order.
  */
 std::vector<std::size_t>
 formStacks(LanePlan &plan)
 {
     std::vector<std::vector<std::uint16_t>> groups;
     for (std::size_t m = 0; m < plan.owners.size(); ++m) {
-        const TwoLevelPredictor &owner = *plan.owners[m];
+        const TwoLevelPredictor &owner = *plan.owners[m].machine;
         const TableKind kind = owner.config().table.kind;
         if ((kind != TableKind::FullyAssoc && kind != TableKind::SetAssoc) ||
             owner.tableImpl() != TableImpl::Flat) {
             continue;
         }
         std::size_t g = 0;
-        while (g < groups.size()) {
-            const TwoLevelPredictor &mate = *plan.owners[groups[g][0]];
-            if (stackMates(mate.config(), owner.config()) &&
-                mate.sweepVariant() == owner.sweepVariant()) {
-                break;
-            }
+        while (g < groups.size() &&
+               !stackMates(plan.owners[groups[g][0]].machine->config(),
+                           owner.config())) {
             ++g;
         }
         if (g == groups.size())
@@ -309,7 +302,7 @@ formStacks(LanePlan &plan)
             stacked[m] = true;
     }
     std::vector<std::uint16_t> remap(plan.owners.size());
-    std::vector<TwoLevelPredictor *> ordered;
+    std::vector<SweepKernel::Member> ordered;
     const auto place = [&](std::uint16_t m) {
         remap[m] = static_cast<std::uint16_t>(ordered.size());
         ordered.push_back(plan.owners[m]);
@@ -322,8 +315,8 @@ formStacks(LanePlan &plan)
     for (auto &group : groups) {
         std::sort(group.begin(), group.end(),
                   [&plan](std::uint16_t a, std::uint16_t b) {
-                      return plan.owners[a]->config().table.entries <
-                             plan.owners[b]->config().table.entries;
+                      return plan.owners[a].machine->config().table.entries <
+                             plan.owners[b].machine->config().table.entries;
                   });
         for (const std::uint16_t m : group)
             place(m);
@@ -337,61 +330,44 @@ formStacks(LanePlan &plan)
 
 LanePlan
 buildLanePlan(std::span<IndirectPredictor *const> predictors,
-              bool fused)
+              const SweepKernel *kernel)
 {
     LanePlan plan;
     // The machine a two-level member runs on: the earlier one with an
     // equal configuration (the member folds), else a new one whose
     // table it owns.
-    const auto machineOf = [&plan](TwoLevelPredictor &member) {
+    const auto machineOf = [&plan](const SweepKernel::Member &member) {
         for (std::size_t m = 0; m < plan.owners.size(); ++m) {
-            if (plan.owners[m]->config() == member.config()) {
+            if (plan.owners[m].machine->config() == member.machine->config()) {
                 ++plan.folded;
                 return static_cast<std::uint16_t>(m);
             }
         }
         IBP_ASSERT(plan.owners.size() <= 0xffff,
                    "lane plan exceeds 65536 machines");
-        plan.owners.push_back(&member);
+        plan.owners.push_back(member);
         return static_cast<std::uint16_t>(plan.owners.size() - 1);
-    };
-    const auto allBound = [](HybridPredictor &hybrid) {
-        for (unsigned c = 0; c < hybrid.numComponents(); ++c) {
-            if (!hybrid.component(c).sweepBound())
-                return false;
-        }
-        return true;
     };
 
     for (std::size_t i = 0; i < predictors.size(); ++i) {
-        IndirectPredictor *predictor = predictors[i];
-        LanePlan::Column column{
-            i, static_cast<std::uint32_t>(plan.memberPool.size()), 1};
-        if (fused) {
-            if (auto *two =
-                    dynamic_cast<TwoLevelPredictor *>(predictor);
-                two != nullptr && two->sweepBound()) {
-                plan.memberPool.push_back(machineOf(*two));
-                plan.columns.push_back(column);
-                continue;
-            }
-            if (auto *hybrid =
-                    dynamic_cast<HybridPredictor *>(predictor);
-                hybrid != nullptr && allBound(*hybrid)) {
-                column.count = hybrid->numComponents();
-                for (unsigned c = 0; c < column.count; ++c) {
-                    plan.memberPool.push_back(
-                        machineOf(hybrid->component(c)));
-                }
-                if (hybrid->config().meta == MetaKind::Selector)
-                    plan.selectors.push_back({column, hybrid});
-                else
-                    plan.columns.push_back(column);
-                continue;
-            }
+        const SweepKernel::Column *joined =
+            kernel != nullptr ? kernel->column(*predictors[i]) : nullptr;
+        if (joined == nullptr) {
+            plan.generic.push_back(predictors[i]);
+            plan.genericResult.push_back(i);
+            continue;
         }
-        plan.generic.push_back(predictor);
-        plan.genericResult.push_back(i);
+        const LanePlan::Column column{
+            i, static_cast<std::uint32_t>(plan.memberPool.size()),
+            static_cast<std::uint32_t>(joined->members.size())};
+        for (const SweepKernel::Member &member : joined->members)
+            plan.memberPool.push_back(machineOf(member));
+        if (joined->hybrid != nullptr &&
+            joined->hybrid->config().meta == MetaKind::Selector) {
+            plan.selectors.push_back({column, joined->hybrid});
+        } else {
+            plan.columns.push_back(column);
+        }
     }
     const std::vector<std::size_t> stack_sizes = formStacks(plan);
 
@@ -404,48 +380,38 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         plan.columns.begin());
 
     // Resolve the flattened execution recipes. Machines sharing a
-    // PatternSpec share a key slot, so a fig17 row resolves each
-    // distinct key exactly once per record no matter how many tables
-    // consume it.
-    const auto keySlotOf = [&plan](const TwoLevelPredictor &owner) {
-        SweepKeyVariant *variant = owner.sweepVariant();
-        std::uint32_t slot = 0;
-        while (slot < plan.keySlots.size() &&
-               plan.keySlots[slot].variant != variant) {
-            ++slot;
-        }
-        if (slot == plan.keySlots.size())
-            plan.keySlots.push_back({variant, owner.sweepGroup()});
-        return slot;
-    };
+    // PatternSpec share a kernel variant and so a key slot: a fig17
+    // row resolves each distinct key exactly once per record no
+    // matter how many tables consume it.
     std::size_t m = 0;
     const std::size_t table_machines =
         plan.owners.size() -
         std::accumulate(stack_sizes.begin(), stack_sizes.end(),
                         std::size_t{0});
     for (; m < table_machines; ++m) {
-        TwoLevelPredictor &owner = *plan.owners[m];
+        TwoLevelPredictor &owner = *plan.owners[m].machine;
         TargetTable &table = owner.table();
         plan.machines.push_back(
             {&table, dynamic_cast<SetAssocTable *>(&table),
-             dynamic_cast<TaglessTable *>(&table), keySlotOf(owner),
+             dynamic_cast<TaglessTable *>(&table), plan.owners[m].variant,
              owner.config().hysteresis});
     }
     for (const std::size_t members : stack_sizes) {
-        const TwoLevelConfig &config = plan.owners[m]->config();
+        const TwoLevelConfig &config = plan.owners[m].machine->config();
         const auto first = static_cast<std::uint32_t>(m);
-        const std::uint32_t slot = keySlotOf(*plan.owners[m]);
+        const std::uint32_t slot = plan.owners[m].variant;
         if (config.table.kind == TableKind::FullyAssoc) {
             std::vector<std::uint64_t> sizes;
             for (std::size_t k = 0; k < members; ++k)
-                sizes.push_back(plan.owners[m + k]->config().table.entries);
+                sizes.push_back(
+                    plan.owners[m + k].machine->config().table.entries);
             plan.lruStacks.push_back(
                 {LruStack(std::move(sizes), config.entryCounters()), first,
                  slot, config.hysteresis});
         } else {
             std::vector<unsigned> ways;
             for (std::size_t k = 0; k < members; ++k)
-                ways.push_back(plan.owners[m + k]->config().table.ways);
+                ways.push_back(plan.owners[m + k].machine->config().table.ways);
             plan.setStacks.push_back(
                 {SetStack(std::move(ways),
                           config.table.entries / config.table.ways,
@@ -454,7 +420,8 @@ buildLanePlan(std::span<IndirectPredictor *const> predictors,
         }
         m += members;
     }
-    plan.keys.resize(plan.keySlots.size() * kLaneBlockRecords);
+    if (kernel != nullptr)
+        plan.keys.resize(kernel->variantCount() * kLaneBlockRecords);
     plan.pcs.resize(kLaneBlockRecords);
     plan.targets.resize(kLaneBlockRecords);
     plan.words.resize(plan.owners.size() * kLaneBlockRecords);
@@ -696,18 +663,16 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
 
     // Partition the columns between the batched lane engine and the
     // generic path (see LanePlan), and decide whether conditional
-    // records matter to anyone: bound predictors fold conditional
-    // targets in through the kernel's groups, so when no generic
-    // column consumes them either, the block classifier drops them
-    // without ever dispatching a record.
-    LanePlan plan = buildLanePlan(predictors, kernel != nullptr);
+    // records matter to anyone: lane columns fold conditional targets
+    // in through the kernel's groups, so when no generic column
+    // consumes them either, the block classifier drops them without
+    // ever dispatching a record.
+    LanePlan plan = buildLanePlan(predictors, kernel);
     bool need_conditionals =
         kernel != nullptr && kernel->hasConditionalGroups();
-    for (IndirectPredictor *predictor : predictors)
+    for (IndirectPredictor *predictor : plan.generic)
         need_conditionals |= predictor->consumesConditionals();
 
-    const std::size_t key_slot_count = plan.keySlots.size();
-    const LanePlan::KeySlot *const key_slots = plan.keySlots.data();
     Key *const keys = plan.keys.data();
     Addr *const pcs = plan.pcs.data();
     Addr *const targets = plan.targets.data();
@@ -780,8 +745,7 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             const std::uint8_t meta = block.meta[index];
 
             if (branchMetaKind(meta) == BranchKind::Conditional) {
-                // Lane columns are fully bound - their
-                // observeConditional() chains are no-ops - so only
+                // Lane columns' histories live in the kernel, so only
                 // generic columns need the record itself.
                 const bool taken = branchMetaTaken(meta);
                 for (IndirectPredictor *predictor : plan.generic)
@@ -799,10 +763,8 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             // into its slot's key column.
             pcs[filled] = pc;
             targets[filled] = target;
-            for (std::size_t v = 0; v < key_slot_count; ++v) {
-                keys[v * kLaneBlockRecords + filled] =
-                    key_slots[v].variant->laneKey(pc, *key_slots[v].group);
-            }
+            if (kernel != nullptr)
+                kernel->laneKeys(pc, keys + filled, kLaneBlockRecords);
 
             // Generic columns run their usual interleaved
             // predict/update.

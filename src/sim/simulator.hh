@@ -168,14 +168,15 @@ struct SimOptions
     const CancelToken *cancel = nullptr;
 
     /**
-     * Fused sweep kernel driving the shared first-level history of
-     * the predictors in this run (simulateMany only). When set, the
-     * traversal calls kernel->observeConditional() after offering a
-     * conditional to the predictors and kernel->commit() after the
-     * per-predictor update loop of each indirect branch; predictors
-     * bound to the kernel suppress their own history pushes. The
-     * caller owns kernel lifetime and must have bound the predictors
-     * (SweepKernel::tryJoin) and called finalize(). nullptr disables.
+     * Fused sweep kernel holding the shared first-level histories of
+     * the predictors in this run (simulateMany only). The predictors
+     * that joined it (SweepKernel::tryJoin) run as lane columns on
+     * the kernel's keys; their own objects are never asked to
+     * predict, update or observe, and stay usable on their own. The
+     * traversal calls kernel->observeConditional() for each
+     * conditional record and kernel->commit() after each indirect
+     * record. The caller owns kernel lifetime and must have called
+     * finalize(). nullptr disables.
      */
     SweepKernel *kernel = nullptr;
 
@@ -248,9 +249,9 @@ inline constexpr std::size_t kLaneBlockRecords = 512;
  * real shared wall time in `groupSeconds` and `sharedTraversal` set
  * (only the aggregate of `seconds` is physically meaningful).
  *
- * When options.kernel is set, predictors bound to it share their
- * first-level history through the kernel (see SimOptions::kernel),
- * and bound two-level and hybrid columns run in the lane engine,
+ * When options.kernel is set, the predictors that joined it share
+ * their first-level history through the kernel (see
+ * SimOptions::kernel) and run as columns of the lane engine,
  * where two-level members with equal configurations share one table
  * (see TraversalStats::foldedMembers), fully-associative machines
  * that differ only in size share one LRU stack

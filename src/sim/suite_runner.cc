@@ -434,6 +434,19 @@ SuiteRunner::traceSourceStats() const
     return _traceStats;
 }
 
+void
+SuiteRunner::publishTraceSource(RunMetrics &metrics) const
+{
+    // Once per runner: whether this run paid the trace generation
+    // cost or rode the cache (the CI cache-smoke job asserts on these
+    // counters).
+    const TraceSourceStats &stats = traceSourceStats();
+    if (!_traceStatsPublished.exchange(true)) {
+        metrics.recordTraceSource(stats.generated, stats.mmapHits,
+                                  stats.streamHits, stats.seconds);
+    }
+}
+
 SuiteRunner
 SuiteRunner::avgSuite(bool emit_conditionals)
 {
@@ -782,8 +795,14 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
                     ++store_stats.misses;
                 }
             }
-            if (session.storeOnly)
+            if (session.storeOnly) {
+                // The miss ends the run, but its trace acquisition
+                // is still reported: a daemon tells a warm job from
+                // a cold one by it.
+                if (metrics)
+                    publishTraceSource(*metrics);
                 throw StoreOnlyMiss();
+            }
             jobs.push_back(makeJob(name, std::move(store_key)));
         }
     }
@@ -1516,15 +1535,7 @@ SuiteRunner::runBatch(const std::vector<std::vector<SweepColumn>> &grids,
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - grid_start)
                 .count());
-        // Once per runner: whether this run paid the trace
-        // generation cost or rode the cache (the CI cache-smoke job
-        // asserts on these counters).
-        if (!_traceStatsPublished.exchange(true)) {
-            metrics->recordTraceSource(_traceStats.generated,
-                                       _traceStats.mmapHits,
-                                       _traceStats.streamHits,
-                                       _traceStats.seconds);
-        }
+        publishTraceSource(*metrics);
         // Fused-path observability, mirroring trace_source: how many
         // chunks the fused engine served and why any fell back.
         if (!jobs.empty()) {

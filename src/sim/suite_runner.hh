@@ -446,6 +446,9 @@ class SuiteRunner
     /** Block until every acquisition task published its outcome. */
     void waitAcquisition() const;
 
+    /** Record traceSourceStats() into @p metrics, once per runner. */
+    void publishTraceSource(RunMetrics &metrics) const;
+
     std::vector<std::string> _names;
     /** Snapshot of the constructor flag: together with a benchmark
      *  name it reproduces the trace cache key, which run() folds

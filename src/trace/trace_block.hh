@@ -4,7 +4,7 @@
  *
  * The SIMD sweep engine wants the trace as short SoA columns: a few
  * thousand pc/target/meta entries that fit in L1/L2 while every
- * bound predictor replays them. TraceBlockCursor produces exactly
+ * column replays them. TraceBlockCursor produces exactly
  * that from either trace storage form:
  *
  *  - columnar traces (the v3 `.ibpm` mmap layout) are sliced

@@ -262,13 +262,14 @@ appendNumber(std::string &out, double value)
 void
 Json::dumpTo(std::string &out, unsigned indent, unsigned depth) const
 {
-    std::string pad, closePad;
-    if (indent) {
-        pad.assign(1, '\n');
-        pad.append(indent * (depth + 1), ' ');
-        closePad.assign(1, '\n');
-        closePad.append(indent * depth, ' ');
-    }
+    // A newline and the indentation of nesting level @p level, written
+    // straight into out (nothing when dumping compactly).
+    const auto newline = [&out, indent](unsigned level) {
+        if (indent) {
+            out += '\n';
+            out.append(static_cast<std::size_t>(indent) * level, ' ');
+        }
+    };
     switch (_type) {
       case Type::Null:
         out += "null";
@@ -292,11 +293,11 @@ Json::dumpTo(std::string &out, unsigned indent, unsigned depth) const
         out += '[';
         for (std::size_t i = 0; i < _array.size(); ++i) {
             if (i)
-                out += indent ? "," : ",";
-            out += pad;
+                out += ',';
+            newline(depth + 1);
             _array[i].dumpTo(out, indent, depth + 1);
         }
-        out += closePad;
+        newline(depth);
         out += ']';
         break;
       case Type::Object:
@@ -307,14 +308,14 @@ Json::dumpTo(std::string &out, unsigned indent, unsigned depth) const
         out += '{';
         for (std::size_t i = 0; i < _object.size(); ++i) {
             if (i)
-                out += ",";
-            out += pad;
+                out += ',';
+            newline(depth + 1);
             out += '"';
             out += jsonEscape(_object[i].first);
             out += indent ? "\": " : "\":";
             _object[i].second.dumpTo(out, indent, depth + 1);
         }
-        out += closePad;
+        newline(depth);
         out += '}';
         break;
     }

@@ -31,7 +31,6 @@
 #include "core/factory.hh"
 #include "core/hybrid.hh"
 #include "core/spec_codec.hh"
-#include "core/sweep_kernel.hh"
 #include "core/two_level.hh"
 #include "robust/fault_injection.hh"
 #include "sim/result_store.hh"
@@ -41,6 +40,8 @@
 #include "trace/trace_cache.hh"
 
 #include <sys/resource.h>
+
+#include "per_cell_oracle.hh"
 
 namespace ibp {
 namespace {
@@ -227,17 +228,11 @@ TEST_F(BatchPlanTest, FoldedMemberOwnsNoTable)
     // Tables are allocated on first use, never at construction.
     EXPECT_FALSE(owner.ownsTable());
 
-    SweepKernel kernel;
-    std::vector<IndirectPredictor *> raw = {&owner, &folded, &hybrid};
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
-
+    const std::vector<IndirectPredictor *> raw = {&owner, &folded, &hybrid};
     SimOptions options;
-    options.kernel = &kernel;
     TraversalStats traversal;
     options.traversal = &traversal;
-    const std::vector<SimResult> fused = simulateMany(raw, trace, options);
+    const std::vector<SimResult> fused = simulateFused(raw, trace, options);
     // The second plain column and the hybrid's p=3 component fold
     // onto the first column's machine: two machines in all.
     EXPECT_EQ(traversal.foldedMembers, 2u);
@@ -393,16 +388,11 @@ TEST_F(BatchPlanTest, StackMembersOwnNoTable)
     HybridPredictor hybrid(
         paperHybrid(3, 5, TableSpec::fullyAssoc(256)));
 
-    SweepKernel kernel;
-    std::vector<IndirectPredictor *> raw = {&small, &large, &hybrid};
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
+    const std::vector<IndirectPredictor *> raw = {&small, &large, &hybrid};
     SimOptions options;
-    options.kernel = &kernel;
     TraversalStats traversal;
     options.traversal = &traversal;
-    const std::vector<SimResult> fused = simulateMany(raw, trace, options);
+    const std::vector<SimResult> fused = simulateFused(raw, trace, options);
 
     // p=3 at 256 and 1024 entries are one stack (the hybrid's p=3
     // component folds onto it); the lone p=5 machine drives a table.
@@ -453,16 +443,11 @@ TEST_F(BatchPlanTest, LoneFullyAssocMachineFormsNoStack)
     SuiteRunner runner({"idl"});
     TwoLevelPredictor p3(paperTwoLevel(3, TableSpec::fullyAssoc(256)));
     TwoLevelPredictor p5(paperTwoLevel(5, TableSpec::fullyAssoc(256)));
-    SweepKernel kernel;
-    std::vector<IndirectPredictor *> raw = {&p3, &p5};
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
+    const std::vector<IndirectPredictor *> raw = {&p3, &p5};
     SimOptions options;
-    options.kernel = &kernel;
     TraversalStats traversal;
     options.traversal = &traversal;
-    simulateMany(raw, runner.trace("idl"), options);
+    simulateFused(raw, runner.trace("idl"), options);
     EXPECT_EQ(traversal.lruStacks, 0u);
     EXPECT_EQ(traversal.laneMachines, 2u);
     EXPECT_TRUE(p3.ownsTable());

@@ -170,8 +170,10 @@ TEST_F(FusedKernelTest, KernelRunMatchesSoloRunsBitForBit)
     for (IndirectPredictor *predictor : raw)
         kernel.tryJoin(*predictor);
     kernel.finalize();
-    EXPECT_GT(kernel.joinedPredictors(), 0u);
-    EXPECT_GT(kernel.declinedPredictors(), 0u);
+    // Ten two-level and hybrid columns join; the two BTBs and the
+    // four extension families decline.
+    EXPECT_EQ(kernel.joinedPredictors(), 10u);
+    EXPECT_EQ(kernel.declinedPredictors(), 6u);
     EXPECT_GT(kernel.groupCount(), 1u);
 
     SimOptions options;
@@ -193,6 +195,42 @@ TEST_F(FusedKernelTest, KernelRunMatchesSoloRunsBitForBit)
             << columns[i].label;
         EXPECT_TRUE(many[i].sharedTraversal);
         EXPECT_GE(many[i].groupSeconds, many[i].seconds);
+    }
+}
+
+TEST_F(FusedKernelTest, JoinedPredictorsStillRunAloneBitForBit)
+{
+    // Joining a kernel records the predictor's members in the kernel
+    // and leaves the object untouched: driven through simulate()
+    // afterwards, each still advances its own history and matches a
+    // twin that never joined.
+    SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+    const Trace &trace = runner.trace("idl");
+    const std::vector<std::string> specs = {
+        "twolevel:p=3,table=assoc4:1024",
+        "hybrid:p1=3,p2=7,table=assoc4:1024,conf=2",
+        "hybrid:p1=3,p2=7,table=assoc2:1024,meta=selector",
+    };
+    std::vector<std::unique_ptr<IndirectPredictor>> joined;
+    SweepKernel kernel;
+    for (const std::string &spec : specs) {
+        joined.push_back(makePredictorFromSpec(spec));
+        EXPECT_TRUE(kernel.tryJoin(*joined.back())) << spec;
+    }
+    kernel.finalize();
+    EXPECT_EQ(kernel.joinedPredictors(), 3u);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const SimResult alone = simulate(*joined[i], trace);
+        const auto twin = makePredictorFromSpec(specs[i]);
+        const SimResult reference = simulate(*twin, trace);
+        EXPECT_EQ(alone.branches, reference.branches) << specs[i];
+        EXPECT_EQ(alone.misses, reference.misses) << specs[i];
+        EXPECT_EQ(alone.noPrediction, reference.noPrediction) << specs[i];
+        EXPECT_EQ(alone.tableOccupancy, reference.tableOccupancy)
+            << specs[i];
+        EXPECT_EQ(alone.tableCapacity, reference.tableCapacity)
+            << specs[i];
     }
 }
 
@@ -222,17 +260,10 @@ TEST_F(FusedKernelTest, FoldedMembersMatchSoloRunsBitForBit)
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
-
     SimOptions options;
-    options.kernel = &kernel;
     TraversalStats traversal;
     options.traversal = &traversal;
-    const std::vector<SimResult> many =
-        simulateMany(raw, trace, options);
+    const std::vector<SimResult> many = simulateFused(raw, trace, options);
     ASSERT_EQ(many.size(), columns.size());
     // h7/h7-dup first components fold onto h5's, h7-dup's second
     // onto h7's, and solo6-dup onto solo6: exactly four.
@@ -314,18 +345,11 @@ expectOneEngineMatchesSolo(std::uint64_t warmup)
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
-
     SimOptions options;
-    options.kernel = &kernel;
     options.warmupBranches = warmup;
     TraversalStats traversal;
     options.traversal = &traversal;
-    const std::vector<SimResult> many =
-        simulateMany(raw, trace, options);
+    const std::vector<SimResult> many = simulateFused(raw, trace, options);
     ASSERT_EQ(many.size(), columns.size());
 
     // Every column runs in the lane engine, and four machines (p=3,
@@ -417,16 +441,10 @@ runFused(const std::vector<SweepColumn> &columns, const Trace &trace,
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
-
     SimOptions options;
-    options.kernel = &kernel;
     options.warmupBranches = warmup;
     options.traversal = &traversal;
-    return simulateMany(raw, trace, options);
+    return simulateFused(raw, trace, options);
 }
 
 /** Every counter of @p fused equals a solo simulate() of its column
@@ -703,17 +721,12 @@ TEST_F(FusedKernelTest, LaneScoringMatchesPerCellOracleAtEveryLevel)
                     predictors.push_back(column.make());
                     raw.push_back(predictors.back().get());
                 }
-                SweepKernel kernel;
-                for (IndirectPredictor *predictor : raw)
-                    kernel.tryJoin(*predictor);
-                kernel.finalize();
                 SimOptions options;
-                options.kernel = &kernel;
                 options.warmupBranches = warmup;
                 TraversalStats traversal;
                 options.traversal = &traversal;
                 const std::vector<SimResult> many =
-                    simulateMany(raw, trace, options);
+                    simulateFused(raw, trace, options);
                 setSimdLevelForTest(initial);
 
                 ASSERT_EQ(many.size(), columns.size());

@@ -5,14 +5,17 @@
  * predictor over the reference (node-based) tables. No fused
  * traversal, no shared history, no lane engine - the plainest way the
  * library can produce a grid, against which SuiteRunner's fused
- * engine is compared bit for bit.
+ * engine is compared bit for bit. Also the fused side's boilerplate:
+ * one simulateMany() through a fresh SweepKernel (simulateFused()).
  */
 
 #ifndef IBP_TESTS_SIM_PER_CELL_ORACLE_HH
 #define IBP_TESTS_SIM_PER_CELL_ORACLE_HH
 
+#include <span>
 #include <vector>
 
+#include "core/sweep_kernel.hh"
 #include "core/table_spec.hh"
 #include "sim/simulator.hh"
 #include "sim/suite_runner.hh"
@@ -31,6 +34,21 @@ perCellResult(const SweepColumn &column, const Trace &trace,
     SimResult result = simulate(*predictor, trace, options);
     setTableImplementation(initial);
     return result;
+}
+
+/** One fused simulateMany() of @p raw over @p trace: every predictor
+ *  is offered to a fresh SweepKernel, which drives the traversal
+ *  (@p options' other fields pass through). */
+inline std::vector<SimResult>
+simulateFused(std::span<IndirectPredictor *const> raw, const Trace &trace,
+              SimOptions options = {})
+{
+    SweepKernel kernel;
+    for (IndirectPredictor *predictor : raw)
+        kernel.tryJoin(*predictor);
+    kernel.finalize();
+    options.kernel = &kernel;
+    return simulateMany(raw, trace, options);
 }
 
 inline GridResult

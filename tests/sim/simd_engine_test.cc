@@ -21,13 +21,14 @@
 
 #include "core/factory.hh"
 #include "core/simd.hh"
-#include "core/sweep_kernel.hh"
 #include "core/target_cache.hh"
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_mmap.hh"
 #include "util/bits.hh"
+
+#include "per_cell_oracle.hh"
 
 namespace ibp {
 namespace {
@@ -109,14 +110,9 @@ runEngine(const std::vector<SweepColumn> &columns, const Trace &trace,
         predictors.push_back(column.make());
         raw.push_back(predictors.back().get());
     }
-    SweepKernel kernel;
-    for (IndirectPredictor *predictor : raw)
-        kernel.tryJoin(*predictor);
-    kernel.finalize();
     SimOptions options;
-    options.kernel = &kernel;
     options.traversal = traversal;
-    return simulateMany(raw, trace, options);
+    return simulateFused(raw, trace, options);
 }
 
 void
