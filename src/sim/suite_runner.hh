@@ -390,11 +390,6 @@ class SuiteRunner
     GridResult run(const std::vector<SweepColumn> &columns,
                    RunMetrics *metrics = nullptr) const;
 
-    /** Run a single configuration, returning benchmark -> miss %. */
-    std::map<std::string, double>
-    runOne(const PredictorFactory &factory,
-           RunMetrics *metrics = nullptr) const;
-
     /**
      * Render a grid as a table with one row per averaging group that
      * is fully covered by this runner's benchmarks, in the paper's
@@ -416,6 +411,10 @@ class SuiteRunner
     coveredGroups() const;
 
   private:
+    /** One runBatch() call's cells and the stages that resolve them
+     *  (sim/batch_run.cc). */
+    class BatchRun;
+
     /**
      * Per-benchmark acquisition slot, index-aligned with _names.
      * `continuations` holds callbacks registered by run() for

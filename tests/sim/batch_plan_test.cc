@@ -13,8 +13,11 @@
  * stacks and folds its BTBs, with the reference tables' cells;
  * sharded ownership covers every cell exactly once; a lone shard
  * steals every foreign cell nobody holds; a batch drained mid-run
- * resumes from its journal bit-identically; and a claimed, stored, journalled
- * batch of more cells than the descriptor limit stays exact.
+ * resumes from its journal bit-identically; a store-only batch serves a
+ * warm store and throws at a miss before it journals or simulates; a
+ * cell whose claim a peer gives up is simulated through the deferred
+ * wait's claim; and a claimed, stored, journalled batch of more cells
+ * than the descriptor limit stays exact.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +26,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -876,6 +881,128 @@ TEST_F(BatchPlanTest, DrainedBatchResumesBitIdentically)
     auto journal = CheckpointJournal::open(path, meta);
     ASSERT_TRUE(journal.ok());
     EXPECT_EQ(journal.value()->restoredCells(), cells);
+}
+
+TEST_F(BatchPlanTest, StoreOnlyServesAWarmStoreAndThrowsBeforeAnyWork)
+{
+    // Every factory call is counted: a store-only run must build no
+    // predictor, warm or not.
+    std::atomic<unsigned> made{0};
+    auto grids = miniFig17();
+    std::size_t cells = 0;
+    for (auto &grid : grids) {
+        cells += grid.size() * kBenchmarks.size();
+        for (SweepColumn &column : grid) {
+            column.make = [&made, make = column.make]() {
+                ++made;
+                return make();
+            };
+        }
+    }
+    SuiteRunner runner(kBenchmarks);
+    ResultStore::configureGlobal(_dir + "/store");
+    RunSession cold;
+    runner.runBatch(grids, cold);
+    const unsigned cold_made = made.load();
+    ASSERT_GT(cold_made, 0u);
+
+    // Fully warm: every cell served, nothing simulated or stored.
+    RunMetrics warm_metrics;
+    RunSession warm;
+    warm.metrics = &warm_metrics;
+    warm.storeOnly = true;
+    const std::vector<GridResult> served = runner.runBatch(grids, warm);
+    EXPECT_EQ(made.load(), cold_made);
+    EXPECT_EQ(warm_metrics.resultStore().hits, cells);
+    EXPECT_EQ(warm_metrics.resultStore().misses, 0u);
+    EXPECT_EQ(warm_metrics.resultStore().stores, 0u);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        EXPECT_FALSE(served[g].partial());
+        for (const SweepColumn &column : grids[g]) {
+            for (const std::string &name : kBenchmarks)
+                EXPECT_TRUE(served[g].has(column.label, name));
+        }
+    }
+
+    // One entry gone: the store-only run throws at that miss, after
+    // serving the cells planned before it but before journalling
+    // them, and still reports its trace acquisition (published once
+    // per runner, so from a fresh one).
+    ASSERT_TRUE(fs::remove(ResultStore::global()->pathFor(
+        ResultStore::cellKey(benchmarkTraceCacheKey("perl", false),
+                             grids[5][2].specHash))));
+    CheckpointMeta meta;
+    meta.slug = "store-only";
+    meta.gitSha = "test";
+    meta.eventScale = 0.05;
+    const std::string path = _dir + "/store-only.ckpt";
+    {
+        auto journal = CheckpointJournal::open(path, meta);
+        ASSERT_TRUE(journal.ok());
+        RunMetrics metrics;
+        RunSession session;
+        session.metrics = &metrics;
+        session.checkpoint = journal.value().get();
+        session.storeOnly = true;
+        const SuiteRunner fresh(kBenchmarks);
+        EXPECT_THROW(fresh.runBatch(grids, session), StoreOnlyMiss);
+        EXPECT_TRUE(metrics.hasTraceSource());
+    }
+    EXPECT_EQ(made.load(), cold_made);
+    std::ifstream journal_file(path);
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(journal_file, line))
+        ++lines;
+    EXPECT_EQ(lines, 1u) << "only the journal header";
+}
+
+TEST_F(BatchPlanTest, ReleasedPeerClaimIsSimulatedByTheDeferredWait)
+{
+    // No forced path: the cell must come back through a claim.
+    ASSERT_EQ(std::getenv("IBP_CLAIM_WAIT"), nullptr);
+    const auto grids = miniFig17();
+    const std::size_t cells = 32 * kBenchmarks.size();
+    SuiteRunner runner(kBenchmarks);
+    RunSession clean;
+    const std::vector<GridResult> reference = runner.runBatch(grids, clean);
+
+    // A peer holds one cell, then gives it up without storing once
+    // every other cell resolved - deterministically after the batch
+    // deferred it, and before the deferred wait polls it.
+    ResultStore::configureGlobal(_dir + "/store");
+    CellClaims peer = ResultStore::global()->claims();
+    ASSERT_TRUE(peer.tryClaim(ResultStore::cellKey(
+        benchmarkTraceCacheKey("perl", false), grids[3][1].specHash)));
+    std::mutex mutex;
+    std::size_t resolved = 0;
+    RunMetrics metrics;
+    RunSession session;
+    session.metrics = &metrics;
+    session.cellClaims = true;
+    session.onCellFinished = [&]() {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (++resolved == cells - 1)
+            peer.release();
+    };
+    const std::vector<GridResult> results = runner.runBatch(grids, session);
+
+    EXPECT_EQ(resolved, cells);
+    const ResultStoreStats stats = metrics.resultStore();
+    EXPECT_EQ(stats.claims, cells);
+    EXPECT_EQ(stats.claimBusy, 1u);
+    EXPECT_EQ(stats.claimServed, 0u);
+    EXPECT_EQ(stats.stores, cells);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        EXPECT_FALSE(results[g].partial());
+        for (const SweepColumn &column : grids[g]) {
+            for (const std::string &name : kBenchmarks) {
+                ASSERT_TRUE(results[g].has(column.label, name));
+                EXPECT_EQ(results[g].get(column.label, name),
+                          reference[g].get(column.label, name));
+            }
+        }
+    }
 }
 
 TEST_F(BatchPlanTest, ClaimedBatchStaysExactUnderALowDescriptorLimit)

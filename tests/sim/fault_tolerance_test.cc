@@ -3,11 +3,13 @@
  * Fault-tolerance tests of the suite runner: cell isolation, retry
  * of injected transient faults, partial grids and their degraded
  * averages/tables, trace-generation failures, checkpoint/resume
- * reproduction, and watchdog cancellation.
+ * reproduction, poisoning of a cell that killed every prior
+ * incarnation, and watchdog cancellation.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -246,6 +248,64 @@ TEST_F(FaultToleranceTest, PartialCheckpointOnlySkipsJournalledCells)
     EXPECT_EQ(grid.get("btb", "idl"), 99.5);
     EXPECT_EQ(grid.get("btb", "self"),
               reference.get("btb", "self"));
+}
+
+TEST_F(FaultToleranceTest, PoisonedCellFailsWithoutSimulating)
+{
+    const std::string path =
+        testing::TempDir() + "/ibp_ft_poison.jsonl";
+    std::remove(path.c_str());
+    CheckpointMeta meta;
+    meta.slug = "test";
+    meta.gitSha = "sha";
+    meta.eventScale = 0.05;
+    meta.quick = false;
+    constexpr unsigned kThreshold = 3;
+
+    // kThreshold dead incarnations each started the cell and never
+    // completed it.
+    {
+        auto journal = CheckpointJournal::open(path, meta);
+        ASSERT_TRUE(journal.ok());
+        for (unsigned i = 0; i < kThreshold; ++i) {
+            ASSERT_TRUE(
+                journal.value()->appendStart({0, "poisoned", "idl"}).ok());
+        }
+    }
+
+    SuiteRunner runner({"idl"});
+    std::atomic<unsigned> made{0};
+    const std::vector<SweepColumn> columns = {
+        btbColumn("a"),
+        btbColumn("b"),
+        {"poisoned",
+         [&made]() {
+             ++made;
+             return std::make_unique<BtbPredictor>(
+                 TableSpec::unconstrained(), true);
+         }},
+    };
+    auto journal = CheckpointJournal::open(path, meta);
+    ASSERT_TRUE(journal.ok());
+    RunMetrics metrics;
+    RunSession session = fastSession(&metrics);
+    session.retry.poisonThreshold = kThreshold;
+    session.checkpoint = journal.value().get();
+    const GridResult grid = runner.run(columns, session);
+
+    EXPECT_EQ(made.load(), 0u);
+    ASSERT_EQ(grid.failures().size(), 1u);
+    EXPECT_EQ(grid.failures()[0].column, "poisoned");
+    EXPECT_EQ(grid.failures()[0].benchmark, "idl");
+    EXPECT_EQ(grid.failures()[0].kind, ErrorKind::Timeout);
+    EXPECT_EQ(grid.failures()[0].attempts, kThreshold);
+    EXPECT_FALSE(grid.has("poisoned", "idl"));
+    EXPECT_TRUE(grid.has("a", "idl"));
+    EXPECT_TRUE(grid.has("b", "idl"));
+    EXPECT_EQ(metrics.cellCount(), 2u);
+    ASSERT_EQ(metrics.failureCount(), 1u);
+    EXPECT_EQ(metrics.failures()[0].kind, "timeout");
+    EXPECT_EQ(metrics.failures()[0].attempts, kThreshold);
 }
 
 /** Enough records to comfortably cross the cancellation poll period. */
