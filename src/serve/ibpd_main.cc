@@ -13,8 +13,7 @@
  *   ibpd [--socket=PATH] [--state=DIR] [--queue-depth=N]
  *        [--lanes=N] [--cell-ceiling=SECONDS]
  *        [--job-ceiling=SECONDS] [--heartbeat-timeout=SECONDS]
- *        [--lane-retries=N] [--no-shard] [--shard-requeues=N]
- *        [--quiet]
+ *        [--lane-retries=N] [--shard-requeues=N] [--quiet]
  *   ibpd --stats [--socket=PATH]
  *
  * --stats is a CLIENT subcommand: it connects to the running daemon
@@ -153,7 +152,7 @@ printUsage()
         "            [--cell-ceiling=SECONDS]\n"
         "            [--job-ceiling=SECONDS]\n"
         "            [--heartbeat-timeout=SECONDS]\n"
-        "            [--lane-retries=N] [--no-shard]\n"
+        "            [--lane-retries=N]\n"
         "            [--shard-requeues=N] [--quiet]\n"
         "       ibpd --stats [--socket=PATH]\n"
         "\n"
@@ -208,8 +207,6 @@ main(int argc, char **argv)
         } else if (parseFlag(arg, "--lane-retries", &value)) {
             config.laneMaxRetries =
                 static_cast<unsigned>(std::atoi(value.c_str()));
-        } else if (arg == "--no-shard") {
-            config.shardJobs = false;
         } else if (parseFlag(arg, "--shard-requeues", &value)) {
             config.shardRequeueBudget =
                 static_cast<unsigned>(std::atoi(value.c_str()));

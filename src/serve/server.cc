@@ -250,7 +250,7 @@ SweepServer::handleStats(int fd)
               counters.overlapCellsCoalesced);
     {
         std::lock_guard<std::mutex> lock(_queueMutex);
-        reply.set("queue_depth", queuedJobCountLocked());
+        reply.set("queue_depth", jobsLocked(false).size());
         // "running": first busy runner's slug (compat with the
         // single-runner era); "running_jobs" lists all of them.
         Json running_jobs = Json::array();
@@ -292,7 +292,13 @@ SweepServer::handleRun(int fd, const RunRequest &request)
                                   request.slug + "'"));
         return;
     }
+    if (const std::shared_ptr<Job> job = admit(fd, request))
+        streamReply(fd, job);
+}
 
+std::shared_ptr<SweepServer::Job>
+SweepServer::admit(int fd, const RunRequest &request)
+{
     std::shared_ptr<Job> job;
     bool coalesced = false;
     std::size_t queue_depth = 0;
@@ -300,44 +306,30 @@ SweepServer::handleRun(int fd, const RunRequest &request)
         std::lock_guard<std::mutex> lock(_queueMutex);
         if (_draining) {
             writeFrame(fd, drainedFrame());
-            return;
+            return nullptr;
         }
-        // Coalesce onto an identical queued or running job. The
+        // Coalesce onto an identical running or queued job. The
         // state check happens under the job's own mutex: a job that
-        // just finished (Done under job->mutex, _running not yet
-        // cleared) must not gain a rider that missed its artifact's
-        // serve record.
+        // just finished (Done under job->mutex, its runner slot not
+        // yet cleared) must not gain a rider that missed its
+        // artifact's serve record.
         const std::string signature = request.signature();
-        auto try_attach = [&](const std::shared_ptr<Job> &candidate) {
-            if (!candidate ||
-                candidate->request.signature() != signature)
-                return false;
+        for (const std::shared_ptr<Job> &candidate : jobsLocked(true)) {
+            if (candidate->request.signature() != signature)
+                continue;
             std::lock_guard<std::mutex> job_lock(candidate->mutex);
             if (candidate->state != JobState::Queued &&
                 candidate->state != JobState::Running)
-                return false;
+                continue;
             ++candidate->subscribers;
             ++candidate->coalesced;
             candidate->clientRejects += request.rejects;
             job = candidate;
-            return true;
-        };
-        for (const auto &running : _runningJobs) {
-            if (try_attach(running)) {
-                coalesced = true;
-                break;
-            }
+            coalesced = true;
+            break;
         }
         if (!coalesced) {
-            for (const auto &queued : _queue) {
-                if (try_attach(queued.job)) {
-                    coalesced = true;
-                    break;
-                }
-            }
-        }
-        if (!coalesced) {
-            if (queuedJobCountLocked() >= _config.maxQueueDepth) {
+            if (jobsLocked(false).size() >= _config.maxQueueDepth) {
                 {
                     std::lock_guard<std::mutex> stats_lock(
                         _statsMutex);
@@ -348,7 +340,7 @@ SweepServer::handleRun(int fd, const RunRequest &request)
                 reply.set("retry_after_ms",
                           _config.retryAfterSeconds * 1000.0);
                 writeFrame(fd, reply);
-                return;
+                return nullptr;
             }
             job = std::make_shared<Job>();
             job->id = _nextJobId++;
@@ -358,7 +350,7 @@ SweepServer::handleRun(int fd, const RunRequest &request)
             job->enqueuedAt = std::chrono::steady_clock::now();
             enqueueJobLocked(job);
         }
-        queue_depth = queuedJobCountLocked();
+        queue_depth = jobsLocked(false).size();
     }
     {
         std::lock_guard<std::mutex> lock(_statsMutex);
@@ -377,11 +369,16 @@ SweepServer::handleRun(int fd, const RunRequest &request)
     accepted.set("coalesced", Json(coalesced));
     accepted.set("queue_depth", queue_depth);
     if (!writeFrame(fd, accepted).ok())
-        return;
+        return nullptr;
+    return job;
+}
 
+void
+SweepServer::streamReply(int fd, const std::shared_ptr<Job> &job)
+{
     // Stream progress until the job reaches a terminal state. The
     // socket write happens OUTSIDE job->mutex so a slow client can
-    // never stall onCellFinished (which runs on worker threads).
+    // never stall the pass reporting progress.
     std::size_t last_cells = 0;
     std::unique_lock<std::mutex> lock(job->mutex);
     for (;;) {
@@ -460,17 +457,10 @@ SweepServer::runnerLoop(unsigned lane_index)
             _queue.erase(best);
             _runningJobs[lane_index] = task.job;
         }
-        switch (task.kind) {
-        case TaskKind::Whole:
-            runJob(task.job, lane_index);
-            break;
-        case TaskKind::Shard:
-            runShardTask(task, lane_index);
-            break;
-        case TaskKind::Merge:
-            runMergeTask(task.job, lane_index);
-            break;
-        }
+        markJobStarted(task.job);
+        // The runner slot stays held until the transition is made, so
+        // a concurrent drain persists the job.
+        advance(task, runPass(task, lane_index));
         {
             std::lock_guard<std::mutex> lock(_queueMutex);
             _runningJobs[lane_index].reset();
@@ -478,128 +468,364 @@ SweepServer::runnerLoop(unsigned lane_index)
     }
 }
 
-void
-SweepServer::runJob(const std::shared_ptr<Job> &job,
-                    unsigned lane_index)
+LaneJobOutcome
+SweepServer::runPass(const Task &task, unsigned lane_index)
 {
-    markJobStarted(job);
-    logLine("running job %llu: %s%s",
-            static_cast<unsigned long long>(job->id),
-            job->request.slug.c_str(),
-            _supervisor ? " (lane)" : "");
-
-    ExperimentRunResult result;
-    bool lane_drained = false;
-    if (_supervisor) {
-        // Supervised path: the lane process runs the experiment and
-        // streams progress + the artifact back; the monitor loop
-        // below us handles crashes, deadlines and retries. Progress
-        // counts restart per lane incarnation, so only move forward.
-        // Cell claims are on whenever a store is armed: two lanes
-        // running overlapping whole jobs then compute each shared
-        // cell exactly once (the laggard defers and is served).
-        LaneShard whole;
-        whole.cellClaims = ResultStore::global() != nullptr;
-        const LaneJobOutcome outcome = _supervisor->runJob(
-            lane_index, job->request, checkpointPathFor(job->request),
-            [job](std::size_t cells) {
-                std::lock_guard<std::mutex> lock(job->mutex);
-                if (cells > job->cellsDone) {
-                    job->cellsDone = cells;
-                    job->cv.notify_all();
-                }
-            },
-            whole);
-        result = outcome.result;
-        lane_drained = outcome.drained;
-    } else {
-        ExperimentOptions options;
-        options.quick = job->request.quick;
-        options.echo = false;
-        options.checkpointPath = checkpointPathFor(job->request);
-        options.abort = &_drainFlag;
-        options.onCellFinished = [job] {
-            std::lock_guard<std::mutex> lock(job->mutex);
-            ++job->cellsDone;
-            job->cv.notify_all();
-        };
-
-        const ExperimentDef *def = findExperiment(job->request.slug);
-        if (def == nullptr) {
-            result.exitCode = 1;
-            result.error =
-                "experiment '" + job->request.slug + "' vanished";
+    const std::shared_ptr<Job> &job = task.job;
+    const RunRequest &request = job->request;
+    // The Probe keeps no journal: it has nothing to resume, and its
+    // records would restore served cells into the final pass without
+    // their counters. After a fan-out the Final pass serves every
+    // stored cell and simulates any straggler of a drained, abandoned
+    // or failed shard, so shard failures degrade to slowness, never
+    // to a wrong or partial artifact. Claims make concurrent lanes
+    // (shards, overlapping jobs) compute each cell once; the
+    // in-process runner runs one job at a time.
+    LaneShard pass;
+    pass.storeOnly = task.kind == PassKind::Probe;
+    pass.cellClaims = _supervisor != nullptr;
+    std::string journal;
+    std::string label = "job " + std::to_string(job->id);
+    const char *verb = "running";
+    {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        if (task.kind == PassKind::Shard) {
+            pass.index = task.shardIndex;
+            pass.count = job->shardCount;
+            pass.steal = true;
+            ++job->shardDispatches[task.shardIndex];
+            journal = shardCheckpointPathFor(request, pass.index,
+                                             pass.count);
+            label += " shard " + std::to_string(pass.index) + "/" +
+                     std::to_string(pass.count);
+        } else if (task.kind == PassKind::Final) {
+            journal = checkpointPathFor(request);
+            if (job->shardCount > 0)
+                verb = "merging";
         } else {
-            result = runExperimentInProcess(*def, options);
+            verb = "serving from the store";
         }
     }
+    logLine("%s %s: %s%s", verb, label.c_str(), request.slug.c_str(),
+            request.quick ? " (quick)" : "");
 
+    // Progress counts restart with each lane incarnation and shards
+    // report out of order, so the streamed count is the sum of
+    // per-shard monotonic maxima (a Probe or Final pass reports its
+    // own count) and only ever moves forward.
+    const auto on_progress = [&task, &job](std::size_t cells) {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        std::size_t total = cells;
+        if (task.kind == PassKind::Shard) {
+            std::size_t &mine = job->shardCells[task.shardIndex];
+            if (cells <= mine)
+                return;
+            mine = cells;
+            total = 0;
+            for (const std::size_t done : job->shardCells)
+                total += done;
+        }
+        if (total > job->cellsDone) {
+            job->cellsDone = total;
+            job->cv.notify_all();
+        }
+    };
+    if (_supervisor) {
+        return _supervisor->runJob(lane_index, request, journal,
+                                   on_progress, pass);
+    }
+
+    LaneJobOutcome outcome;
+    const ExperimentDef *def = findExperiment(request.slug);
+    if (def == nullptr) {
+        outcome.result.exitCode = 1;
+        outcome.result.error =
+            "experiment '" + request.slug + "' vanished";
+        return outcome;
+    }
+    ExperimentOptions options;
+    options.quick = request.quick;
+    options.echo = false;
+    options.checkpointPath = journal;
+    options.abort = &_drainFlag;
+    options.shardIndex = pass.index;
+    options.shardCount = pass.count;
+    options.shardSteal = pass.steal;
+    options.cellClaims = pass.cellClaims;
+    options.storeOnly = pass.storeOnly;
+    std::atomic<std::size_t> finished{0};
+    options.onCellFinished = [&] {
+        on_progress(finished.fetch_add(1, std::memory_order_relaxed) +
+                    1);
+    };
+    outcome.result = runExperimentInProcess(*def, options);
+    return outcome;
+}
+
+void
+SweepServer::advance(const Task &task, const LaneJobOutcome &outcome)
+{
+    const std::shared_ptr<Job> &job = task.job;
+    const ExperimentRunResult &result = outcome.result;
+    const bool missed =
+        task.kind == PassKind::Probe && result.storeMissed;
+    if (task.kind != PassKind::Shard && !missed) {
+        finishJob(task, outcome);
+        return;
+    }
+
+    enum class Step { Drain, FanOut, Requeue, Abandon, ShardDone };
+    Step step;
+    std::vector<Task> next;
+    unsigned shard_count = 0;
+    unsigned dispatches = 0;
+    {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        // A pass before the final one decides whether the job is
+        // warm: the final pass finds every trace in the cache these
+        // runs filled.
+        if (!result.artifact ||
+            result.artifact->metrics.tracesGenerated() > 0)
+            job->tracesGenerated = true;
+        if (outcome.drained ||
+            _drainFlag.load(std::memory_order_acquire)) {
+            step = Step::Drain;
+        } else if (missed) {
+            // The probe's lane time counts as merge time: it
+            // acquired every trace before it stopped.
+            step = Step::FanOut;
+            job->shardServe.mergeSeconds += result.seconds;
+            job->shardCount = _config.lanes;
+            job->shardCells.assign(job->shardCount, 0);
+            job->shardDispatches.assign(job->shardCount, 0);
+            job->fanoutStartedAt = std::chrono::steady_clock::now();
+            for (unsigned k = 0; k < job->shardCount; ++k)
+                next.push_back({job, PassKind::Shard, k});
+        } else if (result.exitCode == 1 &&
+                   job->shardDispatches[task.shardIndex] <=
+                       _config.shardRequeueBudget) {
+            // The lane pool gave up on this shard (crash retries
+            // exhausted, or a hard failure). Its journal holds
+            // whatever finished, so a re-dispatch reruns only the
+            // remaining cells.
+            step = Step::Requeue;
+            ++job->shardServe.requeued;
+            next.push_back(task);
+        } else {
+            // Finished, or abandoned past its budget: the final pass
+            // then simulates the shard's unfinished cells.
+            if (result.exitCode == 1) {
+                step = Step::Abandon;
+                ++job->shardServe.abandoned;
+            } else {
+                step = Step::ShardDone;
+                if (result.artifact) {
+                    const ResultStoreStats cells =
+                        result.artifact->metrics.resultStore();
+                    job->shardServe.stolenCells += cells.stolen;
+                    job->shardServe.overlapCoalesced +=
+                        cells.claimServed;
+                }
+            }
+            if (++job->shardsTerminal == job->shardCount) {
+                job->shardServe.fanoutSeconds =
+                    secondsSince(job->fanoutStartedAt);
+                next.push_back({job, PassKind::Final, 0});
+            }
+        }
+        shard_count = job->shardCount;
+        if (step != Step::Drain && step != Step::FanOut)
+            dispatches = job->shardDispatches[task.shardIndex];
+    }
+
+    if (step == Step::Drain) {
+        markJobDrained(job);
+        return;
+    }
+    const bool queued = next.empty() || pushOrDrain(next);
+    {
+        std::lock_guard<std::mutex> lock(_statsMutex);
+        _stats.shardsRequeued += step == Step::Requeue;
+        _stats.shardsAbandoned += step == Step::Abandon;
+        if (step == Step::FanOut && queued) {
+            ++_stats.jobsSharded;
+            _stats.shardsPlanned += shard_count;
+        }
+    }
+    if (!queued)
+        return;
+    const auto id = static_cast<unsigned long long>(job->id);
+    if (step == Step::FanOut) {
+        logLine("job %llu missed the store; sharding x%u", id,
+                shard_count);
+        return;
+    }
+    logLine("job %llu shard %u/%u %s (dispatch %u)", id,
+            task.shardIndex, shard_count,
+            step == Step::Requeue   ? "re-queued"
+            : step == Step::Abandon ? "abandoned"
+                                    : "done",
+            dispatches);
+}
+
+void
+SweepServer::finishJob(const Task &task, const LaneJobOutcome &outcome)
+{
+    const std::shared_ptr<Job> &job = task.job;
+    const bool from_store = task.kind == PassKind::Probe;
+    ExperimentRunResult result = outcome.result;
     bool drained = false;
     bool warm = false;
+    ShardServeStats shard;
+    unsigned shard_count = 0;
+    std::size_t cells = 0;
     {
         // One critical section decides the terminal state, reads the
-        // final subscriber counts, and stamps the serve telemetry:
-        // a late coalescing attach either lands before this (and is
+        // final subscriber counts, and stamps the serve telemetry: a
+        // late coalescing attach either lands before this (and is
         // counted) or observes a terminal state (and starts a fresh
         // job). The drain flag is read here too, so persistPending
         // (which inspects state under this mutex) and this section
         // agree on whether the job drained.
         std::lock_guard<std::mutex> lock(job->mutex);
-        drained = lane_drained ||
+        drained = outcome.drained ||
                   _drainFlag.load(std::memory_order_acquire);
-        if (!drained && result.artifact)
-            warm = stampServeLocked(*job, *result.artifact);
-        job->result = result;
-        job->state =
-            drained ? JobState::Drained : JobState::Done;
-        job->cv.notify_all();
+        if (!drained && result.artifact) {
+            // Only a job that went through the probe has a shard
+            // block: the fan-out telemetry plus the lane time of the
+            // probe and the final pass.
+            if (from_store || job->shardCount > 0) {
+                job->shardServe.planned = job->shardCount;
+                job->shardServe.mergeSeconds += result.seconds;
+                job->shardServe.laneCells.assign(
+                    job->shardCells.begin(), job->shardCells.end());
+            }
+            const RunMetrics &metrics = result.artifact->metrics;
+            ServeMetrics serve;
+            serve.requests = job->subscribers;
+            serve.coalesced = job->coalesced;
+            serve.admissionRejects = job->clientRejects;
+            serve.queueSeconds = job->queueSeconds;
+            serve.jobSeconds = secondsSince(job->startedAt);
+            serve.warm = !job->tracesGenerated &&
+                         metrics.hasTraceSource() &&
+                         metrics.tracesGenerated() == 0 &&
+                         metrics.traceCacheHits() > 0;
+            serve.shard = job->shardServe;
+            result.artifact->metrics.recordServe(serve);
+            warm = serve.warm;
+            shard = job->shardServe;
+        }
+        if (!drained) {
+            job->result = result;
+            job->state = JobState::Done;
+            job->cv.notify_all();
+        }
+        shard_count = job->shardCount;
+        cells = job->cellsDone;
+    }
+    if (drained) {
+        markJobDrained(job);
+        return;
     }
 
-    if (!drained && result.exitCode == 0) {
-        // A clean completion retires the job's journal; a drained or
-        // partial run keeps it so a restart resumes from it.
+    if (result.exitCode == 0) {
+        // A clean completion retires the job's journals; a drained or
+        // partial run keeps them so a restart resumes from them.
         std::error_code ec;
         std::filesystem::remove(checkpointPathFor(job->request), ec);
+        removeShardCheckpoints(job->request);
     }
     {
         std::lock_guard<std::mutex> lock(_statsMutex);
-        if (drained) {
-            ++_stats.jobsDrained;
-        } else {
-            ++_stats.jobsCompleted;
-            if (warm)
-                ++_stats.warmHits;
-        }
+        ++_stats.jobsCompleted;
+        if (warm)
+            ++_stats.warmHits;
+        if (from_store && result.artifact)
+            ++_stats.jobsStoreServed;
+        _stats.shardCellsStolen += shard.stolenCells;
+        _stats.overlapCellsCoalesced += shard.overlapCoalesced;
     }
-    logLine("job %llu %s (%zu cells%s)",
-            static_cast<unsigned long long>(job->id),
-            drained ? "drained" : "finished", job->cellsDone,
-            warm ? ", warm" : "");
+    const std::string how =
+        from_store        ? ", from the store"
+        : shard_count > 0 ? ", sharded x" + std::to_string(shard_count)
+                          : "";
+    logLine("job %llu finished (%zu cells%s%s)",
+            static_cast<unsigned long long>(job->id), cells,
+            how.c_str(), warm ? ", warm" : "");
 }
 
 void
-SweepServer::noteLaneRunLocked(Job &job, const ExperimentRunResult &result)
+SweepServer::markJobDrained(const std::shared_ptr<Job> &job)
 {
-    if (!result.artifact || result.artifact->metrics.tracesGenerated() > 0)
-        job.tracesGenerated = true;
+    std::size_t cells = 0;
+    {
+        std::lock_guard<std::mutex> lock(job->mutex);
+        if (job->state == JobState::Drained)
+            return;
+        job->state = JobState::Drained;
+        job->cv.notify_all();
+        cells = job->cellsDone;
+    }
+    {
+        std::lock_guard<std::mutex> stats_lock(_statsMutex);
+        ++_stats.jobsDrained;
+    }
+    logLine("job %llu drained (%zu cells)",
+            static_cast<unsigned long long>(job->id), cells);
 }
 
 bool
-SweepServer::stampServeLocked(Job &job, RunArtifact &artifact)
+SweepServer::pushOrDrain(const std::vector<Task> &tasks)
 {
-    const RunMetrics &metrics = artifact.metrics;
-    ServeMetrics serve;
-    serve.requests = job.subscribers;
-    serve.coalesced = job.coalesced;
-    serve.admissionRejects = job.clientRejects;
-    serve.queueSeconds = job.queueSeconds;
-    serve.jobSeconds = secondsSince(job.startedAt);
-    serve.warm = !job.tracesGenerated && metrics.hasTraceSource() &&
-                 metrics.tracesGenerated() == 0 &&
-                 metrics.traceCacheHits() > 0;
-    serve.shard = job.shardServe;
-    artifact.metrics.recordServe(serve);
-    return serve.warm;
+    {
+        std::lock_guard<std::mutex> lock(_queueMutex);
+        if (!_draining) {
+            _queue.insert(_queue.end(), tasks.begin(), tasks.end());
+            _queueCv.notify_all();
+            return true;
+        }
+    }
+    // Drain won the race for the queue: the job was already persisted
+    // (this runner still holds its slot), so it resumes after restart
+    // instead of running on.
+    markJobDrained(tasks.front().job);
+    return false;
+}
+
+void
+SweepServer::enqueueJobLocked(const std::shared_ptr<Job> &job)
+{
+    // Shard when the grid can be reassembled from the store: a pool
+    // of at least two lanes, a shardable experiment (every cell
+    // store-keyed) and an armed result store. Fault injection
+    // disarms the store inside SuiteRunner, so a fan-out would just
+    // repeat the whole grid per lane - don't plan one.
+    const ExperimentDef *def = findExperiment(job->request.slug);
+    const bool shardable = _config.lanes >= 2 && def != nullptr &&
+                           def->shardable &&
+                           ResultStore::global() != nullptr &&
+                           !FaultInjector::global().armed();
+    _queue.push_back(
+        {job, shardable ? PassKind::Probe : PassKind::Final, 0});
+    _queueCv.notify_one();
+}
+
+std::vector<std::shared_ptr<SweepServer::Job>>
+SweepServer::jobsLocked(bool with_running) const
+{
+    std::vector<std::shared_ptr<Job>> jobs;
+    const auto add = [&jobs](const std::shared_ptr<Job> &job) {
+        if (job && std::find(jobs.begin(), jobs.end(), job) == jobs.end())
+            jobs.push_back(job);
+    };
+    if (with_running) {
+        for (const auto &job : _runningJobs)
+            add(job);
+    }
+    for (const Task &task : _queue)
+        add(task.job);
+    return jobs;
 }
 
 void
@@ -615,375 +841,23 @@ SweepServer::markJobStarted(const std::shared_ptr<Job> &job)
                             .count();
 }
 
-std::size_t
-SweepServer::queuedJobCountLocked() const
-{
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < _queue.size(); ++i) {
-        bool seen = false;
-        for (std::size_t j = 0; j < i && !seen; ++j)
-            seen = _queue[j].job == _queue[i].job;
-        if (!seen)
-            ++count;
-    }
-    return count;
-}
-
-void
-SweepServer::enqueueJobLocked(const std::shared_ptr<Job> &job)
-{
-    // Shard when the grid can be reassembled from the store: a
-    // supervised pool of at least two lanes, a shardable experiment
-    // (every cell store-keyed) and an armed result store. Everything
-    // else runs as one whole job on one lane, exactly as before.
-    // Fault injection disarms the store inside SuiteRunner, so a
-    // sharded fan-out would just repeat the whole grid per lane -
-    // don't plan one.
-    const ExperimentDef *def = findExperiment(job->request.slug);
-    const bool shard = _supervisor != nullptr && _config.shardJobs &&
-                       _config.lanes >= 2 && def != nullptr &&
-                       def->shardable &&
-                       ResultStore::global() != nullptr &&
-                       !FaultInjector::global().armed();
-    // A shardable job starts as its merge pass, store-only: a repeat
-    // the store holds in full costs that one lane run, and a miss
-    // plans the fan-out (runMergeTask).
-    Task task;
-    task.job = job;
-    task.kind = shard ? TaskKind::Merge : TaskKind::Whole;
-    _queue.push_back(task);
-    _queueCv.notify_one();
-}
-
-void
-SweepServer::enqueueShardsLocked(const std::shared_ptr<Job> &job)
-{
-    {
-        std::lock_guard<std::mutex> lock(job->mutex);
-        job->shardCount = _config.lanes;
-        job->shardCells.assign(job->shardCount, 0);
-        job->shardDispatches.assign(job->shardCount, 0);
-        job->fanoutStartedAt = std::chrono::steady_clock::now();
-    }
-    for (unsigned k = 0; k < _config.lanes; ++k) {
-        Task task;
-        task.job = job;
-        task.kind = TaskKind::Shard;
-        task.shardIndex = k;
-        _queue.push_back(task);
-    }
-    {
-        std::lock_guard<std::mutex> stats_lock(_statsMutex);
-        ++_stats.jobsSharded;
-        _stats.shardsPlanned += _config.lanes;
-    }
-    _queueCv.notify_all();
-}
-
-void
-SweepServer::runShardTask(const Task &task, unsigned lane_index)
-{
-    const std::shared_ptr<Job> &job = task.job;
-    const unsigned shard_index = task.shardIndex;
-    markJobStarted(job);
-    unsigned shard_count = 0;
-    unsigned dispatch = 0;
-    {
-        std::lock_guard<std::mutex> lock(job->mutex);
-        shard_count = job->shardCount;
-        dispatch = ++job->shardDispatches[shard_index];
-    }
-    logLine("running job %llu shard %u/%u: %s%s",
-            static_cast<unsigned long long>(job->id), shard_index,
-            shard_count, job->request.slug.c_str(),
-            job->request.quick ? " (quick)" : "");
-
-    LaneShard shard;
-    shard.index = shard_index;
-    shard.count = shard_count;
-    shard.steal = true;
-    shard.cellClaims = true;
-    const LaneJobOutcome outcome = _supervisor->runJob(
-        lane_index, job->request,
-        shardCheckpointPathFor(job->request, shard_index,
-                               shard_count),
-        [job, shard_index](std::size_t cells) {
-            // Aggregated progress: the sum of per-shard monotonic
-            // maxima, so lane restarts (whose counts reset) and
-            // out-of-order shard ticks never move the stream
-            // backwards.
-            std::lock_guard<std::mutex> lock(job->mutex);
-            if (cells <= job->shardCells[shard_index])
-                return;
-            job->shardCells[shard_index] = cells;
-            std::size_t sum = 0;
-            for (const std::size_t done : job->shardCells)
-                sum += done;
-            if (sum > job->cellsDone) {
-                job->cellsDone = sum;
-                job->cv.notify_all();
-            }
-        },
-        shard);
-
-    const bool drained =
-        outcome.drained || _drainFlag.load(std::memory_order_acquire);
-    bool requeue = false;
-    bool enqueue_merge = false;
-    {
-        std::lock_guard<std::mutex> lock(job->mutex);
-        noteLaneRunLocked(*job, outcome.result);
-        if (drained) {
-            job->shardDrained = true;
-            ++job->shardsTerminal;
-        } else if (outcome.result.exitCode == 1) {
-            // The lane pool gave up on this shard (bounded crash
-            // retries exhausted, or a hard failure). Re-dispatch it
-            // within budget - its journal already holds whatever
-            // finished, so only the remaining cells rerun - else
-            // abandon it and let the merge pass sweep its cells.
-            if (job->shardDispatches[shard_index] <=
-                _config.shardRequeueBudget) {
-                requeue = true;
-                ++job->shardServe.requeued;
-            } else {
-                ++job->shardServe.abandoned;
-                ++job->shardsTerminal;
-            }
-        } else {
-            ++job->shardsTerminal;
-            if (outcome.result.artifact) {
-                const ResultStoreStats cells =
-                    outcome.result.artifact->metrics.resultStore();
-                job->shardServe.stolenCells += cells.stolen;
-                job->shardServe.overlapCoalesced += cells.claimServed;
-            }
-        }
-        if (!drained && !requeue &&
-            job->shardsTerminal == job->shardCount) {
-            enqueue_merge = true;
-            job->shardServe.fanoutSeconds =
-                secondsSince(job->fanoutStartedAt);
-        }
-    }
-    if (requeue || outcome.result.exitCode == 1) {
-        std::lock_guard<std::mutex> stats_lock(_statsMutex);
-        if (requeue)
-            ++_stats.shardsRequeued;
-        else if (!drained)
-            ++_stats.shardsAbandoned;
-    }
-    if (!requeue && !enqueue_merge && !drained) {
-        logLine("job %llu shard %u/%u done",
-                static_cast<unsigned long long>(job->id), shard_index,
-                shard_count);
-    }
-
-    if (drained) {
-        markJobDrained(job);
-        return;
-    }
-    if (requeue || enqueue_merge) {
-        Task next;
-        next.job = job;
-        next.kind = requeue ? TaskKind::Shard : TaskKind::Merge;
-        next.shardIndex = requeue ? shard_index : 0;
-        bool queued = false;
-        {
-            std::lock_guard<std::mutex> lock(_queueMutex);
-            if (!_draining) {
-                _queue.push_back(next);
-                _queueCv.notify_one();
-                queued = true;
-            }
-        }
-        if (!queued) {
-            // Drain won the race for the queue: the job was already
-            // persisted (this lane still holds its running slot), so
-            // it resumes after restart instead of running on.
-            markJobDrained(job);
-            return;
-        }
-        if (requeue) {
-            logLine("re-queued job %llu shard %u/%u (dispatch %u)",
-                    static_cast<unsigned long long>(job->id),
-                    shard_index, shard_count, dispatch);
-        }
-    }
-}
-
-void
-SweepServer::markJobDrained(const std::shared_ptr<Job> &job)
-{
-    {
-        std::lock_guard<std::mutex> lock(job->mutex);
-        if (job->state == JobState::Drained)
-            return;
-        job->state = JobState::Drained;
-        job->cv.notify_all();
-    }
-    std::lock_guard<std::mutex> stats_lock(_statsMutex);
-    ++_stats.jobsDrained;
-}
-
-void
-SweepServer::runMergeTask(const std::shared_ptr<Job> &job,
-                          unsigned lane_index)
-{
-    markJobStarted(job);
-    bool store_only;
-    {
-        std::lock_guard<std::mutex> lock(job->mutex);
-        store_only = job->shardCount == 0;
-    }
-    logLine("%s job %llu: %s",
-            store_only ? "serving from the store" : "merging",
-            static_cast<unsigned long long>(job->id),
-            job->request.slug.c_str());
-    // The merge IS the job, run unsharded on one lane against the
-    // store: every stored cell is served bit-identically. Before any
-    // fan-out it runs store-only, so a job the store holds in full
-    // costs this one lane run, and the first missing cell stops it
-    // before it simulates anything. That pass keeps no journal: it
-    // has nothing to resume, and its records would carry no counters
-    // into the final merge. After the fan-out the merge runs
-    // plainly: any straggler cells of drained, abandoned or failed
-    // shards are simulated here - shard failures degrade to
-    // slowness, never to a wrong or partial artifact. Claims stay on
-    // so a concurrent overlapping job still shares cells with the
-    // merge.
-    LaneShard merge;
-    merge.cellClaims = true;
-    merge.storeOnly = store_only;
-    const LaneJobOutcome outcome = _supervisor->runJob(
-        lane_index, job->request,
-        store_only ? std::string() : checkpointPathFor(job->request),
-        [job](std::size_t cells) {
-            std::lock_guard<std::mutex> lock(job->mutex);
-            if (cells > job->cellsDone) {
-                job->cellsDone = cells;
-                job->cv.notify_all();
-            }
-        },
-        merge);
-    if (outcome.result.storeMissed && !outcome.drained &&
-        !_drainFlag.load(std::memory_order_acquire)) {
-        {
-            // The missed pass acquired every trace before it stopped.
-            std::lock_guard<std::mutex> lock(job->mutex);
-            job->shardServe.mergeSeconds += outcome.result.seconds;
-            noteLaneRunLocked(*job, outcome.result);
-        }
-        bool queued = false;
-        {
-            std::lock_guard<std::mutex> lock(_queueMutex);
-            if (!_draining) {
-                enqueueShardsLocked(job);
-                queued = true;
-            }
-        }
-        if (queued) {
-            logLine("job %llu missed the store; sharding x%u",
-                    static_cast<unsigned long long>(job->id),
-                    _config.lanes);
-        } else {
-            markJobDrained(job);
-        }
-        return;
-    }
-    ExperimentRunResult result = outcome.result;
-
-    bool drained = false;
-    bool counted_drained = false;
-    bool warm = false;
-    std::uint64_t stolen = 0;
-    std::uint64_t overlap = 0;
-    {
-        std::lock_guard<std::mutex> lock(job->mutex);
-        drained = outcome.drained ||
-                  _drainFlag.load(std::memory_order_acquire);
-        if (!drained && result.artifact) {
-            job->shardServe.planned = job->shardCount;
-            job->shardServe.mergeSeconds += result.seconds;
-            job->shardServe.laneCells.assign(job->shardCells.begin(),
-                                             job->shardCells.end());
-            stolen = job->shardServe.stolenCells;
-            overlap = job->shardServe.overlapCoalesced;
-            warm = stampServeLocked(*job, *result.artifact);
-        }
-        job->result = result;
-        if (job->state != JobState::Drained) {
-            job->state =
-                drained ? JobState::Drained : JobState::Done;
-            counted_drained = drained;
-        }
-        job->cv.notify_all();
-    }
-
-    if (!drained && result.exitCode == 0) {
-        std::error_code ec;
-        std::filesystem::remove(checkpointPathFor(job->request), ec);
-        removeShardCheckpoints(job->request);
-    }
-    {
-        std::lock_guard<std::mutex> lock(_statsMutex);
-        if (drained) {
-            if (counted_drained)
-                ++_stats.jobsDrained;
-        } else {
-            ++_stats.jobsCompleted;
-            if (warm)
-                ++_stats.warmHits;
-            if (store_only && result.artifact)
-                ++_stats.jobsStoreServed;
-            _stats.shardCellsStolen += stolen;
-            _stats.overlapCellsCoalesced += overlap;
-        }
-    }
-    const std::string how =
-        store_only ? "from the store"
-                   : "sharded x" + std::to_string(job->shardCount);
-    logLine("job %llu %s (%zu cells, %s)",
-            static_cast<unsigned long long>(job->id),
-            drained ? "drained" : "finished", job->cellsDone,
-            how.c_str());
-}
-
 void
 SweepServer::requestDrain()
 {
     if (_drainFlag.exchange(true, std::memory_order_acq_rel))
         return;
     logLine("drain requested");
-    std::size_t drained_queued = 0;
     {
         std::lock_guard<std::mutex> lock(_queueMutex);
         _draining = true;
         persistPendingLocked();
-        // Mark every job still holding queue tasks drained, once per
-        // job: a sharded job contributes several tasks, and one with
-        // a shard mid-flight on a lane is marked here too - the lane
-        // reports that shard drained shortly, and the runner's own
-        // terminal path sees the state already set.
-        for (std::size_t i = 0; i < _queue.size(); ++i) {
-            bool seen = false;
-            for (std::size_t j = 0; j < i && !seen; ++j)
-                seen = _queue[j].job == _queue[i].job;
-            if (seen)
-                continue;
-            const auto &job = _queue[i].job;
-            std::lock_guard<std::mutex> job_lock(job->mutex);
-            if (job->state == JobState::Drained)
-                continue;
-            job->state = JobState::Drained;
-            job->cv.notify_all();
-            ++drained_queued;
-        }
+        // Drain every job still holding queue tasks: a sharded job
+        // with a shard mid-flight on a lane is drained here too - the
+        // lane reports that shard drained shortly, and
+        // markJobDrained() counts the job once.
+        for (const std::shared_ptr<Job> &job : jobsLocked(false))
+            markJobDrained(job);
         _queue.clear();
-    }
-    if (drained_queued > 0) {
-        std::lock_guard<std::mutex> lock(_statsMutex);
-        _stats.jobsDrained += drained_queued;
     }
     // Lanes stop at their next cell boundary and report their jobs
     // drained; their runner threads then observe _draining and exit.
@@ -1128,31 +1002,18 @@ SweepServer::persistPendingLocked()
 {
     const std::string path = _config.stateDir + "/pending.json";
     Json jobs = Json::array();
-    // ONE entry per job, however many shard/merge tasks it has in
+    // ONE entry per job, however many of its passes are queued or in
     // flight: the entry is just the request, and the restarted
     // daemon re-plans shards against its then-current lane count.
     // The union of the job's unfinished cells needs no persisting -
     // finished cells live in the result store (and the journals),
     // so the re-planned run serves them and simulates only the rest.
-    std::vector<const Job *> seen;
-    auto persist = [&](const std::shared_ptr<Job> &job) {
-        if (!job)
-            return;
-        for (const Job *prior : seen) {
-            if (prior == job.get())
-                return;
-        }
+    for (const std::shared_ptr<Job> &job : jobsLocked(true)) {
         std::lock_guard<std::mutex> job_lock(job->mutex);
-        if (job->state == JobState::Done ||
-            job->state == JobState::Drained)
-            return;
-        seen.push_back(job.get());
-        jobs.push(job->request.toJson());
-    };
-    for (const auto &job : _runningJobs)
-        persist(job);
-    for (const auto &task : _queue)
-        persist(task.job);
+        if (job->state != JobState::Done &&
+            job->state != JobState::Drained)
+            jobs.push(job->request.toJson());
+    }
     if (jobs.size() == 0) {
         std::error_code ec;
         std::filesystem::remove(path, ec);

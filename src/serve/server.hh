@@ -22,6 +22,11 @@
  *    is replaced while its job resumes from the checkpoint journal.
  *    A single job still owns a whole lane, so --lanes=1 artifacts
  *    are bit-identical to the in-process runner's.
+ *  - ONE JOB LIFECYCLE: every queued task is one pass of a job
+ *    (Probe, Shard or Final; see PassKind). A runner runs it through
+ *    runPass() and hands the outcome to advance(), the one function
+ *    that decides what comes next; finishJob() and markJobDrained()
+ *    are the only terminal transitions.
  *  - ADMISSION CONTROL bounds the queue: a request that would push
  *    the queued depth past the configured bound is rejected with a
  *    retry-after hint instead of being buffered without limit.
@@ -87,16 +92,8 @@ struct ServerConfig
     unsigned laneMaxRetries = 3;
     /** Pause before re-dispatching a crashed job to a fresh lane. */
     double laneRetryBackoffSeconds = 0.1;
-    /** Shard shardable jobs across the lane pool (lanes >= 2): a
-     *  store-only merge pass runs first and serves a job the store
-     *  holds in full; on a miss each lane simulates one benchmark
-     *  partition of the grid into the result store, then a
-     *  single-lane merge pass assembles the artifact (bit-identical
-     *  to an unsharded run). Requires an armed result store; off,
-     *  every job owns one whole lane. */
-    bool shardJobs = true;
     /** Re-dispatches allowed per shard after its lane pool gives up,
-     *  before the shard is abandoned (the merge pass then simulates
+     *  before the shard is abandoned (the final pass then simulates
      *  its unfinished cells on one lane). */
     unsigned shardRequeueBudget = 2;
 };
@@ -200,41 +197,45 @@ class SweepServer
         // ---- grid-sharder bookkeeping (zero for unsharded jobs;
         // guarded by mutex like everything above) ----
         /** Shards planned for this job; 0 = none (yet): a shardable
-         *  job starts as a store-only merge and is planned only when
-         *  that misses. */
+         *  job starts as a store probe and is planned only when that
+         *  misses. */
         unsigned shardCount = 0;
         /** Stamped when the shards are planned. */
         std::chrono::steady_clock::time_point fanoutStartedAt;
-        /** Shards that reached a terminal state (finished, drained
-         *  or abandoned); the merge pass is enqueued when this hits
-         *  shardCount with no drain in flight. */
+        /** Shards that finished or were abandoned; the final pass is
+         *  enqueued when this reaches shardCount. */
         unsigned shardsTerminal = 0;
-        /** Any shard stopped for drain. */
-        bool shardDrained = false;
         /** Monotonic per-shard resolved-cell maxima; streamed
          *  progress is their sum. */
         std::vector<std::size_t> shardCells;
         /** Dispatch count per shard (first run + re-queues), checked
          *  against ServerConfig::shardRequeueBudget. */
         std::vector<unsigned> shardDispatches;
-        /** Aggregated fan-out telemetry, stamped onto the merge
+        /** Aggregated fan-out telemetry, stamped onto the final
          *  artifact's serve metrics. */
         ShardServeStats shardServe;
-        /** A lane run before the final one (the store-only pass that
-         *  missed, a shard) generated a trace or returned no artifact
-         *  to tell: the job is not warm, whatever the final run found
-         *  in the trace cache those runs filled. */
+        /** A lane run before the final one (the probe that missed, a
+         *  shard) generated a trace or returned no artifact to tell:
+         *  the job is not warm, whatever the final run found in the
+         *  trace cache those runs filled. */
         bool tracesGenerated = false;
     };
 
-    /** What a runner thread dequeues: a whole job, one shard of a
-     *  sharded job's fan-out, or a single-lane merge pass (store-only
-     *  before any fan-out, the final merge after it). */
-    enum class TaskKind { Whole, Shard, Merge };
+    /**
+     * A task is one lane pass of a job (docs/SERVICE.md, "Job
+     * lifecycle"). A shardable job starts as a Probe: the job run
+     * store-only with no journal, which serves a job the store holds
+     * in full. A miss fans the job out as one Shard per lane, each
+     * simulating its benchmark partition into the store, and the
+     * Final pass - the job itself, unsharded on one lane with its
+     * main journal - assembles the artifact. Every other job is
+     * enqueued as its Final pass directly.
+     */
+    enum class PassKind { Probe, Shard, Final };
     struct Task
     {
         std::shared_ptr<Job> job;
-        TaskKind kind = TaskKind::Whole;
+        PassKind kind = PassKind::Final;
         unsigned shardIndex = 0;
     };
 
@@ -251,34 +252,36 @@ class SweepServer
     void reapConnections();
     void serveConnection(const std::shared_ptr<Connection> &conn);
     void handleRun(int fd, const RunRequest &request);
+    /** Coalesce @p request onto a live job or queue a new one, and
+     *  send the "accepted" frame; null when the request got its
+     *  terminal frame here (drained, rejected) or the client left. */
+    std::shared_ptr<Job> admit(int fd, const RunRequest &request);
+    /** Stream @p job's progress to @p fd, then its terminal frame. */
+    void streamReply(int fd, const std::shared_ptr<Job> &job);
     void handleStats(int fd);
     void runnerLoop(unsigned laneIndex);
-    void runJob(const std::shared_ptr<Job> &job, unsigned laneIndex);
-    void runShardTask(const Task &task, unsigned laneIndex);
-    void runMergeTask(const std::shared_ptr<Job> &job,
-                      unsigned laneIndex);
-    /** Note the trace acquisition of a lane run of @p job that is
-     *  not its final one (Job::tracesGenerated); caller holds
-     *  job.mutex. */
-    static void noteLaneRunLocked(Job &job,
-                                  const ExperimentRunResult &result);
-    /** Stamp the finished @p job's serve telemetry into @p artifact
-     *  and return whether the job was warm: no lane run of it
-     *  generated a trace and its final run hit the trace cache.
-     *  Caller holds job.mutex. */
-    static bool stampServeLocked(Job &job, RunArtifact &artifact);
+    /** Run one pass on lane @p laneIndex (in-process with lanes ==
+     *  0), streaming its progress into the job. */
+    LaneJobOutcome runPass(const Task &task, unsigned laneIndex);
+    /** The job's transition after @p task's pass: finish it, drain
+     *  it, fan it out, re-queue or abandon a shard, or enqueue the
+     *  final pass. */
+    void advance(const Task &task, const LaneJobOutcome &outcome);
+    /** Move the job to Done (or Drained, when a drain won) after its
+     *  last pass: stamp serve telemetry, retire its journals, count
+     *  it. */
+    void finishJob(const Task &task, const LaneJobOutcome &outcome);
     /** Move the job to Drained once, counting it. */
     void markJobDrained(const std::shared_ptr<Job> &job);
-    /** Push the job's first task: a store-only merge for a
-     *  shardable job, else the whole job; caller holds
-     *  _queueMutex. */
+    /** Queue @p tasks (all of one job), or drain the job when a
+     *  drain already won the queue; false in that case. */
+    bool pushOrDrain(const std::vector<Task> &tasks);
+    /** Push the job's first pass: a Probe for a shardable job, else
+     *  its Final pass; caller holds _queueMutex. */
     void enqueueJobLocked(const std::shared_ptr<Job> &job);
-    /** Plan the job's shard fan-out and push its shard tasks; caller
-     *  holds _queueMutex. */
-    void enqueueShardsLocked(const std::shared_ptr<Job> &job);
-    /** Distinct jobs with tasks in the queue (admission bound);
-     *  caller holds _queueMutex. */
-    std::size_t queuedJobCountLocked() const;
+    /** Distinct jobs holding a queued task, after those holding a
+     *  runner when @p withRunning; caller holds _queueMutex. */
+    std::vector<std::shared_ptr<Job>> jobsLocked(bool withRunning) const;
     /** Transition Queued -> Running once, stamping queue/start
      *  times; later tasks of the same job are no-ops. */
     void markJobStarted(const std::shared_ptr<Job> &job);

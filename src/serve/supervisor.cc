@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 #include <poll.h>
@@ -52,6 +53,177 @@ enum class MonitorEnd
     JobDeadline,     // whole job ran past its ceiling
     DispatchFailed,  // could not even write the job frame
 };
+
+/** A failed job outcome carrying @p message. */
+LaneJobOutcome
+failedOutcome(const std::string &message)
+{
+    LaneJobOutcome outcome;
+    outcome.result.exitCode = 1;
+    outcome.result.error = message;
+    return outcome;
+}
+
+/** The lane frame dispatching @p request with @p shard's pass. */
+Json
+jobFrame(const RunRequest &request, const std::string &checkpoint_path,
+         const LaneShard &shard)
+{
+    Json job = Json::object();
+    job.set("type", "job");
+    job.set("checkpoint", checkpoint_path);
+    job.set("request", request.toJson());
+    // Shard fields ride on the lane frame, not the client request:
+    // sharding is a daemon scheduling decision and must not perturb
+    // RunRequest::signature() coalescing.
+    if (shard.count > 1) {
+        job.set("shard_index", static_cast<double>(shard.index));
+        job.set("shard_count", static_cast<double>(shard.count));
+        if (shard.steal)
+            job.set("shard_steal", true);
+    }
+    if (shard.cellClaims)
+        job.set("cell_claims", true);
+    if (shard.storeOnly)
+        job.set("store_only", true);
+    return job;
+}
+
+/** How one monitored dispatch ended. */
+struct Monitored
+{
+    MonitorEnd end = MonitorEnd::DispatchFailed;
+    /** The lane's result frame when end is Result. */
+    Json resultFrame;
+    /** Cells this lane incarnation reported resolved. */
+    std::size_t cells = 0;
+};
+
+/**
+ * Read lane socket @p fd until the dispatched job's result frame
+ * arrives, the lane dies, or a deadline of @p config passes;
+ * progress frames go to @p on_progress.
+ */
+Monitored
+monitorDispatch(int fd, const SupervisorConfig &config,
+                Clock::time_point job_start,
+                const std::function<void(std::size_t)> &on_progress)
+{
+    Monitored monitored;
+    auto last_frame = Clock::now();
+    auto last_progress = last_frame;
+    // Re-measures the clocks, so a poll that timed out a hair early
+    // (ms rounding) reports nothing and loops.
+    const auto expired = [&]() -> bool {
+        if (config.jobCeilingSeconds > 0.0 &&
+            secondsSince(job_start) >= config.jobCeilingSeconds) {
+            monitored.end = MonitorEnd::JobDeadline;
+            return true;
+        }
+        if (config.cellCeilingSeconds > 0.0 &&
+            secondsSince(last_progress) >= config.cellCeilingSeconds) {
+            monitored.end = MonitorEnd::CellDeadline;
+            return true;
+        }
+        if (config.heartbeatTimeoutSeconds > 0.0 &&
+            secondsSince(last_frame) >=
+                config.heartbeatTimeoutSeconds) {
+            monitored.end = MonitorEnd::HeartbeatLost;
+            return true;
+        }
+        return false;
+    };
+
+    for (;;) {
+        // The nearest of three deadlines bounds the poll; -1 blocks
+        // forever when every ceiling is disabled.
+        double wait = -1.0;
+        const auto consider = [&wait](double ceiling, double elapsed) {
+            if (ceiling <= 0.0)
+                return;
+            // Clamp: negative would read as "no deadline".
+            const double left =
+                ceiling > elapsed ? ceiling - elapsed : 0.0;
+            if (wait < 0.0 || left < wait)
+                wait = left;
+        };
+        consider(config.heartbeatTimeoutSeconds,
+                 secondsSince(last_frame));
+        consider(config.cellCeilingSeconds, secondsSince(last_progress));
+        consider(config.jobCeilingSeconds, secondsSince(job_start));
+
+        if (wait >= 0.0 && wait <= 0.0001) {
+            if (expired())
+                return monitored;
+            continue;
+        }
+        pollfd poller;
+        poller.fd = fd;
+        poller.events = POLLIN;
+        poller.revents = 0;
+        const int timeout_ms =
+            wait < 0.0 ? -1 : static_cast<int>(wait * 1000.0) + 1;
+        const int ready = ::poll(&poller, 1, timeout_ms);
+        if (ready < 0) {
+            if (errno == EINTR)
+                continue;
+            monitored.end = MonitorEnd::LaneDied;
+            return monitored;
+        }
+        if (ready == 0) {
+            if (expired())
+                return monitored;
+            continue;
+        }
+        auto frame = readFrame(fd);
+        if (!frame.ok()) {
+            monitored.end = MonitorEnd::LaneDied;
+            return monitored;
+        }
+        last_frame = Clock::now();
+        const std::string type = frame.value().stringOr("type", "");
+        if (type == "progress") {
+            last_progress = last_frame;
+            monitored.cells = static_cast<std::size_t>(
+                frame.value().numberOr("cells", 0));
+            if (on_progress)
+                on_progress(monitored.cells);
+        } else if (type == "result") {
+            monitored.resultFrame = std::move(frame).value();
+            monitored.end = MonitorEnd::Result;
+            return monitored;
+        }
+        // "heartbeat" and unknown types only refresh last_frame.
+    }
+}
+
+/** The outcome a lane's result frame reports. */
+LaneJobOutcome
+decodeResult(const Json &frame)
+{
+    LaneJobOutcome outcome;
+    outcome.drained =
+        frame.contains("drained") && frame.at("drained").asBool();
+    outcome.result.exitCode =
+        static_cast<int>(frame.numberOr("exit_code", 1));
+    outcome.result.restoredCells = static_cast<std::size_t>(
+        frame.numberOr("restored_cells", 0));
+    outcome.result.seconds = frame.numberOr("seconds", 0.0);
+    outcome.result.error = frame.stringOr("error", "");
+    outcome.result.storeMissed = frame.contains("store_missed") &&
+                                 frame.at("store_missed").asBool();
+    if (frame.contains("artifact")) {
+        try {
+            outcome.result.artifact = std::make_shared<RunArtifact>(
+                RunArtifact::fromJson(frame.at("artifact")));
+        } catch (const std::exception &error) {
+            return failedOutcome(
+                std::string("lane returned a malformed artifact: ") +
+                error.what());
+        }
+    }
+    return outcome;
+}
 
 } // namespace
 
@@ -148,198 +320,41 @@ LaneSupervisor::runJob(
     const LaneShard &shard)
 {
     Lane &lane = *_lanes.at(lane_index);
-
-    const auto fail = [](const std::string &message) {
-        LaneJobOutcome outcome;
-        outcome.result.exitCode = 1;
-        outcome.result.error = message;
-        return outcome;
-    };
-    const auto drained_outcome = [] {
-        LaneJobOutcome outcome;
-        outcome.drained = true;
-        return outcome;
-    };
-
+    const Json frame = jobFrame(request, checkpoint_path, shard);
     const auto job_start = Clock::now();
     unsigned deaths_without_progress = 0;
-    unsigned dispatches = 0;
 
-    for (;;) {
+    for (unsigned dispatches = 1;; ++dispatches) {
         if (lane.fd < 0) {
             const auto spawned = respawnLane(lane);
             if (!spawned.ok()) {
-                return fail("cannot fork a replacement lane: " +
-                            spawned.error().message);
+                return failedOutcome(
+                    "cannot fork a replacement lane: " +
+                    spawned.error().message);
             }
         }
-
-        Json job = Json::object();
-        job.set("type", "job");
-        job.set("checkpoint", checkpoint_path);
-        job.set("request", request.toJson());
-        // Shard fields ride on the lane frame, not the client
-        // request: sharding is a daemon scheduling decision and must
-        // not perturb RunRequest::signature() coalescing.
-        if (shard.count > 1) {
-            job.set("shard_index", static_cast<double>(shard.index));
-            job.set("shard_count", static_cast<double>(shard.count));
-            if (shard.steal)
-                job.set("shard_steal", true);
-        }
-        if (shard.cellClaims)
-            job.set("cell_claims", true);
-        if (shard.storeOnly)
-            job.set("store_only", true);
         bool dispatched;
         {
             std::lock_guard<std::mutex> guard(lane.writeMutex);
-            dispatched = writeFrame(lane.fd, job).ok();
+            dispatched = writeFrame(lane.fd, frame).ok();
         }
-        ++dispatches;
         {
             std::lock_guard<std::mutex> guard(_mutex);
             lane.currentSlug = request.slug;
             if (dispatches > 1)
                 ++_stats.jobsRetried;
         }
-
-        // ---- monitor this dispatch until a terminal condition ----
-        MonitorEnd end = MonitorEnd::DispatchFailed;
-        Json result_frame;
-        std::size_t cells_this_incarnation = 0;
-        auto last_frame = Clock::now();
-        auto last_progress = last_frame;
-
-        while (dispatched) {
-            // The nearest of three deadlines bounds the poll; -1
-            // blocks forever when every ceiling is disabled.
-            double wait = -1.0;
-            const auto consider = [&wait](double ceiling,
-                                          double elapsed) {
-                if (ceiling <= 0.0)
-                    return;
-                // Clamp: negative would read as "no deadline".
-                const double left =
-                    ceiling > elapsed ? ceiling - elapsed : 0.0;
-                if (wait < 0.0 || left < wait)
-                    wait = left;
-            };
-            consider(_config.heartbeatTimeoutSeconds,
-                     secondsSince(last_frame));
-            consider(_config.cellCeilingSeconds,
-                     secondsSince(last_progress));
-            consider(_config.jobCeilingSeconds,
-                     secondsSince(job_start));
-
-            // Re-measures the clocks, so a poll that timed out a
-            // hair early (ms rounding) reports nothing and loops.
-            const auto expired = [&]() -> bool {
-                if (_config.jobCeilingSeconds > 0.0 &&
-                    secondsSince(job_start) >=
-                        _config.jobCeilingSeconds) {
-                    end = MonitorEnd::JobDeadline;
-                    return true;
-                }
-                if (_config.cellCeilingSeconds > 0.0 &&
-                    secondsSince(last_progress) >=
-                        _config.cellCeilingSeconds) {
-                    end = MonitorEnd::CellDeadline;
-                    return true;
-                }
-                if (_config.heartbeatTimeoutSeconds > 0.0 &&
-                    secondsSince(last_frame) >=
-                        _config.heartbeatTimeoutSeconds) {
-                    end = MonitorEnd::HeartbeatLost;
-                    return true;
-                }
-                return false;
-            };
-
-            if (wait >= 0.0 && wait <= 0.0001) {
-                if (expired())
-                    break;
-                continue;
-            }
-            pollfd poller;
-            poller.fd = lane.fd;
-            poller.events = POLLIN;
-            poller.revents = 0;
-            const int timeout_ms =
-                wait < 0.0 ? -1
-                           : static_cast<int>(wait * 1000.0) + 1;
-            const int ready = ::poll(&poller, 1, timeout_ms);
-            if (ready < 0) {
-                if (errno == EINTR)
-                    continue;
-                end = MonitorEnd::LaneDied;
-                break;
-            }
-            if (ready == 0) {
-                if (expired())
-                    break;
-                continue;
-            }
-            auto frame = readFrame(lane.fd);
-            if (!frame.ok()) {
-                end = MonitorEnd::LaneDied;
-                break;
-            }
-            last_frame = Clock::now();
-            const std::string type =
-                frame.value().stringOr("type", "");
-            if (type == "progress") {
-                last_progress = last_frame;
-                cells_this_incarnation = static_cast<std::size_t>(
-                    frame.value().numberOr("cells", 0));
-                if (on_progress)
-                    on_progress(cells_this_incarnation);
-            } else if (type == "result") {
-                result_frame = std::move(frame).value();
-                end = MonitorEnd::Result;
-                break;
-            }
-            // "heartbeat" and unknown types only refresh last_frame.
-        }
-
+        const Monitored monitored =
+            dispatched ? monitorDispatch(lane.fd, _config, job_start,
+                                         on_progress)
+                       : Monitored{};
         {
             std::lock_guard<std::mutex> guard(_mutex);
             lane.currentSlug.clear();
         }
-
-        // ---- act on how the dispatch ended ----
-        if (end == MonitorEnd::Result) {
-            LaneJobOutcome outcome;
-            outcome.drained =
-                result_frame.contains("drained") &&
-                result_frame.at("drained").asBool();
-            outcome.result.exitCode = static_cast<int>(
-                result_frame.numberOr("exit_code", 1));
-            outcome.result.restoredCells =
-                static_cast<std::size_t>(
-                    result_frame.numberOr("restored_cells", 0));
-            outcome.result.seconds =
-                result_frame.numberOr("seconds", 0.0);
-            outcome.result.error =
-                result_frame.stringOr("error", "");
-            outcome.result.storeMissed =
-                result_frame.contains("store_missed") &&
-                result_frame.at("store_missed").asBool();
-            if (result_frame.contains("artifact")) {
-                try {
-                    outcome.result.artifact =
-                        std::make_shared<RunArtifact>(
-                            RunArtifact::fromJson(
-                                result_frame.at("artifact")));
-                } catch (const std::exception &error) {
-                    return fail(
-                        std::string(
-                            "lane returned a malformed artifact: ") +
-                        error.what());
-                }
-            }
-            return outcome;
-        }
+        const MonitorEnd end = monitored.end;
+        if (end == MonitorEnd::Result)
+            return decodeResult(monitored.resultFrame);
 
         const bool deadline_kill = end == MonitorEnd::HeartbeatLost ||
                                    end == MonitorEnd::CellDeadline ||
@@ -353,32 +368,32 @@ LaneSupervisor::runJob(
             logLine("lane %d busted its %s on '%s'; killing",
                     static_cast<int>(lane.pid), why,
                     request.slug.c_str());
-            reapLane(lane, /*kill=*/true);
-            std::lock_guard<std::mutex> guard(_mutex);
-            ++_stats.laneKills;
-        } else {
-            // The lane died on its own (or dispatch failed because
-            // it was already gone); reap without killing.
-            reapLane(lane, /*kill=*/false);
-            std::lock_guard<std::mutex> guard(_mutex);
-            ++_stats.laneCrashes;
         }
-
+        // A lane that died on its own (or was already gone when the
+        // dispatch failed) is reaped without a kill.
+        reapLane(lane, /*kill=*/deadline_kill);
         bool draining;
         {
             std::lock_guard<std::mutex> guard(_mutex);
+            if (deadline_kill)
+                ++_stats.laneKills;
+            else
+                ++_stats.laneCrashes;
             draining = _draining;
         }
         if (draining) {
             // Shutdown is in progress: the job is persisted for
             // resume; spinning up replacement lanes now would fight
             // the drain.
-            return drained_outcome();
+            LaneJobOutcome outcome;
+            outcome.drained = true;
+            return outcome;
         }
         if (end == MonitorEnd::JobDeadline) {
-            return fail("job deadline exceeded (" +
-                        std::to_string(_config.jobCeilingSeconds) +
-                        " s); not retrying");
+            return failedOutcome(
+                "job deadline exceeded (" +
+                std::to_string(_config.jobCeilingSeconds) +
+                " s); not retrying");
         }
 
         // Crash/kill containment: retry on a fresh lane, bounded by
@@ -386,13 +401,13 @@ LaneSupervisor::runJob(
         // resolving in this incarnation proves the journal moved, so
         // the replacement resumes FURTHER along - that is progress
         // even if the lane later died.
-        if (cells_this_incarnation > 0)
+        if (monitored.cells > 0)
             deaths_without_progress = 1;
         else
             ++deaths_without_progress;
         if (deaths_without_progress >
             _config.maxRetriesWithoutProgress) {
-            return fail(
+            return failedOutcome(
                 "job '" + request.slug + "' lost " +
                 std::to_string(deaths_without_progress) +
                 " lanes without checkpoint progress; giving up");

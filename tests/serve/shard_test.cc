@@ -26,6 +26,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,6 +233,7 @@ class ShardServeTest : public ::testing::Test
     TearDown() override
     {
         unsetenv("IBP_EVENTS");
+        unsetenv("IBP_CLAIM_WAIT");
         // The store and the trace cache are process-global; leaving
         // them armed would warm every later test in this binary.
         ResultStore::configureGlobal("");
@@ -242,7 +244,8 @@ class ShardServeTest : public ::testing::Test
     }
 
     std::unique_ptr<SweepServer>
-    makeServer(unsigned lanes)
+    makeServer(unsigned lanes, unsigned lane_max_retries = 3,
+               unsigned shard_requeue_budget = 2)
     {
         ServerConfig config;
         config.socketPath = _socket;
@@ -250,6 +253,8 @@ class ShardServeTest : public ::testing::Test
         config.retryAfterSeconds = 0.01;
         config.echo = false;
         config.lanes = lanes;
+        config.laneMaxRetries = lane_max_retries;
+        config.shardRequeueBudget = shard_requeue_budget;
         auto server = std::make_unique<SweepServer>(config);
         const auto started = server->start();
         EXPECT_TRUE(started.ok())
@@ -316,6 +321,113 @@ class ShardServeTest : public ::testing::Test
                 std::chrono::milliseconds(5));
         }
         return predicate();
+    }
+
+
+    /** gatedShardExperiment() run in-process with the gate open and
+     *  no store; the gate is closed again afterwards. */
+    RunArtifact
+    gatedOracle()
+    {
+        ResultStore::configureGlobal("");
+        std::ofstream(g_shard_gate).put('\n');
+        const ExperimentRunResult oracle = runExperimentInProcess(
+            gatedShardExperiment(), quietOptions());
+        std::filesystem::remove(g_shard_gate);
+        EXPECT_EQ(oracle.exitCode, 0);
+        return oracle.artifact ? *oracle.artifact : RunArtifact();
+    }
+
+    /** Submit gatedShardExperiment() and read progress until grid 1's
+     *  two cells resolved: the run (each shard of a two-lane fan-out)
+     *  then parks on the gate. Returns the client socket, or -1. */
+    int
+    submitGatedUntilParked()
+    {
+        auto fd = connectDaemon(_socket);
+        if (!fd.ok())
+            return -1;
+        const RunRequest request =
+            makeRunRequest(gatedShardExperiment().slug, false);
+        double cells = 0;
+        bool ok = writeFrame(fd.value(), request.toJson()).ok();
+        while (ok && cells < 2) {
+            auto frame = readFrame(fd.value(), 120.0);
+            const std::string type =
+                frame.ok() ? frame.value().stringOr("type", "") : "";
+            ok = type == "accepted" || type == "progress";
+            if (ok)
+                cells = frame.value().numberOr("cells", 0);
+        }
+        if (!ok) {
+            ::close(fd.value());
+            return -1;
+        }
+        return fd.value();
+    }
+
+    /** Pid of a lane running @p slug, or -1 after ~20 s. */
+    int
+    busyLane(SweepServer &server, const std::string &slug)
+    {
+        int pid = -1;
+        eventually([&] {
+            for (const LaneView &lane : server.laneViews()) {
+                if (lane.slug == slug && lane.pid > 0)
+                    pid = lane.pid;
+            }
+            return pid > 0;
+        });
+        return pid;
+    }
+
+    /**
+     * Serve gatedShardExperiment() on two lanes whose pool gives up on
+     * a pass at its first lane death (laneMaxRetries 0), and SIGKILL
+     * one shard's lane while both park on the gate: that shard's pass
+     * fails, and the daemon re-queues it or, past @p requeue_budget,
+     * abandons it. @p before_gate runs between the kill and the gate
+     * opening. Returns the served artifact; @p stats receives the
+     * stopped server's counters.
+     */
+    RunArtifact
+    serveWithOneFailedShard(unsigned requeue_budget,
+                            const std::function<void()> &before_gate,
+                            ServerStats *stats)
+    {
+        g_shard_sim_log = _dir + "/sim.log";
+        ResultStore::configureGlobal(_state + "/store");
+        auto server = makeServer(2, /*lane_max_retries=*/0,
+                                 requeue_budget);
+        const int fd = submitGatedUntilParked();
+        EXPECT_GE(fd, 0);
+        const int victim =
+            busyLane(*server, gatedShardExperiment().slug);
+        EXPECT_GT(victim, 0);
+        if (fd < 0 || victim <= 0)
+            return RunArtifact();
+        EXPECT_EQ(::kill(victim, SIGKILL), 0);
+        before_gate();
+        std::ofstream(g_shard_gate).put('\n');
+        const Json terminal = readTerminalFrame(fd);
+        ::close(fd);
+        server->requestDrain();
+        server->waitStopped();
+        *stats = server->stats();
+        EXPECT_EQ(terminal.stringOr("type", ""), "artifact");
+        if (!terminal.contains("artifact"))
+            return RunArtifact();
+        return RunArtifact::fromJson(terminal.at("artifact"));
+    }
+
+    /** Store key of grid 2's @p benchmark cell in
+     *  gatedShardExperiment(). */
+    static std::string
+    gatedGridTwoKey(const std::string &benchmark)
+    {
+        return ResultStore::cellKey(
+            benchmarkTraceCacheKey(benchmark, false),
+            countedShardColumns(512).front().specHash);
     }
 
     std::string _dir;
@@ -618,6 +730,159 @@ TEST_F(ShardServeTest, RepeatMissingOneEntryFansOutAndRestoresNothing)
     EXPECT_EQ(stats.jobsCompleted, 2u);
     EXPECT_EQ(stats.jobsSharded, 2u);
     EXPECT_EQ(stats.jobsStoreServed, 0u);
+}
+
+TEST_F(ShardServeTest, FailedShardPassIsRequeuedWithinItsBudget)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const RunArtifact oracle = gatedOracle();
+    ServerStats stats;
+    const RunArtifact artifact =
+        serveWithOneFailedShard(1, [] {}, &stats);
+    expectBitIdentical(artifact, oracle);
+
+    // The failed shard ran again on a fresh lane and resumed from its
+    // journal: every cell was simulated once.
+    EXPECT_EQ(simulatedCellCount(), 4u);
+    ASSERT_TRUE(artifact.metrics.hasServe());
+    EXPECT_EQ(artifact.metrics.serve().shard.planned, 2u);
+    EXPECT_EQ(artifact.metrics.serve().shard.requeued, 1u);
+    EXPECT_EQ(artifact.metrics.serve().shard.abandoned, 0u);
+    EXPECT_EQ(stats.shardsRequeued, 1u);
+    EXPECT_EQ(stats.shardsAbandoned, 0u);
+    EXPECT_EQ(stats.laneCrashes, 1u);
+    EXPECT_EQ(stats.jobsCompleted, 1u);
+}
+
+TEST_F(ShardServeTest, FailedShardPastItsBudgetIsLeftToTheFinalPass)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const RunArtifact oracle = gatedOracle();
+    // Hold both grid-2 cells, so the surviving shard cannot steal the
+    // abandoned shard's cell: it simulates its own once the short
+    // claim wait runs out, and the final pass simulates the other.
+    setenv("IBP_CLAIM_WAIT", "0.2", 1);
+    CellClaims held;
+    ServerStats stats;
+    const RunArtifact artifact = serveWithOneFailedShard(
+        0,
+        [&] {
+            held = ResultStore::global()->claims();
+            for (const char *benchmark : {"idl", "gcc"})
+                EXPECT_TRUE(held.tryClaim(gatedGridTwoKey(benchmark)));
+        },
+        &stats);
+    held.release();
+    unsetenv("IBP_CLAIM_WAIT");
+    expectBitIdentical(artifact, oracle);
+
+    EXPECT_EQ(simulatedCellCount(), 4u);
+    ASSERT_TRUE(artifact.metrics.hasServe());
+    const ShardServeStats shard = artifact.metrics.serve().shard;
+    EXPECT_EQ(shard.planned, 2u);
+    EXPECT_EQ(shard.requeued, 0u);
+    EXPECT_EQ(shard.abandoned, 1u);
+    // The final pass simulated the abandoned shard's unfinished cell
+    // and served the other three.
+    ASSERT_TRUE(artifact.metrics.hasResultStore());
+    EXPECT_EQ(artifact.metrics.resultStore().stores, 1u);
+    EXPECT_EQ(artifact.metrics.resultStore().hits, 3u);
+    EXPECT_EQ(stats.shardsRequeued, 0u);
+    EXPECT_EQ(stats.shardsAbandoned, 1u);
+    EXPECT_EQ(stats.jobsCompleted, 1u);
+}
+
+TEST_F(ShardServeTest, DrainDuringFanOutPersistsOneJobAndResumes)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    const ExperimentDef &def = gatedShardExperiment();
+    const RunArtifact oracle = gatedOracle();
+    g_shard_sim_log = _dir + "/sim.log";
+    ResultStore::configureGlobal(_state + "/store");
+    auto server = makeServer(2);
+
+    // Drain while both shards park on the gate: each lane stops at
+    // its cell boundary and reports its shard drained.
+    const int fd = submitGatedUntilParked();
+    ASSERT_GE(fd, 0);
+    server->requestDrain();
+    const Json terminal = readTerminalFrame(fd);
+    ::close(fd);
+    EXPECT_EQ(terminal.stringOr("type", ""), "drained");
+    server->waitStopped();
+    EXPECT_EQ(server->stats().jobsDrained, 1u);
+    EXPECT_EQ(server->stats().jobsCompleted, 0u);
+    server.reset();
+
+    // One pending entry for the job, not one per shard.
+    std::ifstream in(_state + "/pending.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    const Json pending = Json::parse(text.str());
+    ASSERT_TRUE(pending.contains("jobs"));
+    EXPECT_EQ(pending.at("jobs").size(), 1u);
+
+    // The restarted daemon probes the store, fans the job out again
+    // and resumes each shard from its journal; a repeat is then served
+    // from the store alone.
+    std::ofstream(g_shard_gate).put('\n');
+    auto restarted = makeServer(2);
+    ASSERT_TRUE(eventually(
+        [&] { return restarted->stats().jobsCompleted == 1; }));
+    ServedOutcome outcome;
+    const ExperimentRunResult repeat = runExperimentViaDaemon(
+        def, quietOptions(), clientOptions(), &outcome);
+    ASSERT_TRUE(outcome.served) << outcome.fallbackReason;
+    ASSERT_EQ(repeat.exitCode, 0);
+    ASSERT_NE(repeat.artifact, nullptr);
+    expectBitIdentical(*repeat.artifact, oracle);
+    restarted->requestDrain();
+    restarted->waitStopped();
+    const ServerStats stats = restarted->stats();
+    EXPECT_EQ(stats.jobsRestored, 1u);
+    EXPECT_EQ(stats.jobsSharded, 1u);
+    EXPECT_EQ(stats.jobsStoreServed, 1u);
+    EXPECT_EQ(stats.jobsCompleted, 2u);
+    // No finished cell ran again across the drain.
+    EXPECT_EQ(simulatedCellCount(), 4u);
+}
+
+TEST_F(ShardServeTest, DrainCountsAQueuedJobDrainedOnce)
+{
+    if (IBP_TSAN)
+        GTEST_SKIP() << "fork-based lanes are not TSan-compatible";
+    // One lane and no store: the gated job runs unsharded and parks
+    // on the gate, and a second job waits in the queue behind it.
+    auto server = makeServer(1);
+    const int running = submitGatedUntilParked();
+    ASSERT_GE(running, 0);
+    auto queued = connectDaemon(_socket);
+    ASSERT_TRUE(queued.ok());
+    const RunRequest request =
+        makeRunRequest(shardDiffExperiment().slug, false);
+    ASSERT_TRUE(writeFrame(queued.value(), request.toJson()).ok());
+    auto accepted = readFrame(queued.value());
+    ASSERT_TRUE(accepted.ok());
+    ASSERT_EQ(accepted.value().stringOr("type", ""), "accepted");
+
+    server->requestDrain();
+    for (const int fd : {running, queued.value()}) {
+        EXPECT_EQ(readTerminalFrame(fd).stringOr("type", ""),
+                  "drained");
+        ::close(fd);
+    }
+    server->waitStopped();
+    EXPECT_EQ(server->stats().jobsDrained, 2u);
+    EXPECT_EQ(server->stats().jobsCompleted, 0u);
+    std::ifstream in(_state + "/pending.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    const Json pending = Json::parse(text.str());
+    ASSERT_TRUE(pending.contains("jobs"));
+    EXPECT_EQ(pending.at("jobs").size(), 2u);
 }
 
 TEST_F(ShardServeTest, LaneJobsEndWithoutWaitingOutAHeartbeatTick)
