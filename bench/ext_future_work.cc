@@ -82,11 +82,9 @@ extFutureWorkExperiment()
                 for (const auto &name : runner.benchmarks()) {
                     const Trace &trace = runner.trace(name);
                     NextBranchPredictor predictor(p);
-                    const auto &records = trace.records();
-                    for (std::size_t i = 0; i + 1 < records.size();
-                         ++i) {
-                        const auto &record = records[i];
-                        const auto &next = records[i + 1];
+                    for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
+                        const BranchRecord record = trace[i];
+                        const BranchRecord next = trace[i + 1];
                         const NextBranchPrediction guess =
                             predictor.predict(record.pc);
                         total_b += 1;

@@ -45,11 +45,11 @@ benchTrace()
 void
 driveLoop(benchmark::State &state, ibp::IndirectPredictor &predictor)
 {
-    const auto &records = benchTrace().records();
+    const ibp::Trace &trace = benchTrace();
     std::size_t index = 0;
     for (auto _ : state) {
-        const auto &record = records[index];
-        if (++index == records.size())
+        const ibp::BranchRecord record = trace[index];
+        if (++index == trace.size())
             index = 0;
         if (!record.isPredictedIndirect())
             continue;

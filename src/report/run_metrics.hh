@@ -202,11 +202,11 @@ struct SimdStats
     /** Why the process is below full width ("" at full width,
      *  else e.g. "IBP_SIMD=off" or "cpu-lacks-avx2"). */
     std::string fallbackReason;
-    /** Trace blocks served zero-copy from columnar (v3 mmap)
-     *  storage. */
+    /** Trace blocks sliced zero-copy from a trace's columns (every
+     *  block). */
     std::uint64_t columnarBlocks = 0;
-    /** Trace blocks transposed from record storage into scratch
-     *  columns. */
+    /** Trace blocks transposed from record storage. Traces are
+     *  columns, so this is always 0; the artifact keeps the field. */
     std::uint64_t transposedBlocks = 0;
     /** Records skipped wholesale by the vectorized block
      *  classifier. */
@@ -279,8 +279,10 @@ class RunMetrics
      * Record how the run's traces were obtained: @p generated ran
      * the generator (trace-cache misses or no cache), @p mmapHits
      * were served zero-copy from mmap'ed `.ibpm` cache entries,
-     * @p streamHits were parsed from legacy `.ibpt` stream entries,
-     * @p seconds is the wall time of the acquisition phase.
+     * @p streamHits were parsed from `.ibpt` stream entries (the
+     * trace cache reads none, so SuiteRunner passes 0; the artifact
+     * keeps the field), @p seconds is the wall time of the
+     * acquisition phase.
      * Cumulative across runners; a warm fully-cached run shows
      * tracesGenerated() == 0, which is what the CI cache-smoke gate
      * asserts (and --require-mmap additionally demands

@@ -871,7 +871,6 @@ class SuiteRunner::BatchRun
         _sweep.predictorsUnbound += kernel.declinedPredictors();
         _sweep.predictorsDeduped += traversal.foldedMembers;
         _simd.columnarBlocks += traversal.columnarBlocks;
-        _simd.transposedBlocks += traversal.transposedBlocks;
         _simd.skippedRecords += traversal.skippedRecords;
         _simd.laneColumns += traversal.laneColumns;
         _simd.genericColumns += traversal.genericColumns;

@@ -17,17 +17,9 @@
 #include "trace/trace_block.hh"
 #include "util/logging.hh"
 
-// IBP_PREFETCH (core/simd.hh) pulls upcoming records toward L1 while
-// the predictor works on the current one. The records are a dense
-// read-only array (often a view of an mmap'ed cache file, so the
-// first touch is a page-cache read, not a generator store), which
-// makes a modest lookahead worthwhile.
-
 namespace ibp {
 
 namespace {
-
-constexpr std::size_t kPrefetchDistance = 16;
 
 /** Count the miss, if any, of one scored branch whose prediction
  *  was @p prediction (branches are counted once per traversal). */
@@ -581,25 +573,22 @@ simulate(IndirectPredictor &predictor, const Trace &trace,
     const auto start = std::chrono::steady_clock::now();
 
     // Hoisted out of the loop so the iteration works on registers:
-    // the cancel token pointer and the record array never change
-    // mid-run, and the compiler cannot prove that through the
-    // by-reference options struct on its own.
+    // the cancel token pointer never changes mid-run, and the
+    // compiler cannot prove that through the by-reference options
+    // struct on its own. The trace's columns are read sequentially,
+    // one BranchRecord by value per step.
     const CancelToken *const cancel = options.cancel;
-    const BranchRecord *const records = trace.data();
-    const std::size_t count = trace.size();
 
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < count; ++i) {
+    std::size_t i = 0;
+    for (const BranchRecord record : trace) {
         // One increment-and-mask per record keeps the cancellation
         // poll off the hot path's critical work; 1K records is a
         // few microseconds, so a deadline overrun is caught fast
         // even on the small traces of quick runs.
-        if (((i + 1) & 0x3ffu) == 0 && cancel && cancel->cancelled())
+        if ((++i & 0x3ffu) == 0 && cancel && cancel->cancelled())
             throwCancelled(trace);
-        if (i + kPrefetchDistance < count)
-            IBP_PREFETCH(records + i + kPrefetchDistance);
 
-        const BranchRecord &record = records[i];
         if (record.kind == BranchKind::Conditional) {
             predictor.observeConditional(record.pc, record.taken,
                                          record.target);
@@ -695,11 +684,11 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             LanePlan::stackedMembers(plan.setStacks);
     }
 
-    // The trace is consumed in cache-resident SoA blocks (zero-copy
-    // for columnar traces); the classifier turns each block into the
-    // index list of records anyone cares about. Every predictor
-    // still sees exactly the sequence simulate() would have fed it,
-    // so the counters must match it bit for bit.
+    // The trace is consumed in cache-resident slices of its columns;
+    // the classifier turns each block into the index list of records
+    // anyone cares about. Every predictor still sees exactly the
+    // sequence simulate() would have fed it, so the counters must
+    // match it bit for bit.
     TraceBlockCursor cursor(trace);
     std::vector<std::uint32_t> selected(kTraceBlockRecords);
     std::uint64_t seen = 0;
@@ -726,10 +715,7 @@ simulateMany(std::span<IndirectPredictor *const> predictors,
             block.meta, block.count, 0, need_conditionals,
             selected.data());
         if (options.traversal != nullptr) {
-            if (cursor.columnarSource())
-                ++options.traversal->columnarBlocks;
-            else
-                ++options.traversal->transposedBlocks;
+            ++options.traversal->columnarBlocks;
             options.traversal->skippedRecords +=
                 block.count - selected_count;
         }

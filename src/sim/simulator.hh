@@ -107,17 +107,14 @@ struct CancelToken
 
 /**
  * Telemetry of one simulateMany() block traversal (see
- * SimOptions::traversal): how the records were fed (zero-copy
- * columnar blocks vs per-block transposes) and how the predictor
- * columns were partitioned between the batched lane engine and the
- * generic record-at-a-time path.
+ * SimOptions::traversal): how many blocks the records were fed in
+ * and how the predictor columns were partitioned between the batched
+ * lane engine and the generic record-at-a-time path.
  */
 struct TraversalStats
 {
-    /** Blocks served zero-copy from a columnar (v3 mmap) trace. */
+    /** Blocks sliced zero-copy from the trace's columns. */
     std::uint64_t columnarBlocks = 0;
-    /** Blocks transposed from record storage into scratch columns. */
-    std::uint64_t transposedBlocks = 0;
     /** Records skipped wholesale by the block classifier (returns,
      *  plus conditionals when nothing in the traversal consumes
      *  them). */

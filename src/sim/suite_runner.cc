@@ -327,8 +327,6 @@ SuiteRunner::finishAcquire(std::size_t index, bool ok, bool from_cache,
                 ++_traceStats.cacheHits;
                 if (trace.readPath() == TraceReadPath::Mmap)
                     ++_traceStats.mmapHits;
-                else
-                    ++_traceStats.streamHits;
             } else {
                 ++_traceStats.generated;
             }
@@ -409,8 +407,10 @@ SuiteRunner::publishTraceSource(RunMetrics &metrics) const
     // counters).
     const TraceSourceStats &stats = traceSourceStats();
     if (!_traceStatsPublished.exchange(true)) {
-        metrics.recordTraceSource(stats.generated, stats.mmapHits,
-                                  stats.streamHits, stats.seconds);
+        // The cache reads no stream entries: the artifact's
+        // stream_hits stays in the schema, always 0.
+        metrics.recordTraceSource(stats.generated, stats.mmapHits, 0,
+                                  stats.seconds);
     }
 }
 

@@ -293,8 +293,6 @@ struct TraceSourceStats
     unsigned cacheHits = 0;
     /** Cache hits served zero-copy from an mmap'ed `.ibpm` entry. */
     unsigned mmapHits = 0;
-    /** Cache hits parsed from a legacy `.ibpt` stream entry. */
-    unsigned streamHits = 0;
     /** Wall time of the whole acquisition phase, in seconds. */
     double seconds = 0.0;
 };

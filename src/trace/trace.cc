@@ -4,71 +4,51 @@
 
 namespace ibp {
 
-const char *
-traceReadPathName(TraceReadPath path)
-{
-    switch (path) {
-      case TraceReadPath::Generated: return "generated";
-      case TraceReadPath::Stream:    return "stream";
-      case TraceReadPath::Mmap:      return "mmap";
-    }
-    return "unknown";
-}
-
 std::uint64_t
 Trace::countPredictedIndirect() const
 {
-    // Columnar traces answer from the meta stream so a statistics
-    // pass does not force the AoS shadow into memory.
-    if (_columnar) {
-        std::uint64_t count = 0;
-        for (std::size_t i = 0; i < _columnar->count; ++i)
-            count += branchMetaIsPredictedIndirect(_columnar->meta[i]);
-        return count;
-    }
+    const std::uint8_t *meta = columns().meta;
     std::uint64_t count = 0;
-    for (const auto &record : records())
-        count += record.isPredictedIndirect() ? 1 : 0;
+    for (std::size_t i = 0, n = size(); i < n; ++i)
+        count += branchMetaIsPredictedIndirect(meta[i]);
     return count;
 }
 
 std::uint64_t
 Trace::countKind(BranchKind kind) const
 {
-    if (_columnar) {
-        std::uint64_t count = 0;
-        for (std::size_t i = 0; i < _columnar->count; ++i)
-            count += branchMetaKind(_columnar->meta[i]) == kind;
-        return count;
-    }
+    const std::uint8_t *meta = columns().meta;
     std::uint64_t count = 0;
-    for (const auto &record : records())
-        count += record.kind == kind ? 1 : 0;
+    for (std::size_t i = 0, n = size(); i < n; ++i)
+        count += branchMetaKind(meta[i]) == kind;
     return count;
 }
 
-const BranchRecord *
-Trace::columnarAos() const
+void
+Trace::materialise()
 {
-    ColumnarStorage &cols = *_columnar;
-    std::call_once(cols.aosOnce, [&cols] {
-        cols.aos.resize(cols.count);
-        for (std::size_t i = 0; i < cols.count; ++i) {
-            cols.aos[i] = BranchRecord{
-                cols.pc[i], cols.target[i],
-                branchMetaKind(cols.meta[i]),
-                branchMetaTaken(cols.meta[i])};
-        }
-    });
-    return cols.aos.data();
+    if (!_mapping)
+        return;
+    _pc.assign(_mapped.pc, _mapped.pc + _mappedSize);
+    _target.assign(_mapped.target, _mapped.target + _mappedSize);
+    _meta.assign(_mapped.meta, _mapped.meta + _mappedSize);
+    _mapping.reset();
+    _mapped = {};
+    _mappedSize = 0;
 }
 
 bool
 Trace::operator==(const Trace &other) const
 {
-    return _name == other._name && _seed == other._seed &&
-           size() == other.size() &&
-           std::equal(begin(), end(), other.begin());
+    if (_name != other._name || _seed != other._seed ||
+        size() != other.size())
+        return false;
+    const TraceColumns mine = columns();
+    const TraceColumns theirs = other.columns();
+    const std::size_t n = size();
+    return std::equal(mine.pc, mine.pc + n, theirs.pc) &&
+           std::equal(mine.target, mine.target + n, theirs.target) &&
+           std::equal(mine.meta, mine.meta + n, theirs.meta);
 }
 
 } // namespace ibp

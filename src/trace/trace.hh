@@ -6,10 +6,10 @@
 #ifndef IBP_TRACE_TRACE_HH
 #define IBP_TRACE_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,62 +21,91 @@ namespace ibp {
 /** How a trace's records reached memory (artifact telemetry). */
 enum class TraceReadPath : std::uint8_t
 {
-    Generated = 0, ///< Produced by the synthetic generator.
-    Stream = 1,    ///< Parsed from the legacy .ibpt stream format.
-    Mmap = 2,      ///< Zero-copy view of an mmap'ed .ibpm cache file.
+    Generated = 0, ///< Generated or parsed into owned columns.
+    Mmap = 1,      ///< Borrowed columns of an mmap'ed .ibpm cache file.
 };
 
-/** "generated" / "stream" / "mmap". */
-const char *traceReadPathName(TraceReadPath path);
-
 /**
- * Borrowed column pointers of a columnar trace (see
- * Trace::fromColumnarView): parallel pc/target arrays and the packed
- * meta byte per record (packBranchMeta). Valid while the Trace that
- * produced them (or a copy) is alive.
+ * The column pointers of a trace: parallel pc/target arrays and the
+ * packed meta byte per record (packBranchMeta). Valid while the
+ * Trace that produced them is alive and unmodified; borrowed columns
+ * stay valid while any copy of it is.
  */
 struct TraceColumns
 {
     const Addr *pc = nullptr;
     const Addr *target = nullptr;
     const std::uint8_t *meta = nullptr;
+
+    /** Record @p i, rebuilt by value from the three columns. */
+    BranchRecord
+    record(std::size_t i) const
+    {
+        return {pc[i], target[i], branchMetaKind(meta[i]),
+                branchMetaTaken(meta[i])};
+    }
 };
 
 /**
- * A branch trace: an ordered sequence of BranchRecord plus metadata
+ * A branch trace: an ordered sequence of branches plus metadata
  * identifying the (synthetic) benchmark it came from. Traces are
  * value types; the simulator only ever reads them.
  *
- * Records live in one of three places: an owned vector (generated or
- * parsed traces), a borrowed read-only record view whose lifetime is
- * held by a shared backing object (the mmap'ed v2 cache file — see
- * trace/trace_mmap.hh), or borrowed *columns* (separate pc/target/
- * meta streams, the mmap'ed v3 layout). Readers that touch
- * data()/size() see all three identically — a columnar trace
- * materialises an AoS shadow on first such demand (once, shared
- * across copies) — while block consumers (trace_block.hh) read the
- * columns zero-copy. A mutation (append/reserve) on any borrowed
- * form first materialises a private owned copy.
+ * A trace is a record count and three columns: pc, target and the
+ * packed meta byte (packBranchMeta), the shape both the block engine
+ * (trace_block.hh) and the `.ibpm` cache file (trace_mmap.hh) use.
+ * The columns are either owned (generated or parsed traces) or
+ * borrowed from a mapping that a shared backing object keeps alive
+ * (a `.ibpm` load). Record-at-a-time readers get each BranchRecord
+ * by value, through operator[] or range-for. A mutation
+ * (append/reserve) of a borrowed trace first copies the columns
+ * into owned storage.
  */
 class Trace
 {
   public:
-    /**
-     * Shared storage of a columnar trace: borrowed column pointers,
-     * the backing object that keeps them alive, and a lazily built
-     * AoS shadow for record-oriented readers. Shared (not copied)
-     * between copies of the owning Trace so the shadow is transposed
-     * at most once per underlying file.
-     */
-    struct ColumnarStorage
+    /** Input iterator yielding each record by value. */
+    class Iterator
     {
-        std::shared_ptr<const void> backing;
-        const Addr *pc = nullptr;
-        const Addr *target = nullptr;
-        const std::uint8_t *meta = nullptr;
-        std::size_t count = 0;
-        std::once_flag aosOnce;
-        std::vector<BranchRecord> aos;
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = BranchRecord;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = BranchRecord;
+
+        Iterator() = default;
+        Iterator(TraceColumns columns, std::size_t index)
+            : _columns(columns), _index(index)
+        {
+        }
+
+        BranchRecord operator*() const { return _columns.record(_index); }
+
+        Iterator &
+        operator++()
+        {
+            ++_index;
+            return *this;
+        }
+
+        Iterator
+        operator++(int)
+        {
+            Iterator old = *this;
+            ++_index;
+            return old;
+        }
+
+        bool
+        operator==(const Iterator &other) const
+        {
+            return _index == other._index;
+        }
+
+      private:
+        TraceColumns _columns;
+        std::size_t _index = 0;
     };
 
     Trace() = default;
@@ -105,71 +134,48 @@ class Trace
     reserve(std::size_t n)
     {
         materialise();
-        _owned.reserve(n);
+        _pc.reserve(n);
+        _target.reserve(n);
+        _meta.reserve(n);
     }
 
     void
     append(const BranchRecord &record)
     {
         materialise();
-        _owned.push_back(record);
+        _pc.push_back(record.pc);
+        _target.push_back(record.target);
+        _meta.push_back(packBranchMeta(record.kind, record.taken));
     }
 
-    const BranchRecord *
-    data() const
-    {
-        if (_columnar)
-            return columnarAos();
-        return _backing ? _view : _owned.data();
-    }
-
-    std::size_t
-    size() const
-    {
-        if (_columnar)
-            return _columnar->count;
-        return _backing ? _viewSize : _owned.size();
-    }
+    std::size_t size() const { return _mapping ? _mappedSize : _pc.size(); }
 
     bool empty() const { return size() == 0; }
 
-    std::span<const BranchRecord>
-    records() const
+    /** The column pointers (owned or borrowed); block consumers and
+     * the `.ibpm` writer read these directly. */
+    TraceColumns
+    columns() const
     {
-        return {data(), size()};
+        if (_mapping)
+            return _mapped;
+        return {_pc.data(), _target.data(), _meta.data()};
     }
 
-    const BranchRecord &operator[](std::size_t i) const
+    BranchRecord
+    operator[](std::size_t i) const
     {
-        return data()[i];
+        return columns().record(i);
     }
 
-    const BranchRecord *begin() const { return data(); }
-    const BranchRecord *end() const { return data() + size(); }
+    Iterator begin() const { return {columns(), 0}; }
+    Iterator end() const { return {columns(), size()}; }
 
     /**
-     * Build a trace over a borrowed record array; @p backing keeps
-     * the storage (e.g. an mmap'ed file) alive for as long as any
-     * copy of the returned trace exists.
-     */
-    static Trace
-    fromView(std::string name, std::uint64_t seed,
-             std::shared_ptr<const void> backing,
-             const BranchRecord *records, std::size_t count)
-    {
-        Trace trace(std::move(name));
-        trace._seed = seed;
-        trace._backing = std::move(backing);
-        trace._view = records;
-        trace._viewSize = count;
-        return trace;
-    }
-
-    /**
-     * Build a trace over borrowed SoA columns (the v3 `.ibpm`
-     * layout): parallel @p pc / @p target arrays and a packed meta
-     * byte per record (packBranchMeta). @p backing keeps the columns
-     * alive as long as any copy of the returned trace exists.
+     * Build a trace over borrowed columns (the v3 `.ibpm` layout):
+     * parallel @p pc / @p target arrays and a packed meta byte per
+     * record (packBranchMeta). @p backing keeps the columns alive as
+     * long as any copy of the returned trace exists.
      */
     static Trace
     fromColumnarView(std::string name, std::uint64_t seed,
@@ -179,29 +185,10 @@ class Trace
     {
         Trace trace(std::move(name));
         trace._seed = seed;
-        trace._columnar = std::make_shared<ColumnarStorage>();
-        trace._columnar->backing = std::move(backing);
-        trace._columnar->pc = pc;
-        trace._columnar->target = target;
-        trace._columnar->meta = meta;
-        trace._columnar->count = count;
+        trace._mapping = std::move(backing);
+        trace._mapped = {pc, target, meta};
+        trace._mappedSize = count;
         return trace;
-    }
-
-    /** True when the records live as SoA columns (see columns()). */
-    bool isColumnar() const { return _columnar != nullptr; }
-
-    /**
-     * Borrowed column pointers; only meaningful when isColumnar().
-     * Block consumers read these zero-copy instead of forcing the
-     * AoS shadow through data().
-     */
-    TraceColumns
-    columns() const
-    {
-        if (!_columnar)
-            return {};
-        return {_columnar->pc, _columnar->target, _columnar->meta};
     }
 
     /** Count records of the kinds predicted as indirect branches. */
@@ -212,43 +199,28 @@ class Trace
 
     /**
      * Trace identity: name, seed and records. Transport metadata
-     * (read path, site-count hint, owned-vs-view storage) is
+     * (read path, site-count hint, owned-vs-borrowed storage) is
      * excluded, so a cache round trip compares equal to the
      * generated original.
      */
     bool operator==(const Trace &other) const;
 
   private:
-    /** Copy a borrowed view into owned storage before mutating. */
-    void
-    materialise()
-    {
-        if (_columnar) {
-            const BranchRecord *aos = columnarAos();
-            _owned.assign(aos, aos + _columnar->count);
-            _columnar.reset();
-            return;
-        }
-        if (!_backing)
-            return;
-        _owned.assign(_view, _view + _viewSize);
-        _backing.reset();
-        _view = nullptr;
-        _viewSize = 0;
-    }
-
-    /** Transpose the columns into the shared AoS shadow (once). */
-    const BranchRecord *columnarAos() const;
+    /** Copy borrowed columns into owned storage before mutating. */
+    void materialise();
 
     std::string _name;
     std::uint64_t _seed = 0;
     std::uint32_t _siteCountHint = 0;
     TraceReadPath _readPath = TraceReadPath::Generated;
-    std::vector<BranchRecord> _owned;
-    std::shared_ptr<const void> _backing;
-    const BranchRecord *_view = nullptr;
-    std::size_t _viewSize = 0;
-    std::shared_ptr<ColumnarStorage> _columnar;
+    /** Owned columns; empty while the trace borrows a mapping. */
+    std::vector<Addr> _pc;
+    std::vector<Addr> _target;
+    std::vector<std::uint8_t> _meta;
+    /** Keeps borrowed columns alive; null for owned columns. */
+    std::shared_ptr<const void> _mapping;
+    TraceColumns _mapped;
+    std::size_t _mappedSize = 0;
 };
 
 } // namespace ibp

@@ -4,19 +4,10 @@
  *
  * The SIMD sweep engine wants the trace as short SoA columns: a few
  * thousand pc/target/meta entries that fit in L1/L2 while every
- * column replays them. TraceBlockCursor produces exactly
- * that from either trace storage form:
- *
- *  - columnar traces (the v3 `.ibpm` mmap layout) are sliced
- *    zero-copy — each block is three pointers into the file;
- *  - record traces (owned vectors, v2 views, stream parses) are
- *    transposed block-by-block into a reused scratch buffer, so the
- *    transpose cost stays inside the cache-resident window instead
- *    of materialising a second full-trace copy.
- *
- * Either way consumers see the same TraceBlock and the same record
- * order as Trace::records(), so block-based simulation is a pure
- * traversal change, not a semantic one.
+ * column replays them. A trace already is three columns (trace.hh),
+ * so TraceBlockCursor slices them zero-copy: each block is three
+ * pointers into the trace's owned or mapped storage, in the same
+ * record order as range-for over the trace.
  */
 
 #ifndef IBP_TRACE_TRACE_BLOCK_HH
@@ -24,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "trace/trace.hh"
 
@@ -47,32 +37,17 @@ struct TraceBlock
 };
 
 /**
- * Forward iterator over a trace in TraceBlock windows. The trace
- * must outlive the cursor; blocks are invalidated by the next call
- * to next() (the scratch buffer is reused).
+ * Forward iterator over a trace in TraceBlock windows of
+ * kTraceBlockRecords. The trace must outlive the cursor and stay
+ * unmodified while it is in use.
  */
 class TraceBlockCursor
 {
   public:
-    explicit TraceBlockCursor(const Trace &trace,
-                              std::size_t blockRecords = kTraceBlockRecords)
-        : _block(blockRecords), _columnar(trace.isColumnar())
+    explicit TraceBlockCursor(const Trace &trace)
+        : _columns(trace.columns()), _size(trace.size())
     {
-        if (_columnar) {
-            _columns = trace.columns();
-            _size = trace.size();
-        } else {
-            _records = trace.data();
-            _size = trace.size();
-            _pc.resize(blockRecords);
-            _target.resize(blockRecords);
-            _meta.resize(blockRecords);
-        }
     }
-
-    /** True when blocks alias the trace's own columns (no per-block
-     * transpose happens). Telemetry only. */
-    bool columnarSource() const { return _columnar; }
 
     /**
      * Produce the next block. Returns false (and leaves @p out
@@ -83,40 +58,19 @@ class TraceBlockCursor
     {
         if (_next >= _size)
             return false;
-        const std::size_t base = _next;
-        const std::size_t count = std::min(_block, _size - base);
-        _next = base + count;
-        if (_columnar) {
-            out.pc = _columns.pc + base;
-            out.target = _columns.target + base;
-            out.meta = _columns.meta + base;
-        } else {
-            const BranchRecord *records = _records + base;
-            for (std::size_t i = 0; i < count; ++i) {
-                const BranchRecord &record = records[i];
-                _pc[i] = record.pc;
-                _target[i] = record.target;
-                _meta[i] = packBranchMeta(record.kind, record.taken);
-            }
-            out.pc = _pc.data();
-            out.target = _target.data();
-            out.meta = _meta.data();
-        }
-        out.count = count;
-        out.base = base;
+        out.base = _next;
+        out.count = std::min(kTraceBlockRecords, _size - _next);
+        out.pc = _columns.pc + _next;
+        out.target = _columns.target + _next;
+        out.meta = _columns.meta + _next;
+        _next += out.count;
         return true;
     }
 
   private:
-    const std::size_t _block;
-    const bool _columnar;
     TraceColumns _columns;
-    const BranchRecord *_records = nullptr;
     std::size_t _size = 0;
     std::size_t _next = 0;
-    std::vector<Addr> _pc;
-    std::vector<Addr> _target;
-    std::vector<std::uint8_t> _meta;
 };
 
 } // namespace ibp

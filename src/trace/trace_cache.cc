@@ -2,12 +2,9 @@
 
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <utility>
 
-#include "robust/atomic_file.hh"
 #include "robust/cache_sweep.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_mmap.hh"
 #include "util/logging.hh"
 
@@ -56,27 +53,13 @@ TraceCache::pathFor(const std::string &key) const
     return _directory + "/" + key + ".ibpm";
 }
 
-std::string
-TraceCache::streamPathFor(const std::string &key) const
-{
-    return _directory + "/" + key + ".ibpt";
-}
-
 Result<Trace>
 TraceCache::load(const std::string &key) const
 {
-    // Both readers classify a missing file, bad magic, version skew,
-    // a bad checksum, or truncation as permanent errors; every one
-    // of them reads as "miss" to the caller. A corrupt or
-    // foreign-platform .ibpm entry degrades to the stream entry (if
-    // any) rather than to regeneration.
-    auto mapped = loadTraceMmap(pathFor(key));
-    if (mapped.ok())
-        return mapped;
-    auto streamed = loadTrace(streamPathFor(key));
-    if (streamed.ok())
-        streamed.value().setReadPath(TraceReadPath::Stream);
-    return streamed;
+    // A missing file, bad magic, version skew, a bad checksum,
+    // truncation or a bad meta byte are all permanent errors, and
+    // every one of them reads as "miss" to the caller.
+    return loadTraceMmap(pathFor(key));
 }
 
 Result<void>
@@ -85,22 +68,12 @@ TraceCache::store(const std::string &key, const Trace &trace) const
     // A successful write sweeps the directory back under the
     // IBP_CACHE_MAX_BYTES budget when one is set (off by default;
     // eviction is atomic unlink only, so concurrent readers holding
-    // an open or mmap'ed entry are never corrupted).
-    if (traceMmapSupported()) {
-        const auto saved = saveTraceMmap(trace, pathFor(key));
-        if (saved.ok())
-            maybeSweepCacheDirectory(_directory);
-        return saved;
-    }
-    std::ostringstream body(std::ios::binary);
-    const auto serialised = writeTraceBinary(trace, body);
-    if (!serialised.ok())
-        return serialised.error();
-    const auto written =
-        writeFileAtomic(streamPathFor(key), body.str());
-    if (written.ok())
+    // an open or mmap'ed entry are never corrupted). On a big-endian
+    // host the encoder refuses and the cache stores nothing.
+    const auto saved = saveTraceMmap(trace, pathFor(key));
+    if (saved.ok())
         maybeSweepCacheDirectory(_directory);
-    return written;
+    return saved;
 }
 
 Result<TraceAcquisition>

@@ -14,17 +14,17 @@
  * therefore changes the key and misses cleanly; stale entries are
  * never consulted and the directory can be deleted at any time.
  *
- * A warm load mmaps the entry read-only and hands the simulator a
- * borrowed view (Trace::readPath() == TraceReadPath::Mmap). When the
- * `.ibpm` entry is absent or fails validation, load() falls back to
- * a legacy `.ibpt` stream entry at the same key; when the platform
- * cannot produce the mmap format at all (big-endian, no POSIX mmap),
- * store() degrades to the stream format.
+ * A warm load mmaps the entry read-only and hands the simulator its
+ * borrowed columns (Trace::readPath() == TraceReadPath::Mmap). An
+ * entry that is absent or fails validation is a miss, and
+ * getOrGenerate() regenerates and rewrites it; no other file at the
+ * key is ever read. On a big-endian host, where the `.ibpm` encoder
+ * refuses, store() fails and every load misses.
  *
  * Writes go through the shared tmp+fsync+atomic-rename path, so
  * concurrent producers and a crash mid-store can never leave a
  * truncated entry behind; a corrupt entry (torn by external
- * interference) fails the binary reader's validation and is treated
+ * interference) fails the `.ibpm` reader's validation and is treated
  * as a miss. See docs/PERFORMANCE.md.
  */
 
@@ -79,10 +79,6 @@ class TraceCache
 
     /** File an entry for @p key lives in: `<dir>/<key>.ibpm`. */
     std::string pathFor(const std::string &key) const;
-
-    /** Legacy stream-format entry: `<dir>/<key>.ibpt`. Consulted as
-     * a load fallback; written only when mmap is unsupported. */
-    std::string streamPathFor(const std::string &key) const;
 
     /**
      * Load the entry for @p key. A missing, truncated, or otherwise

@@ -152,6 +152,10 @@ readTraceBinaryOrThrow(std::istream &in)
         record.taken = (static_cast<unsigned>(flags) & 0x80u) != 0;
         trace.append(record);
     }
+    // The count says where the trace ends; anything after it is
+    // damage, not a second trace.
+    if (in.peek() != std::istream::traits_type::eof())
+        badTrace("trailing bytes after binary trace");
     return trace;
 }
 

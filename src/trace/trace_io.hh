@@ -30,7 +30,8 @@ namespace ibp {
 /** Write @p trace to @p out in the binary format. */
 Result<void> writeTraceBinary(const Trace &trace, std::ostream &out);
 
-/** Read a binary-format trace; error on malformed input. */
+/** Read a binary-format trace; error on malformed input, including
+ * bytes after the last record. */
 Result<Trace> readTraceBinary(std::istream &in);
 
 /** Write @p trace to @p out in the text format (with '#' metadata). */

@@ -1,5 +1,11 @@
 #include "trace/trace_mmap.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -8,16 +14,6 @@
 
 #include "robust/atomic_file.hh"
 #include "util/bits.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define IBP_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define IBP_HAVE_MMAP 0
-#endif
 
 namespace ibp {
 
@@ -42,19 +38,19 @@ alignUp(std::size_t value, std::size_t align)
     return (value + align - 1) & ~(align - 1);
 }
 
-[[maybe_unused]] void
+void
 putU32(std::string &blob, std::size_t offset, std::uint32_t value)
 {
     std::memcpy(blob.data() + offset, &value, sizeof(value));
 }
 
-[[maybe_unused]] void
+void
 putU64(std::string &blob, std::size_t offset, std::uint64_t value)
 {
     std::memcpy(blob.data() + offset, &value, sizeof(value));
 }
 
-[[maybe_unused]] std::uint32_t
+std::uint32_t
 getU32(const char *base, std::size_t offset)
 {
     std::uint32_t value = 0;
@@ -62,7 +58,7 @@ getU32(const char *base, std::size_t offset)
     return value;
 }
 
-[[maybe_unused]] std::uint64_t
+std::uint64_t
 getU64(const char *base, std::size_t offset)
 {
     std::uint64_t value = 0;
@@ -72,7 +68,7 @@ getU64(const char *base, std::size_t offset)
 
 /** FNV-1a over the header bytes before the checksum field
  * (little-endian words). */
-[[maybe_unused]] std::uint64_t
+std::uint64_t
 headerChecksum(const char *base)
 {
     constexpr std::size_t kWords = kChecksumOffsetV3 / 8;
@@ -81,7 +77,7 @@ headerChecksum(const char *base)
     return fnv1a64(buffer, kWords, 0xcbf29ce484222325ULL);
 }
 
-[[maybe_unused]] RunError
+RunError
 badFile(const std::string &path, const std::string &what)
 {
     return RunError::permanent("mmap trace '" + path + "': " + what);
@@ -119,32 +115,39 @@ encodeV3(const Trace &trace)
     std::memcpy(blob.data() + kHeaderBytesV3, trace.name().data(),
                 name_bytes);
 
-    char *pc_out = blob.data() + pc_offset;
-    char *target_out = blob.data() + target_offset;
-    char *meta_out = blob.data() + meta_offset;
-    if (trace.isColumnar()) {
-        // Re-storing an already columnar trace: bulk column copies,
-        // no AoS shadow needed.
+    // An empty owned trace has null columns, which memcpy must not
+    // see even for zero bytes.
+    if (count != 0) {
         const TraceColumns columns = trace.columns();
-        std::memcpy(pc_out, columns.pc, count * sizeof(Addr));
-        std::memcpy(target_out, columns.target, count * sizeof(Addr));
-        std::memcpy(meta_out, columns.meta, count);
-    } else {
-        const BranchRecord *records = trace.data();
-        for (std::size_t i = 0; i < count; ++i) {
-            const BranchRecord &record = records[i];
-            std::memcpy(pc_out + i * sizeof(Addr), &record.pc,
-                        sizeof(Addr));
-            std::memcpy(target_out + i * sizeof(Addr), &record.target,
-                        sizeof(Addr));
-            meta_out[i] = static_cast<char>(
-                packBranchMeta(record.kind, record.taken));
-        }
+        std::memcpy(blob.data() + pc_offset, columns.pc,
+                    count * sizeof(Addr));
+        std::memcpy(blob.data() + target_offset, columns.target,
+                    count * sizeof(Addr));
+        std::memcpy(blob.data() + meta_offset, columns.meta, count);
     }
     return blob;
 }
 
-#if IBP_HAVE_MMAP
+/** True when bytes [@p begin, @p end) are all zero. */
+bool
+allZero(const char *begin, const char *end)
+{
+    return std::all_of(begin, end, [](char byte) { return byte == 0; });
+}
+
+/**
+ * The largest kind in a meta column: one branch-free max reduction
+ * over the low seven bits. Kept out of line: inlined into the loader,
+ * GCC 12 leaves the loop scalar; on its own it becomes pmaxub.
+ */
+[[gnu::noinline]] unsigned
+maxMetaKind(const std::uint8_t *meta, std::size_t count)
+{
+    std::uint8_t widest = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        widest = std::max<std::uint8_t>(widest, meta[i] & 0x7fu);
+    return widest;
+}
 
 /** Owns one read-only file mapping; unmapped with the last Trace
  * copy that references it. */
@@ -216,13 +219,33 @@ loadV3(const std::string &path, std::shared_ptr<Mapping> mapping,
         return badFile(path, "file size mismatch");
     }
 
+    // The encoder zero-fills every gap, so a non-zero gap byte is
+    // damage; rejecting it keeps a served entry byte-identical to
+    // the re-encoding of the trace it yields.
+    const std::size_t name_end = kHeaderBytesV3 + name_bytes;
+    const std::size_t pc_end = pc_offset + records * sizeof(Addr);
+    const std::size_t target_end = target_offset + records * sizeof(Addr);
+    if (!allZero(bytes + kChecksumOffsetV3 + 8, bytes + kHeaderBytesV3) ||
+        !allZero(bytes + name_end, bytes + pc_offset) ||
+        !allZero(bytes + pc_end, bytes + target_offset) ||
+        !allZero(bytes + target_end, bytes + meta_offset)) {
+        return badFile(path, "non-zero padding");
+    }
+
+    const auto *meta =
+        reinterpret_cast<const std::uint8_t *>(bytes + meta_offset);
+    // The header checksum does not cover the columns; a kind the
+    // block classifier does not know would silently move counters.
+    if (maxMetaKind(meta, records) >
+        static_cast<unsigned>(BranchKind::Return)) {
+        return badFile(path, "bad meta column");
+    }
+
     std::string name(bytes + kHeaderBytesV3, name_bytes);
     const auto *pc =
         reinterpret_cast<const Addr *>(bytes + pc_offset);
     const auto *target =
         reinterpret_cast<const Addr *>(bytes + target_offset);
-    const auto *meta =
-        reinterpret_cast<const std::uint8_t *>(bytes + meta_offset);
     Trace trace = Trace::fromColumnarView(std::move(name), seed,
                                           std::move(mapping), pc,
                                           target, meta, records);
@@ -231,15 +254,12 @@ loadV3(const std::string &path, std::shared_ptr<Mapping> mapping,
     return trace;
 }
 
-#endif // IBP_HAVE_MMAP
-
 } // namespace
 
 bool
 traceMmapSupported()
 {
-    return IBP_HAVE_MMAP != 0 &&
-           std::endian::native == std::endian::little;
+    return std::endian::native == std::endian::little;
 }
 
 Result<std::string>
@@ -260,8 +280,6 @@ saveTraceMmap(const Trace &trace, const std::string &path)
         return blob.error();
     return writeFileAtomic(path, blob.value());
 }
-
-#if IBP_HAVE_MMAP
 
 Result<Trace>
 loadTraceMmap(const std::string &path)
@@ -299,15 +317,5 @@ loadTraceMmap(const std::string &path)
         return badFile(path, "bad magic");
     return loadV3(path, std::move(mapping), bytes, file_size);
 }
-
-#else // !IBP_HAVE_MMAP
-
-Result<Trace>
-loadTraceMmap(const std::string &path)
-{
-    return badFile(path, "format unsupported on this platform");
-}
-
-#endif // IBP_HAVE_MMAP
 
 } // namespace ibp

@@ -1,21 +1,17 @@
 /**
  * @file
- * Zero-copy mmap trace format (`.ibpm`, cache format v3).
+ * Zero-copy mmap trace format (`.ibpm`, cache format v3), the one
+ * on-disk form of the trace cache (trace/trace_cache.hh).
  *
- * The legacy `.ibpt` stream format deserialises every record through
- * an istream, so a warm trace-cache hit still pays a full parse plus
- * a vector copy per benchmark. The mmap format instead lays the
- * records out on disk in directly consumable shape, so a reader can
- * mmap the file read-only and hand the simulator a borrowed view of
- * the page cache - no parse, no copy, and the bytes are shared
- * between concurrent worker processes by the kernel.
- *
- * v3 stores the branches as three separate 64-byte-aligned columns
- * (pc, target, packed meta byte; see packBranchMeta), which is the
- * shape the SIMD block engine (trace/trace_block.hh) consumes
- * zero-copy. Any other magic - including the retired record-array v2
- * layout - fails validation, so the content-addressed cache treats an
- * old entry as a miss and regenerates it as v3.
+ * The file lays a trace out exactly as it lives in memory
+ * (trace/trace.hh): three separate 64-byte-aligned columns (pc,
+ * target, packed meta byte; see packBranchMeta). A reader mmaps the
+ * file read-only and hands the simulator borrowed columns of the
+ * page cache - no parse, no copy, and the bytes are shared between
+ * concurrent worker processes by the kernel. Any other magic -
+ * including the retired record-array v2 layout - fails validation,
+ * so the content-addressed cache treats an old entry as a miss and
+ * regenerates it as v3.
  *
  * v3 layout (all integers little-endian):
  *
@@ -37,11 +33,17 @@
  *       88    40  zero padding to the 128-byte header boundary
  *      128     -  name bytes, then the zero-padded aligned columns
  *
+ * The header checksum covers only the first 80 header bytes, so the
+ * loader also requires every padding byte to be zero and every meta
+ * byte to hold a kind no larger than BranchKind::Return (one
+ * vectorised pass over the meta column). A loaded file is therefore
+ * byte-identical to the re-encoding of the trace it yields.
+ *
  * Every validation failure (bad magic, version skew, foreign
  * endianness, checksum mismatch, truncation, misplaced or
- * out-of-bounds columns) is a permanent RunError; the trace cache
- * treats all of them as a miss and falls back to the `.ibpt` stream
- * reader or regeneration. See docs/PERFORMANCE.md.
+ * out-of-bounds columns, non-zero padding, a bad meta byte) is a
+ * permanent RunError; the trace cache treats all of them as a miss
+ * and regenerates. See docs/PERFORMANCE.md.
  */
 
 #ifndef IBP_TRACE_TRACE_MMAP_HH
@@ -55,9 +57,10 @@
 namespace ibp {
 
 /**
- * True when this platform can produce and consume `.ibpm` files:
- * little-endian, POSIX mmap. On other platforms the cache
- * transparently sticks to the stream format.
+ * True when this host can produce and consume `.ibpm` files: a
+ * little-endian host (the build needs Linux, so mmap is always
+ * there). On a big-endian host the trace cache stores nothing and
+ * every load misses.
  */
 bool traceMmapSupported();
 
@@ -69,10 +72,9 @@ bool traceMmapSupported();
 Result<std::string> encodeTraceMmap(const Trace &trace);
 
 /**
- * Map @p path read-only and wrap its records in a Trace view
- * (readPath() == TraceReadPath::Mmap), a columnar view of a v3
- * file. The mapping stays alive for
- * as long as any copy of the returned Trace does. Any validation
+ * Map @p path read-only and wrap its columns in a Trace that borrows
+ * them (readPath() == TraceReadPath::Mmap). The mapping stays alive
+ * for as long as any copy of the returned Trace does. Any validation
  * failure is a permanent RunError.
  */
 Result<Trace> loadTraceMmap(const std::string &path);

@@ -282,19 +282,19 @@ TEST(NextBranch, HysteresisKeepsStablePairs)
 TEST(NextBranch, JointAccuracyTracksTargetAccuracyOnRealTraces)
 {
     NextBranchPredictor predictor(3);
-    const auto &records = extTrace().records();
+    const Trace &trace = extTrace();
     double target_hits = 0, joint_hits = 0, total = 0;
-    for (std::size_t i = 0; i + 1 < records.size(); ++i) {
-        const NextBranchPrediction guess =
-            predictor.predict(records[i].pc);
+    for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
+        const BranchRecord record = trace[i];
+        const BranchRecord next = trace[i + 1];
+        const NextBranchPrediction guess = predictor.predict(record.pc);
         total += 1;
-        if (guess.valid && guess.target == records[i].target) {
+        if (guess.valid && guess.target == record.target) {
             target_hits += 1;
-            if (guess.nextPc == records[i + 1].pc)
+            if (guess.nextPc == next.pc)
                 joint_hits += 1;
         }
-        predictor.update(records[i].pc, records[i].target,
-                         records[i + 1].pc);
+        predictor.update(record.pc, record.target, next.pc);
     }
     EXPECT_GT(target_hits / total, 0.5);
     EXPECT_GT(joint_hits / std::max(1.0, target_hits), 0.8);

@@ -801,7 +801,7 @@ indirectPrefix(const Trace &trace, std::size_t indirect)
 {
     Trace prefix(trace.name());
     std::size_t seen = 0;
-    for (const BranchRecord &record : trace.records()) {
+    for (const BranchRecord record : trace) {
         if (seen == indirect)
             break;
         prefix.append(record);
@@ -822,7 +822,7 @@ expectBlockGridMatchesOracle(const Trace &full, std::size_t length,
     const auto columns = blockBoundaryColumns();
     const Trace trace = indirectPrefix(full, length);
     std::size_t indirect = 0;
-    for (const BranchRecord &record : trace.records())
+    for (const BranchRecord record : trace)
         indirect += record.isPredictedIndirect() ? 1 : 0;
     TraversalStats traversal;
     const std::vector<SimResult> many =

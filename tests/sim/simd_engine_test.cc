@@ -3,10 +3,11 @@
  * Differential tests of the SIMD/SoA batch engine: the block-based
  * traversal with the batched lane engine must produce bit-identical
  * SimResult counters whether the process dispatches vectorized or
- * forced-scalar (IBP_SIMD=off), and whether the trace is consumed
- * zero-copy from v3 columnar storage or transposed block-by-block
- * from record storage. A stale `.ibpm` entry in the retired v2
- * layout is a cache miss, regenerated once and rewritten as v3.
+ * forced-scalar (IBP_SIMD=off), and whether the trace's columns are
+ * owned (generated) or borrowed from an mmap'ed `.ibpm` file. A
+ * stale `.ibpm` entry in the retired v2 layout, or one with a
+ * corrupt meta byte, is a cache miss, regenerated once and
+ * rewritten as a valid v3 entry.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "core/target_cache.hh"
 #include "sim/spec_columns.hh"
 #include "sim/suite_runner.hh"
+#include "trace/trace_block.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_mmap.hh"
 #include "util/bits.hh"
@@ -163,12 +166,13 @@ TEST_F(SimdEngineTest, ForcedScalarMatchesVectorDispatchBitForBit)
     }
 }
 
-TEST_F(SimdEngineTest, ColumnarTraceMatchesRecordStorageBitForBit)
+TEST_F(SimdEngineTest, OwnedColumnsMatchMappedColumnsBitForBit)
 {
     if (!traceMmapSupported())
         GTEST_SKIP() << "mmap traces unsupported on this platform";
     SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
-    const Trace &trace = runner.trace("idl");
+    const Trace &owned = runner.trace("idl");
+    ASSERT_EQ(owned.readPath(), TraceReadPath::Generated);
     const auto columns = engineColumns();
 
     const std::string dir =
@@ -176,32 +180,34 @@ TEST_F(SimdEngineTest, ColumnarTraceMatchesRecordStorageBitForBit)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/trace.ibpm";
-    ASSERT_TRUE(saveTraceMmap(trace, path).ok());
+    ASSERT_TRUE(saveTraceMmap(owned, path).ok());
     const auto loaded = loadTraceMmap(path);
     ASSERT_TRUE(loaded.ok());
-    const Trace &columnar = loaded.value();
-    ASSERT_TRUE(columnar.isColumnar());
-    ASSERT_EQ(columnar, trace);
+    const Trace &mapped = loaded.value();
+    ASSERT_EQ(mapped.readPath(), TraceReadPath::Mmap);
+    ASSERT_EQ(mapped, owned);
 
-    TraversalStats from_records;
-    const std::vector<SimResult> transposed =
-        runEngine(columns, trace, &from_records);
-    TraversalStats from_columns;
-    const std::vector<SimResult> zero_copy =
-        runEngine(columns, columnar, &from_columns);
-    expectSameResults(columns, transposed, zero_copy);
+    TraversalStats from_owned;
+    const std::vector<SimResult> owned_results =
+        runEngine(columns, owned, &from_owned);
+    TraversalStats from_mapped;
+    const std::vector<SimResult> mapped_results =
+        runEngine(columns, mapped, &from_mapped);
+    expectSameResults(columns, owned_results, mapped_results);
 
-    // The telemetry must show the two storage forms took the two
-    // distinct feed paths while the results above stayed identical.
-    EXPECT_GT(from_records.transposedBlocks, 0u);
-    EXPECT_EQ(from_records.columnarBlocks, 0u);
-    EXPECT_GT(from_columns.columnarBlocks, 0u);
-    EXPECT_EQ(from_columns.transposedBlocks, 0u);
-    EXPECT_GT(from_columns.laneColumns, 0u);
-    EXPECT_GT(from_columns.laneMachines, 0u);
-    EXPECT_GT(from_columns.genericColumns, 0u);
-    EXPECT_EQ(from_columns.laneColumns, from_records.laneColumns);
-    EXPECT_EQ(from_columns.laneMachines, from_records.laneMachines);
+    // Both storage forms are sliced the same way: every block of
+    // either is a columnar block.
+    const std::uint64_t blocks =
+        (owned.size() + kTraceBlockRecords - 1) / kTraceBlockRecords;
+    EXPECT_GT(blocks, 1u);
+    EXPECT_EQ(from_owned.columnarBlocks, blocks);
+    EXPECT_EQ(from_mapped.columnarBlocks, blocks);
+    EXPECT_EQ(from_owned.skippedRecords, from_mapped.skippedRecords);
+    EXPECT_GT(from_mapped.laneColumns, 0u);
+    EXPECT_GT(from_mapped.laneMachines, 0u);
+    EXPECT_GT(from_mapped.genericColumns, 0u);
+    EXPECT_EQ(from_mapped.laneColumns, from_owned.laneColumns);
+    EXPECT_EQ(from_mapped.laneMachines, from_owned.laneMachines);
 
     std::filesystem::remove_all(dir);
 }
@@ -304,7 +310,72 @@ TEST_F(SimdEngineTest, StaleV2CacheEntryIsRegeneratedAsV3)
         SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
         EXPECT_EQ(runner.traceSourceStats().generated, 0u);
         EXPECT_EQ(runner.traceSourceStats().mmapHits, 1u);
-        EXPECT_TRUE(runner.trace("idl").isColumnar());
+        EXPECT_EQ(runner.trace("idl").readPath(), TraceReadPath::Mmap);
+        expectSameResults(columns, cold,
+                          runEngine(columns, runner.trace("idl")));
+    }
+    TraceCache::configureGlobal("");
+    std::filesystem::remove_all(dir);
+}
+
+TEST_F(SimdEngineTest, CorruptMetaByteEntryIsRegeneratedWithSameCounters)
+{
+    if (!traceMmapSupported())
+        GTEST_SKIP() << "mmap traces unsupported on this platform";
+    const std::string dir =
+        testing::TempDir() + "/ibp_simd_bad_meta_test";
+    std::filesystem::remove_all(dir);
+    TraceCache::configureGlobal(dir);
+    const auto columns = engineColumns();
+
+    // Cold pass: generate, store, and note where the first
+    // predicted-indirect record's meta byte sits in the entry.
+    std::vector<SimResult> cold;
+    std::size_t first_indirect = 0;
+    {
+        SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+        ASSERT_EQ(runner.traceSourceStats().generated, 1u);
+        const Trace &trace = runner.trace("idl");
+        cold = runEngine(columns, trace);
+        while (!trace[first_indirect].isPredictedIndirect())
+            ++first_indirect;
+    }
+    std::string entry;
+    for (const auto &file : std::filesystem::directory_iterator(dir)) {
+        if (file.path().extension() == ".ibpm")
+            entry = file.path().string();
+    }
+    ASSERT_FALSE(entry.empty());
+    std::string bytes;
+    {
+        std::ifstream in(entry, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    std::uint64_t meta_offset = 0;
+    std::memcpy(&meta_offset, bytes.data() + 64, 8);
+    // Kind 5 does not exist; served, the record would vanish from
+    // every predictor's stream and move the counters.
+    bytes[meta_offset + first_indirect] = '\x05';
+    {
+        std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_FALSE(loadTraceMmap(entry).ok());
+
+    // A miss: regenerated once, counters identical to the clean
+    // trace, and the rewritten entry serves from then on.
+    {
+        SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+        EXPECT_EQ(runner.traceSourceStats().generated, 1u);
+        EXPECT_EQ(runner.traceSourceStats().cacheHits, 0u);
+        expectSameResults(columns, cold,
+                          runEngine(columns, runner.trace("idl")));
+    }
+    {
+        SuiteRunner runner({"idl"}, /*emitConditionals=*/true);
+        EXPECT_EQ(runner.traceSourceStats().mmapHits, 1u);
         expectSameResults(columns, cold,
                           runEngine(columns, runner.trace("idl")));
     }

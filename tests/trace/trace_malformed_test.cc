@@ -72,6 +72,16 @@ TEST(TraceMalformed, TruncationAnywhereIsAnError)
     EXPECT_TRUE(readBinary(bytes).ok());
 }
 
+TEST(TraceMalformed, TrailingBytesAreAnError)
+{
+    // The record count ends the trace; a byte after the last record
+    // is damage, never silently dropped.
+    const auto result = readBinary(validBinaryTrace() + "x");
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().message.find("trailing bytes"),
+              std::string::npos);
+}
+
 TEST(TraceMalformed, BadKindByteIsAnError)
 {
     std::string bytes = validBinaryTrace();

@@ -102,10 +102,6 @@ TEST_F(TraceMmapTest, RoundTripPreservesEverything)
     EXPECT_EQ(trace.seed(), 0x5eedu);
     EXPECT_EQ(trace.siteCountHint(), 3u);
     EXPECT_EQ(trace.readPath(), TraceReadPath::Mmap);
-    // The default writer produces the columnar v3 layout, which the
-    // reader serves as zero-copy columns (trace_block.hh slices
-    // them without a transpose).
-    EXPECT_TRUE(trace.isColumnar());
     ASSERT_EQ(trace.size(), 4u);
     EXPECT_EQ(trace[1].target, 0x3000u);
     EXPECT_EQ(trace[2].kind, BranchKind::Conditional);
@@ -255,21 +251,48 @@ TEST_F(TraceMmapTest, CacheServesMmapEntries)
     EXPECT_EQ(loaded.value().readPath(), TraceReadPath::Mmap);
 }
 
-TEST_F(TraceMmapTest, CacheFallsBackToLegacyStreamEntries)
+TEST_F(TraceMmapTest, CorruptMetaByteFails)
 {
-    const TraceCache cache(_dir);
-    const Trace original = sampleTrace();
-    // Only a legacy stream entry exists (a cache written before the
-    // mmap format, or by a platform that cannot produce it).
-    ASSERT_TRUE(
-        saveTrace(original, cache.streamPathFor("k")).ok());
-    const auto loaded = cache.load("k");
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded.value(), original);
-    EXPECT_EQ(loaded.value().readPath(), TraceReadPath::Stream);
+    if (!traceMmapSupported())
+        GTEST_SKIP() << "mmap traces unsupported on this platform";
+    ASSERT_TRUE(saveTraceMmap(sampleTrace(), _path).ok());
+    std::string bytes = readFile(_path);
+    // The last byte is the last record's meta byte; 0x05 is one past
+    // BranchKind::Return. The header checksum does not cover it.
+    bytes.back() = '\x05';
+    writeFile(_path, bytes);
+    const auto loaded = loadTraceMmap(_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error().message.find("bad meta column"),
+              std::string::npos)
+        << loaded.error().message;
+
+    // A high taken bit over a valid kind is still valid.
+    bytes.back() = static_cast<char>(0x84);
+    writeFile(_path, bytes);
+    EXPECT_TRUE(loadTraceMmap(_path).ok());
 }
 
-TEST_F(TraceMmapTest, CacheCorruptMmapEntryFallsBackThenMisses)
+TEST_F(TraceMmapTest, NonZeroPaddingFails)
+{
+    if (!traceMmapSupported())
+        GTEST_SKIP() << "mmap traces unsupported on this platform";
+    ASSERT_TRUE(saveTraceMmap(sampleTrace(), _path).ok());
+    const std::string clean = readFile(_path);
+    std::uint64_t pc_offset = 0;
+    std::memcpy(&pc_offset, clean.data() + 48, 8);
+    // One byte in the header's tail padding, one in the gap between
+    // the name and the pc column.
+    for (const std::size_t at : {std::size_t{100},
+                                 std::size_t(pc_offset - 1)}) {
+        std::string bytes = clean;
+        bytes[at] = 1;
+        writeFile(_path, bytes);
+        EXPECT_FALSE(loadTraceMmap(_path).ok()) << "byte " << at;
+    }
+}
+
+TEST_F(TraceMmapTest, CacheNeverReadsAStreamFileBesideACorruptEntry)
 {
     if (!traceMmapSupported())
         GTEST_SKIP() << "mmap traces unsupported on this platform";
@@ -277,19 +300,29 @@ TEST_F(TraceMmapTest, CacheCorruptMmapEntryFallsBackThenMisses)
     const Trace original = sampleTrace();
     ASSERT_TRUE(cache.store("k", original).ok());
 
-    // Corrupt mmap entry + intact stream entry: load degrades to the
-    // stream transport.
-    ASSERT_TRUE(
-        saveTrace(original, cache.streamPathFor("k")).ok());
+    // A valid `.ibpt` trace file at the same key, beside a truncated
+    // `.ibpm` entry: the cache has one format and ignores it.
+    const std::string stream = _dir + "/k.ibpt";
+    ASSERT_TRUE(saveTrace(original, stream).ok());
     std::filesystem::resize_file(cache.pathFor("k"), 20);
-    const auto degraded = cache.load("k");
-    ASSERT_TRUE(degraded.ok());
-    EXPECT_EQ(degraded.value(), original);
-    EXPECT_EQ(degraded.value().readPath(), TraceReadPath::Stream);
-
-    // Corrupt mmap entry and no stream entry: a clean miss.
-    std::filesystem::remove(cache.streamPathFor("k"));
     EXPECT_FALSE(cache.load("k").ok());
+
+    unsigned generated = 0;
+    const auto acquired = cache.getOrGenerate("k", [&]() -> Result<Trace> {
+        ++generated;
+        return sampleTrace();
+    });
+    ASSERT_TRUE(acquired.ok());
+    EXPECT_FALSE(acquired.value().fromCache);
+    EXPECT_EQ(generated, 1u);
+    EXPECT_EQ(acquired.value().trace, original);
+
+    // The regenerated entry is whole again; the stream file is
+    // untouched and still unread.
+    const auto reloaded = cache.load("k");
+    ASSERT_TRUE(reloaded.ok());
+    EXPECT_EQ(reloaded.value().readPath(), TraceReadPath::Mmap);
+    EXPECT_TRUE(std::filesystem::exists(stream));
 }
 
 } // namespace
